@@ -41,15 +41,13 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Hashable, List, Optional, Tuple
 
-from repro.core.base import Message
 from repro.serve.codec import (
+    MAX_DEPTH,
     CodecError,
-    InternDecoder,
     VarReader,
     VarWriter,
     decode_message_from,
     decode_value,
-    encode_message,
     encode_value,
 )
 
@@ -84,7 +82,7 @@ class WalError(ValueError):
 
 KIND_WRITE = 1  #: client write: ``(t, variable, value)``; value None = fresh
 KIND_READ = 2   #: client read: ``(t, variable)``
-KIND_RECV = 3   #: peer message receipt: ``(t, message)``
+KIND_RECV = 3   #: peer message receipt: ``(t, canonical message body)``
 
 _FRAME = struct.Struct(">II")
 
@@ -113,13 +111,15 @@ def encode_read_record(t: float, variable: Hashable) -> bytes:
     return w.getvalue()
 
 
-def encode_recv_record(t: float, message: Message) -> bytes:
-    """Body for a received peer message, embedding the canonical
-    (stateless) message encoding -- self-contained, no intern state."""
+def encode_recv_record(t: float, message_body: bytes) -> bytes:
+    """Body for a received peer message.  ``message_body`` is its
+    canonical encoding (:func:`repro.serve.codec.encode_message`), which
+    is also its peer-plane form: a server journals the slice of the
+    frame it has just decoded, nothing is encoded a second time."""
     w = VarWriter()
     w.u8(KIND_RECV)
     encode_value(w, t)
-    w.raw(encode_message(message))
+    w.raw(message_body)
     return w.getvalue()
 
 
@@ -143,7 +143,7 @@ def decode_record(body: bytes) -> Tuple[Any, ...]:
         elif kind == KIND_READ:
             rec = (KIND_READ, t, decode_value(r))
         elif kind == KIND_RECV:
-            rec = (KIND_RECV, t, decode_message_from(r, InternDecoder()))
+            rec = (KIND_RECV, t, decode_message_from(r))
         else:
             raise WalError(f"unknown WAL record kind {kind}")
         if not r.done():
@@ -263,6 +263,12 @@ def read_wal(path: str) -> WalReadResult:
 
 # -- snapshot files ---------------------------------------------------------
 
+#: A snapshot wraps the values clients wrote in levels of its own (server
+#: document -> node -> protocol -> store -> entry: five today), so its
+#: decoder allows that much more nesting than a frame from outside.
+_SNAPSHOT_ENVELOPE = 8
+
+
 def encode_snapshot(doc: Any) -> bytes:
     """One codec value document as bytes (no framing)."""
     w = VarWriter()
@@ -273,7 +279,7 @@ def encode_snapshot(doc: Any) -> bytes:
 def decode_snapshot(data: bytes) -> Any:
     try:
         r = VarReader(data)
-        doc = decode_value(r)
+        doc = decode_value(r, MAX_DEPTH + _SNAPSHOT_ENVELOPE)
         if not r.done():
             raise WalError("trailing bytes after snapshot document")
         return doc

@@ -436,8 +436,10 @@ class ControlledCluster:
         self.nodes[entry.dest].receive(entry.message)
         if self._durable is not None:
             from repro.durability.wal import encode_recv_record
+            from repro.serve.codec import encode_message
             self._durable[entry.dest].append(
-                encode_recv_record(float(self._now), entry.message),
+                encode_recv_record(float(self._now),
+                                   encode_message(entry.message)),
                 self.nodes[entry.dest],
             )
 

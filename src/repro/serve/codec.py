@@ -19,12 +19,19 @@ Wire format (``docs/serving.md`` has the full tables):
   piggybacks) take the dedicated :data:`TAG_VEC` fast path;
   :class:`~repro.model.operations.WriteId` and ``BOTTOM`` have native
   tags, so protocol payloads round-trip without pickle.
-- **Interning**: peer links carry many updates for few variables, so
-  update bodies reference per-connection interned variable ids -- a
-  name is spelled out once per connection, then costs one varint.
-  :func:`encode_message` (the stateless entry point used for sizing
-  and tests) uses a fresh table per message, which makes its output
-  deterministic and self-contained.
+- **Update bodies**: an update has one encoding, the *canonical* one
+  of :func:`encode_message` -- self-contained, so the same bytes serve
+  as the peer-plane body, the retransmission buffer entry, the
+  snapshot's ``sent`` entry and the receiver's WAL payload.  The
+  variable is spelled out in every body; :class:`InternEncoder` /
+  :class:`InternDecoder` implement the per-stream table form of the
+  same grammar (a name costs one varint after its first use) for
+  callers that own both ends of a stream -- the server does not use
+  it, and a stateless decode rejects a table reference.
+- **Hostile input**: every decoder raises :class:`CodecError` and
+  nothing else on malformed bytes -- truncation, invalid UTF-8,
+  unhashable dict keys, impossible write ids, and containers nested
+  more than :data:`MAX_DEPTH` deep.
 
 Nothing here performs I/O; framing against asyncio streams lives in
 :func:`read_frame` / :func:`write_frame` which only touch the stream
@@ -49,6 +56,7 @@ __all__ = [
     "FRAME_RESPONSE",
     "FRAME_STOP",
     "FRAME_STOPPED",
+    "MAX_DEPTH",
     "MAX_FRAME",
     "OP_READ",
     "OP_WRITE",
@@ -119,6 +127,9 @@ _M_CONTROL = 1
 # -- varints ----------------------------------------------------------------
 
 def write_uvarint(buf: bytearray, value: int) -> None:
+    if 0 <= value <= 0x7F:      # nearly every id, count and length
+        buf.append(value)
+        return
     if value < 0:
         raise CodecError(f"uvarint cannot encode negative {value}")
     while value > 0x7F:
@@ -149,16 +160,27 @@ class VarReader:
         return b
 
     def uvarint(self) -> int:
-        shift = 0
-        out = 0
-        while True:
-            b = self.u8()
-            out |= (b & 0x7F) << shift
-            if not b & 0x80:
-                return out
-            shift += 7
-            if shift > 70:
-                raise CodecError("varint too long")
+        data = self.data
+        pos = self.pos
+        try:
+            b = data[pos]
+            if b < 0x80:            # single byte: no loop, no u8() call
+                self.pos = pos + 1
+                return b
+            out = b & 0x7F
+            shift = 7
+            while True:
+                pos += 1
+                b = data[pos]
+                out |= (b & 0x7F) << shift
+                if b < 0x80:
+                    self.pos = pos + 1
+                    return out
+                shift += 7
+                if shift > 70:
+                    raise CodecError("varint too long")
+        except IndexError:
+            raise CodecError("truncated frame") from None
 
     def svarint(self) -> int:
         z = self.uvarint()
@@ -171,6 +193,13 @@ class VarReader:
         out = self.data[self.pos:end]
         self.pos = end
         return out
+
+    def text(self) -> str:
+        """One length-prefixed UTF-8 string."""
+        try:
+            return str(self.take(self.uvarint()), "utf-8")
+        except UnicodeDecodeError:
+            raise CodecError("invalid UTF-8 in string") from None
 
     def done(self) -> bool:
         return self.pos >= len(self.data)
@@ -188,7 +217,10 @@ class VarWriter:
         self.buf.append(value)
 
     def uvarint(self, value: int) -> None:
-        write_uvarint(self.buf, value)
+        if 0 <= value <= 0x7F:
+            self.buf.append(value)
+        else:
+            write_uvarint(self.buf, value)
 
     def svarint(self, value: int) -> None:
         write_uvarint(self.buf, _zigzag(value))
@@ -202,6 +234,14 @@ class VarWriter:
 
 # -- values -----------------------------------------------------------------
 
+#: Containers (tuple, list, dict) in a value arriving from a client or a
+#: peer nest at most this deep; deeper is a hostile frame, not data
+#: (unbounded, a few kilobytes of nested tuple headers exhaust the
+#: interpreter stack).  Documents this program writes itself may wrap
+#: such values in a few levels of their own: their decoders say how many.
+MAX_DEPTH = 32
+
+
 def _is_vec(value: tuple) -> bool:
     for item in value:
         if type(item) is not int or item < 0:
@@ -210,61 +250,86 @@ def _is_vec(value: tuple) -> bool:
 
 
 def encode_value(w: VarWriter, value: Any) -> None:
-    if value is None:
-        w.u8(_T_NONE)
-    elif value is BOTTOM:
-        w.u8(_T_BOTTOM)
-    elif value is False:
-        w.u8(_T_FALSE)
-    elif value is True:
-        w.u8(_T_TRUE)
-    elif type(value) is int:
-        w.u8(_T_INT)
-        w.svarint(value)
-    elif type(value) is float:
-        w.u8(_T_FLOAT)
-        w.raw(_F64.pack(value))
-    elif type(value) is str:
+    # Exact-type tests, most frequent first; the tag a value gets does
+    # not depend on the order they are tried in.
+    buf = w.buf
+    kind = type(value)
+    if kind is str:
         data = value.encode("utf-8")
-        w.u8(_T_STR)
-        w.uvarint(len(data))
-        w.raw(data)
-    elif type(value) is bytes:
-        w.u8(_T_BYTES)
-        w.uvarint(len(value))
-        w.raw(value)
-    elif type(value) is WriteId:
-        w.u8(_T_WID)
-        w.uvarint(value.process)
-        w.uvarint(value.seq)
-    elif type(value) is tuple:
+        buf.append(_T_STR)
+        write_uvarint(buf, len(data))
+        buf += data
+    elif kind is int:
+        buf.append(_T_INT)
+        write_uvarint(buf, _zigzag(value))
+    elif kind is tuple:
         if value and _is_vec(value):
-            w.u8(_T_VEC)
-            w.uvarint(len(value))
+            buf.append(_T_VEC)
+            write_uvarint(buf, len(value))
             for item in value:
-                w.uvarint(item)
+                write_uvarint(buf, item)
         else:
-            w.u8(_T_TUPLE)
-            w.uvarint(len(value))
+            buf.append(_T_TUPLE)
+            write_uvarint(buf, len(value))
             for item in value:
                 encode_value(w, item)
-    elif type(value) is list:
-        w.u8(_T_LIST)
-        w.uvarint(len(value))
+    elif kind is bytes:
+        buf.append(_T_BYTES)
+        write_uvarint(buf, len(value))
+        buf += value
+    elif kind is float:
+        buf.append(_T_FLOAT)
+        buf += _F64.pack(value)
+    elif kind is list:
+        buf.append(_T_LIST)
+        write_uvarint(buf, len(value))
         for item in value:
             encode_value(w, item)
-    elif type(value) is dict:
-        w.u8(_T_DICT)
-        w.uvarint(len(value))
+    elif kind is dict:
+        buf.append(_T_DICT)
+        write_uvarint(buf, len(value))
         for key, item in value.items():
             encode_value(w, key)
             encode_value(w, item)
+    elif kind is WriteId:
+        buf.append(_T_WID)
+        write_uvarint(buf, value.process)
+        write_uvarint(buf, value.seq)
+    elif value is None:
+        buf.append(_T_NONE)
+    elif value is BOTTOM:
+        buf.append(_T_BOTTOM)
+    elif value is False:
+        buf.append(_T_FALSE)
+    elif value is True:
+        buf.append(_T_TRUE)
     else:
         raise CodecError(f"unencodable value of type {type(value).__name__}")
 
 
-def decode_value(r: VarReader) -> Any:
-    tag = r.u8()
+def read_wid(r: VarReader) -> WriteId:
+    process = r.uvarint()
+    seq = r.uvarint()
+    if seq < 1:
+        raise CodecError("write id sequence numbers are 1-based")
+    return WriteId(process, seq)
+
+
+def decode_value(r: VarReader, room: int = MAX_DEPTH) -> Any:
+    """One tagged value.  ``room`` is how many more container levels may
+    open below this point (:data:`MAX_DEPTH` for outside input)."""
+    pos = r.pos     # r.u8(), inlined: this runs once per value
+    try:
+        tag = r.data[pos]
+    except IndexError:
+        raise CodecError("truncated frame") from None
+    r.pos = pos + 1
+    if tag == _T_STR:
+        return r.text()
+    if tag == _T_INT:
+        return r.svarint()
+    if tag == _T_VEC:
+        return tuple([r.uvarint() for _ in range(r.uvarint())])
     if tag == _T_NONE:
         return None
     if tag == _T_BOTTOM:
@@ -273,30 +338,40 @@ def decode_value(r: VarReader) -> Any:
         return False
     if tag == _T_TRUE:
         return True
-    if tag == _T_INT:
-        return r.svarint()
     if tag == _T_FLOAT:
         return _F64.unpack(r.take(8))[0]
-    if tag == _T_STR:
-        return r.take(r.uvarint()).decode("utf-8")
     if tag == _T_BYTES:
         return r.take(r.uvarint())
     if tag == _T_WID:
-        return WriteId(r.uvarint(), r.uvarint())
-    if tag == _T_VEC:
-        return tuple(r.uvarint() for _ in range(r.uvarint()))
+        return read_wid(r)
+    if tag not in (_T_TUPLE, _T_LIST, _T_DICT):
+        raise CodecError(f"unknown value tag {tag}")
+    if room <= 0:
+        raise CodecError("containers nested too deep")
+    room -= 1
+    n = r.uvarint()
     if tag == _T_TUPLE:
-        return tuple(decode_value(r) for _ in range(r.uvarint()))
+        return tuple([decode_value(r, room) for _ in range(n)])
     if tag == _T_LIST:
-        return [decode_value(r) for _ in range(r.uvarint())]
-    if tag == _T_DICT:
-        n = r.uvarint()
-        out = {}
-        for _ in range(n):
-            key = decode_value(r)
-            out[key] = decode_value(r)
-        return out
-    raise CodecError(f"unknown value tag {tag}")
+        return [decode_value(r, room) for _ in range(n)]
+    out = {}
+    for _ in range(n):
+        key = decode_value(r, room)
+        item = decode_value(r, room)
+        try:
+            out[key] = item
+        except TypeError:
+            raise CodecError("unhashable dict key") from None
+    return out
+
+
+def _hashable(value: Any) -> Any:
+    """``value`` as a variable name (nodes key their stores by it)."""
+    try:
+        hash(value)
+    except TypeError:
+        raise CodecError("unhashable variable name") from None
+    return value
 
 
 def write_vec(w: VarWriter, vec: Tuple[int, ...]) -> None:
@@ -306,14 +381,35 @@ def write_vec(w: VarWriter, vec: Tuple[int, ...]) -> None:
 
 
 def read_vec(r: VarReader) -> Tuple[int, ...]:
-    return tuple(r.uvarint() for _ in range(r.uvarint()))
+    return tuple([r.uvarint() for _ in range(r.uvarint())])
 
 
-# -- variable interning -----------------------------------------------------
+# -- variables --------------------------------------------------------------
+#
+# An update names its variable with a code: 0 = a string, spelled out;
+# 1 = any other value (tests use ints/tuples), generic value encoding;
+# k >= 2 = entry k-2 of the stream's table (InternEncoder/InternDecoder
+# only -- the canonical form never uses it).
+
+def _write_variable(w: VarWriter, variable: Any) -> None:
+    if type(variable) is str:
+        data = variable.encode("utf-8")
+        buf = w.buf
+        buf.append(0)
+        write_uvarint(buf, len(data))
+        buf += data
+    else:
+        w.u8(1)
+        encode_value(w, variable)
+
+
+def _read_variable(r: VarReader, code: int) -> Any:
+    return r.text() if code == 0 else _hashable(decode_value(r))
+
 
 class InternEncoder:
     """Sender-side variable table: a name costs its UTF-8 spelling the
-    first time it crosses a connection, one varint afterwards."""
+    first time it crosses a stream, one varint afterwards."""
 
     __slots__ = ("_ids",)
 
@@ -321,25 +417,19 @@ class InternEncoder:
         self._ids: Dict[str, int] = {}
 
     def write(self, w: VarWriter, variable: Any) -> None:
-        if type(variable) is not str:
-            # non-string variables (tests use ints/tuples) skip the
-            # intern table and ride the generic value encoding
-            w.uvarint(1)
-            encode_value(w, variable)
-            return
-        known = self._ids.get(variable)
-        if known is not None:
-            w.uvarint(known + 2)
-        else:
+        if type(variable) is str:
+            known = self._ids.get(variable)
+            if known is not None:
+                w.uvarint(known + 2)
+                return
             self._ids[variable] = len(self._ids)
-            w.uvarint(0)
-            data = variable.encode("utf-8")
-            w.uvarint(len(data))
-            w.raw(data)
+        _write_variable(w, variable)
 
 
 class InternDecoder:
-    """Receiver-side mirror of :class:`InternEncoder`."""
+    """Receiver-side mirror of :class:`InternEncoder`.  The table grows
+    with every distinct name, so it belongs on streams whose sender is
+    trusted to reuse names; the server's peer plane decodes statelessly."""
 
     __slots__ = ("_names",)
 
@@ -348,67 +438,82 @@ class InternDecoder:
 
     def read(self, r: VarReader) -> Any:
         code = r.uvarint()
+        if code >= 2:
+            try:
+                return self._names[code - 2]
+            except IndexError:
+                raise CodecError(
+                    f"undefined interned variable id {code - 2}") from None
+        name = _read_variable(r, code)
         if code == 0:
-            name = r.take(r.uvarint()).decode("utf-8")
             self._names.append(name)
-            return name
-        if code == 1:
-            return decode_value(r)
-        idx = code - 2
-        try:
-            return self._names[idx]
-        except IndexError:
-            raise CodecError(f"undefined interned variable id {idx}") from None
+        return name
 
 
 # -- protocol messages ------------------------------------------------------
 
 def encode_message_into(w: VarWriter, message: Message,
-                        intern: InternEncoder) -> None:
+                        intern: Optional[InternEncoder] = None) -> None:
+    """Append one message body; ``intern=None`` gives the canonical
+    (self-contained) form."""
+    buf = w.buf
     if isinstance(message, UpdateMessage):
-        w.u8(_M_UPDATE)
-        w.uvarint(message.sender)
-        w.uvarint(message.wid.process)
-        w.uvarint(message.wid.seq)
-        intern.write(w, message.variable)
+        buf.append(_M_UPDATE)
+        write_uvarint(buf, message.sender)
+        write_uvarint(buf, message.wid.process)
+        write_uvarint(buf, message.wid.seq)
+        if intern is None:
+            _write_variable(w, message.variable)
+        else:
+            intern.write(w, message.variable)
         encode_value(w, message.value)
         payload = message.payload
-        w.uvarint(len(payload))
+        write_uvarint(buf, len(payload))
         for key, value in payload.items():
             if type(key) is not str:
                 raise CodecError(f"non-string payload key {key!r}")
             data = key.encode("utf-8")
-            w.uvarint(len(data))
-            w.raw(data)
+            write_uvarint(buf, len(data))
+            buf += data
             encode_value(w, value)
     elif isinstance(message, ControlMessage):
-        w.u8(_M_CONTROL)
-        w.uvarint(message.sender)
+        buf.append(_M_CONTROL)
+        write_uvarint(buf, message.sender)
         data = message.kind.encode("utf-8")
-        w.uvarint(len(data))
-        w.raw(data)
+        write_uvarint(buf, len(data))
+        buf += data
         encode_value(w, dict(message.payload))
     else:
         raise CodecError(f"unknown message type {type(message).__name__}")
 
 
-def decode_message_from(r: VarReader, intern: InternDecoder) -> Message:
+def decode_message_from(r: VarReader,
+                        intern: Optional[InternDecoder] = None) -> Message:
+    """Read one message body.  With ``intern=None`` the decode is
+    stateless: the body must be self-contained, and a table reference
+    is a :class:`CodecError`."""
     tag = r.u8()
     if tag == _M_UPDATE:
         sender = r.uvarint()
-        wid = WriteId(r.uvarint(), r.uvarint())
-        variable = intern.read(r)
+        wid = read_wid(r)
+        if intern is None:
+            code = r.uvarint()
+            if code >= 2:
+                raise CodecError(
+                    f"interned variable id {code - 2} in a stateless decode")
+            variable = _read_variable(r, code)
+        else:
+            variable = intern.read(r)
         value = decode_value(r)
-        n = r.uvarint()
         payload = {}
-        for _ in range(n):
-            key = r.take(r.uvarint()).decode("utf-8")
+        for _ in range(r.uvarint()):
+            key = r.text()
             payload[key] = decode_value(r)
         return UpdateMessage(sender=sender, wid=wid, variable=variable,
                              value=value, payload=payload)
     if tag == _M_CONTROL:
         sender = r.uvarint()
-        kind = r.take(r.uvarint()).decode("utf-8")
+        kind = r.text()
         payload = decode_value(r)
         if type(payload) is not dict:
             raise CodecError("control payload must decode to a dict")
@@ -417,21 +522,18 @@ def decode_message_from(r: VarReader, intern: InternDecoder) -> Message:
 
 
 def encode_message(message: Message) -> bytes:
-    """Stateless single-message encoding (fresh intern table).
-
-    This is the canonical form: deterministic, self-contained, and the
-    size oracle for :func:`repro.sim.network.estimate_size`.  Live peer
-    links use :meth:`InternEncoder.write` with a per-connection table,
-    so steady-state frames are strictly smaller than this bound.
-    """
+    """The canonical encoding of one message: deterministic and
+    self-contained.  It is the form an update has everywhere outside a
+    node -- peer-plane body, retransmission buffer, snapshot, WAL --
+    and the size oracle for :func:`repro.sim.network.estimate_size`."""
     w = VarWriter()
-    encode_message_into(w, message, InternEncoder())
+    encode_message_into(w, message)
     return w.getvalue()
 
 
 def decode_message(data: bytes) -> Message:
     r = VarReader(data)
-    message = decode_message_from(r, InternDecoder())
+    message = decode_message_from(r)
     if not r.done():
         raise CodecError("trailing bytes after message")
     return message
@@ -479,6 +581,8 @@ def decode_request(data: bytes) -> Tuple[Tuple[int, ...],
     for _ in range(r.uvarint()):
         kind = r.u8()
         variable = decode_value(r)
+        if type(variable) is not str:
+            _hashable(variable)
         if kind == OP_WRITE:
             ops.append((kind, variable, decode_value(r)))
         elif kind == OP_READ:

@@ -10,7 +10,11 @@ behind real sockets:
   the per-peer buffer and the frame ships when either the batch window
   elapses (one ``call_later`` per open window) or the buffer hits its
   message/byte cap -- so the syscall count grows with *batches*, not
-  ops, and stays sublinear in op count under load.
+  ops, and stays sublinear in op count under load.  An update is
+  encoded **once**, to its canonical body
+  (:func:`~repro.serve.codec.encode_message`): every peer link, the
+  retransmission buffer and the snapshot hold those same bytes, and a
+  receiver journals the slice of the frame it decoded.
 - **client plane**: pipelined REQUEST/RESPONSE frames.  A request
   carries the client session vector; writes execute immediately, reads
   first await local dominance of that vector (read-your-writes +
@@ -63,8 +67,6 @@ from repro.serve.codec import (
     ROLE_CLIENT,
     ROLE_PEER,
     CodecError,
-    InternDecoder,
-    InternEncoder,
     VarReader,
     VarWriter,
     read_frame,
@@ -110,23 +112,20 @@ class _ServedNode(Node):
 class _PeerLink:
     """Outgoing half-connection to one peer with micro-batching."""
 
-    __slots__ = ("dest", "writer", "intern", "bodies", "pending_bytes",
+    __slots__ = ("dest", "writer", "bodies", "pending_bytes",
                  "flush_handle", "draining", "server")
 
     def __init__(self, server: "ReplicaServer", dest: int, writer) -> None:
         self.server = server
         self.dest = dest
         self.writer = writer
-        self.intern = InternEncoder()
         self.bodies: List[bytes] = []
         self.pending_bytes = 0
         self.flush_handle: Optional[asyncio.TimerHandle] = None
         self.draining = False
 
-    def enqueue(self, message) -> None:
-        w = VarWriter()
-        codec.encode_message_into(w, message, self.intern)
-        body = w.getvalue()
+    def enqueue(self, body: bytes) -> None:
+        """Queue one canonical message body."""
         self.bodies.append(body)
         self.pending_bytes += len(body)
         srv = self.server
@@ -149,12 +148,10 @@ class _PeerLink:
         # reissue a write-id a peer has already applied.
         if srv._wal is not None:
             srv._wal.sync()
-        w = VarWriter()
-        w.u8(FRAME_MSG_BATCH)
-        w.uvarint(len(self.bodies))
-        for body in self.bodies:
-            w.raw(body)
-        payload = w.getvalue()
+        header = VarWriter()
+        header.u8(FRAME_MSG_BATCH)
+        header.uvarint(len(self.bodies))
+        payload = b"".join([header.getvalue(), *self.bodies])
         write_frame(self.writer, payload)
         srv.stats["peer_batches"] += 1
         srv.stats["peer_msgs"] += len(self.bodies)
@@ -250,10 +247,11 @@ class ReplicaServer:
         #: grows monotonically, so ``tuple(applied)`` is the progress
         #: vector clients fold into their session vectors.
         self.applied: List[int] = [0] * self.n
-        #: own broadcast updates in issue order: ``_sent[k]`` is write
-        #: k+1's update message, so a peer whose WELCOME acknowledged K
-        #: applied writes needs exactly the suffix ``_sent[K:]``.
-        self._sent: List[Any] = []
+        #: own broadcast updates in issue order, as canonical bodies:
+        #: ``_sent[k]`` is write k+1's update, so a peer whose WELCOME
+        #: acknowledged K applied writes needs exactly the suffix
+        #: ``_sent[K:]`` -- and the snapshot stores the list as it is.
+        self._sent: List[bytes] = []
         self._replaying = False
         self._replay_now = 0.0
         self._wal = None
@@ -377,8 +375,7 @@ class ReplicaServer:
                 doc = dur.decode_snapshot(raw_snap)
                 dur.restore_node(self.node, doc["node"])
                 self.applied = [int(x) for x in doc["applied"]]
-                self._sent = [codec.decode_message(raw)
-                              for raw in doc["sent"]]
+                self._sent = doc["sent"]
                 skip = int(doc["wal_records"])
                 last_t = float(doc["t"])
                 self._replay_now = last_t
@@ -425,7 +422,7 @@ class ReplicaServer:
             "node": dur.snapshot_node(self.node),
             "applied": list(self.applied),
             "t": self._now(),
-            "sent": [codec.encode_message(m) for m in self._sent],
+            "sent": self._sent,
             "wal_records": self._wal_total,
         }
         self._wal.sync()
@@ -438,20 +435,21 @@ class ReplicaServer:
     def _dispatch(self, sender: int, outgoing: Sequence[Outgoing]) -> None:
         for out in outgoing:
             if out.dest == BROADCAST:
-                self._sent.append(out.message)
+                body = codec.encode_message(out.message)
+                self._sent.append(body)
                 if self._replaying:
                     continue
                 for dest in range(self.n):
                     if dest != sender:
                         link = self._links.get(dest)
                         if link is not None:
-                            link.enqueue(out.message)
+                            link.enqueue(body)
             else:
                 if self._replaying:
                     continue
                 link = self._links.get(out.dest)
                 if link is not None:
-                    link.enqueue(out.message)
+                    link.enqueue(codec.encode_message(out.message))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -536,8 +534,8 @@ class ReplicaServer:
                 acked = r.uvarint()
                 link = _PeerLink(self, dest, writer)
                 self._links[dest] = link
-                for message in self._sent[acked:]:
-                    link.enqueue(message)
+                for body in self._sent[acked:]:
+                    link.enqueue(body)
                 self._link_up[dest].set()
                 self.stats["peer_dials"] += 1
                 while True:  # nothing follows WELCOME; EOF = peer died
@@ -624,7 +622,6 @@ class ReplicaServer:
         w.uvarint(self.applied[sender])
         write_frame(writer, w.getvalue())
         await writer.drain()
-        intern = InternDecoder()
         node = self.node
         while True:
             body = await read_frame(reader)
@@ -636,13 +633,16 @@ class ReplicaServer:
                 raise CodecError("expected MSG_BATCH on peer plane")
             count = r.uvarint()
             for _ in range(count):
-                message = codec.decode_message_from(r, intern)
+                start = r.pos
+                # stateless: each body decodes on its own, so the slice
+                # journaled below replays without this connection
+                message = codec.decode_message_from(r)
                 if self._wal is not None:
                     # duplicates are journaled too: replay routes them
                     # through the same dedup guard, so the rebuilt
                     # state cannot depend on when dedup happened
-                    self._wal_append(
-                        self._dur.encode_recv_record(self._now(), message))
+                    self._wal_append(self._dur.encode_recv_record(
+                        self._now(), body[start:r.pos]))
                 node.receive(message)
             self._maybe_snapshot()
 

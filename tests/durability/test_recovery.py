@@ -7,12 +7,17 @@ leans on when recovery does *not* go cleanly.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.model.operations import WriteId
 from repro.sim.cluster import _resolve_factory
 from repro.durability import (
     DurableLog,
     RecoveryError,
+    decode_snapshot,
     encode_read_record,
+    encode_snapshot,
     encode_write_record,
     rebuild_node,
     restore_node,
@@ -149,3 +154,52 @@ class TestNodeSnapshotDoc:
         restore_node(fresh, doc)
         assert fresh.protocol.debug_state() == live.protocol.debug_state()
         assert fresh.do_read("x")[0] == "a"
+
+
+class TestSeenPacking:
+    """The dedup guard in a snapshot: per process, a contiguous prefix
+    length plus the sorted ids beyond a gap."""
+
+    @staticmethod
+    def _node_with_seen(wids):
+        node = rebuild_node(_optp(), 0, 3, None, [], dedup=True)
+        node._seen_updates.update(wids)
+        return node
+
+    @given(st.sets(st.builds(WriteId, st.integers(0, 3), st.integers(1, 40)),
+                   max_size=60),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_and_order_independence(self, wids, rng):
+        doc = snapshot_node(self._node_with_seen(wids))
+        # through the file format, as recovery reads it
+        doc = decode_snapshot(encode_snapshot(doc))
+        fresh = self._node_with_seen([WriteId(3, 99)])
+        restore_node(fresh, doc)
+        assert fresh._seen_updates == wids
+        # the document is a function of the set, not of how it was built
+        shuffled = sorted(wids, key=lambda _: rng.random())
+        assert snapshot_node(self._node_with_seen(shuffled))["seen"] \
+            == doc["seen"]
+        for process, prefix, stragglers in doc["seen"]:
+            assert all(q > prefix + 1 for q in stragglers)
+            assert list(stragglers) == sorted(set(stragglers))
+
+    def test_fifo_delivery_needs_no_stragglers(self):
+        wids = [WriteId(p, q) for p in (1, 2) for q in range(1, 5001)]
+        seen = snapshot_node(self._node_with_seen(wids))["seen"]
+        assert seen == [(1, 5000, ()), (2, 5000, ())]
+
+    def test_gap_keeps_the_ids_past_it(self):
+        wids = [WriteId(1, q) for q in (1, 2, 4, 7)] + [WriteId(2, 3)]
+        seen = snapshot_node(self._node_with_seen(wids))["seen"]
+        assert seen == [(1, 2, (4, 7)), (2, 0, (3,))]
+
+    def test_list_of_write_ids_still_restores(self):
+        """The shape snapshots had before the packing (sorted ids)."""
+        wids = [WriteId(1, 1), WriteId(1, 3), WriteId(2, 1)]
+        doc = snapshot_node(self._node_with_seen([]))
+        doc["seen"] = wids
+        fresh = self._node_with_seen([])
+        restore_node(fresh, decode_snapshot(encode_snapshot(doc)))
+        assert fresh._seen_updates == set(wids)

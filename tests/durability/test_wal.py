@@ -33,6 +33,7 @@ from repro.durability import (
     write_framed_file,
 )
 from repro.model.operations import WriteId
+from repro.serve.codec import MAX_DEPTH, encode_message
 
 # -- the value universe the WAL may carry ------------------------------------
 
@@ -81,7 +82,7 @@ records = st.one_of(
     st.builds(encode_write_record, times, st.text(min_size=1, max_size=12),
               values),
     st.builds(encode_read_record, times, st.text(min_size=1, max_size=12)),
-    st.builds(encode_recv_record, times, messages),
+    st.builds(encode_recv_record, times, messages.map(encode_message)),
 )
 
 
@@ -101,7 +102,10 @@ class TestRecordRoundtrip:
     @given(t=times, message=messages)
     @settings(max_examples=150, deadline=None)
     def test_recv_record(self, t, message):
-        kind, back_t, back_msg = decode_record(encode_recv_record(t, message))
+        body = encode_message(message)
+        record = encode_recv_record(t, body)
+        assert record.endswith(body)     # the wire bytes, not a re-encoding
+        kind, back_t, back_msg = decode_record(record)
         assert kind == KIND_RECV
         assert back_t == t
         assert back_msg == message
@@ -117,6 +121,15 @@ class TestRecordRoundtrip:
         except WalError:
             pass
 
+    @pytest.mark.parametrize("body", [
+        bytes([2, 0, 6, 2, 0xFF, 0xFE]),                  # read of a non-UTF-8 name
+        bytes([1, 0, 6, 1, 0x78]) + bytes([8, 1]) * 5000 + bytes([0]),
+        bytes([3, 0, 0, 0, 0, 1, 2]),                     # recv: table reference
+    ], ids=["invalid-utf8", "nesting", "interned-id"])
+    def test_hostile_body_is_a_wal_error(self, body):
+        with pytest.raises(WalError, match="undecodable"):
+            decode_record(body)
+
 
 class TestSnapshotRoundtrip:
     @given(doc=st.dictionaries(st.text(max_size=8), values, max_size=5))
@@ -128,6 +141,24 @@ class TestSnapshotRoundtrip:
         blob = encode_snapshot({"a": 1}) + b"\x00"
         with pytest.raises(WalError):
             decode_snapshot(blob)
+
+    def test_deepest_client_value_survives_its_snapshot(self):
+        """A value the client plane accepts (MAX_DEPTH containers) sits a
+        few levels down in the snapshot document; the snapshot decoder
+        must leave room for both, or the file could be written and never
+        read back."""
+        value = None
+        for _ in range(MAX_DEPTH):
+            value = (value,)
+        doc = {"node": {"protocol": {"store": [("k", value, WriteId(0, 1))]}},
+               "sent": [b"\x00"]}
+        assert decode_snapshot(encode_snapshot(doc)) == doc
+
+    def test_hostile_snapshot_is_a_wal_error(self):
+        with pytest.raises(WalError, match="undecodable"):
+            decode_snapshot(bytes([8, 1]) * 5000 + bytes([0]))
+        with pytest.raises(WalError, match="undecodable"):
+            decode_snapshot(bytes([6, 2, 0xFF, 0xFE]))
 
 
 class TestWalFile:

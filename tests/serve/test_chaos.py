@@ -10,6 +10,9 @@ like the other serve tests (the conformance checker's vectorized
 legality pass is quadratic in trace length).
 """
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.serve.harness import ServedCluster, serve_chaos
@@ -58,12 +61,12 @@ class TestInProcessRecovery:
     durable ReplicaServer, snapshot mid-stream, rebuild from the same
     wal_dir, and require byte-identical protocol state."""
 
-    def _server(self, tmp_path, **kwargs):
+    def _server(self, tmp_path, group_size=1, **kwargs):
         from repro.serve.server import ReplicaServer
         from repro.serve.shard import ClusterSpec
 
         spec = ClusterSpec.local_uds(tmp_path, "optp",
-                                     n_shards=1, group_size=1)
+                                     n_shards=1, group_size=group_size)
         return ReplicaServer(spec, 0, 0, rundir=tmp_path, record=False,
                              wal_dir=tmp_path / "wal", **kwargs)
 
@@ -85,10 +88,34 @@ class TestInProcessRecovery:
         assert second.stats["recovery_us"] > 0
         assert second.node.protocol.debug_state() == before
         assert second._sent == first._sent
+        assert all(type(body) is bytes for body in second._sent)
         # recovery re-derives own-progress from the replayed protocol
         # (the test drove the node directly, bypassing the client path
         # that normally keeps ``applied`` current)
         assert second.applied[0] == second.node.protocol.writes_issued == 11
+
+    def test_recovers_files_written_before_canonical_bodies(self, tmp_path):
+        """Cross-version replay: a snapshot + WAL written by PR 12's
+        server (``fixtures/pr12/make_fixture.py``: receipts journaled by
+        re-encoding, ``seen`` a sorted id list with a gap, one buffered
+        message) recover to the state that commit recovered itself."""
+        from repro.durability import decode_snapshot, snapshot_node
+
+        fixture = Path(__file__).parents[1] / "durability/fixtures/pr12"
+        (tmp_path / "wal").mkdir()
+        for name in ("node-g0n0.wal", "node-g0n0.snap"):
+            shutil.copy(fixture / name, tmp_path / "wal" / name)
+        expected = decode_snapshot((fixture / "expected.bin").read_bytes())
+
+        server = self._server(tmp_path, group_size=3, snapshot_every=9)
+        assert server.stats["recovered"] == 1
+        assert server.applied == expected["applied"] == [4, 4, 2]
+        assert server._sent == expected["sent"]
+        node = snapshot_node(server.node)
+        assert server.node._seen_updates == set(expected["node"].pop("seen"))
+        assert node.pop("seen") == [(1, 4, ()), (2, 2, ())]
+        assert node == expected["node"]
+        server._wal.close()
 
     def test_fresh_wal_dir_means_no_recovery(self, tmp_path):
         server = self._server(tmp_path)

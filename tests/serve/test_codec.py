@@ -16,6 +16,7 @@ from repro.core.base import ControlMessage, UpdateMessage
 from repro.model.operations import WriteId
 from repro.protocols import PROTOCOLS
 from repro.serve.codec import (
+    MAX_DEPTH,
     MAX_FRAME,
     CodecError,
     InternDecoder,
@@ -34,6 +35,7 @@ from repro.serve.codec import (
     encode_value,
     encoded_size,
     frame,
+    write_uvarint,
 )
 from repro.sim import SeededLatency, run_schedule
 from repro.workloads import WorkloadConfig, random_schedule
@@ -107,6 +109,146 @@ class TestValueRoundtrip:
         except CodecError:
             pass
 
+    # Hostile frames that 200 random blobs never produced: each used to
+    # leave the decoder as something other than CodecError, past the
+    # server's ``except (CodecError, ConnectionError)``.
+    BAD_UTF8 = bytes([2, 0xFF, 0xFE])            # length 2, not UTF-8
+    UPDATE_HEAD = bytes([0, 0, 0, 1])            # update, sender 0, w[p0#1]
+
+    @pytest.mark.parametrize("decode, blob", [
+        # the frame the issue reported: a read of a variable named \xff\xfe
+        (decode_request, bytes([3, 1, 0, 1, 0, 6]) + BAD_UTF8),
+        (decode_request, bytes([3, 1, 0, 1, 1, 6, 1, 0x78, 6]) + BAD_UTF8),
+        (decode_response, bytes([4, 1, 0, 1, 0, 6]) + BAD_UTF8),
+        (decode_message, UPDATE_HEAD + bytes([0]) + BAD_UTF8),      # variable
+        (decode_message,                                        # payload key
+         UPDATE_HEAD + bytes([0, 1, 0x78, 0, 1]) + BAD_UTF8 + bytes([0])),
+        (decode_message, bytes([1, 0]) + BAD_UTF8 + bytes([10, 0])),   # kind
+    ], ids=["read-variable", "write-value", "response-value",
+            "update-variable", "payload-key", "control-kind"])
+    def test_invalid_utf8_is_a_codec_error(self, decode, blob):
+        with pytest.raises(CodecError, match="UTF-8"):
+            decode(blob)
+
+    @pytest.mark.parametrize("tag", [8, 9], ids=["tuple", "list"])
+    def test_nesting_is_bounded(self, tag):
+        def nested(levels):
+            return bytes([tag, 1]) * levels + bytes([0])    # ((...(None)...))
+        value = decode_value(VarReader(nested(MAX_DEPTH)))
+        for _ in range(MAX_DEPTH):
+            (value,) = value
+        assert value is None
+        with pytest.raises(CodecError, match="nested"):
+            decode_value(VarReader(nested(MAX_DEPTH + 1)))
+        # far past the interpreter's recursion limit: still a CodecError
+        with pytest.raises(CodecError, match="nested"):
+            decode_request(bytes([3, 1, 0, 1, 1, 6, 1, 0x78])
+                           + nested(50_000))
+
+    def test_nested_dicts_are_bounded(self):
+        blob = bytes([10, 1, 0]) * (MAX_DEPTH + 1) + bytes([0])   # {None: {..}}
+        with pytest.raises(CodecError, match="nested"):
+            decode_value(VarReader(blob))
+
+    def test_unhashable_dict_key_is_a_codec_error(self):
+        with pytest.raises(CodecError, match="unhashable"):
+            decode_value(VarReader(bytes([10, 1, 9, 0, 0])))      # {[]: None}
+
+    def test_unhashable_variable_is_a_codec_error(self):
+        # a list is a value, but not a name a node can key its store by
+        with pytest.raises(CodecError, match="unhashable"):
+            decode_request(bytes([3, 1, 0, 1, 0, 9, 0]))
+        with pytest.raises(CodecError, match="unhashable"):
+            decode_message(self.UPDATE_HEAD + bytes([1, 9, 0, 0, 0]))
+        session, ops = decode_request(encode_request((0,), [(0, (1, "x"), None)]))
+        assert ops == [(0, (1, "x"), None)]
+
+    def test_zero_sequence_write_id_is_a_codec_error(self):
+        with pytest.raises(CodecError, match="1-based"):
+            decode_value(VarReader(bytes([11, 0, 0])))
+        with pytest.raises(CodecError, match="1-based"):
+            decode_message(bytes([0, 0, 0, 0]))
+
+
+# -- varints: the single-byte fast paths against the plain loops ---------------
+
+def loop_write_uvarint(buf, value):
+    while value > 0x7F:
+        buf.append((value & 0x7F) | 0x80)
+        value >>= 7
+    buf.append(value)
+
+
+def loop_read_uvarint(data, pos):
+    """(value, next position), or None where the reader must refuse."""
+    out = shift = 0
+    while pos < len(data) and shift <= 70:
+        b = data[pos]
+        pos += 1
+        out |= (b & 0x7F) << shift
+        if not b & 0x80:
+            return out, pos
+        shift += 7
+    return None
+
+
+EDGES = [0, 1, 0x7F, 0x80, 2**14 - 1, 2**14, 2**63, 2**64 - 1]
+uvarints = st.one_of(st.sampled_from(EDGES), st.integers(0, 2**70))
+
+
+class TestVarintFastPath:
+    @given(st.lists(uvarints, min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_writers_agree_with_the_loop(self, numbers):
+        want, plain, w = bytearray(), bytearray(), VarWriter()
+        for number in numbers:
+            loop_write_uvarint(want, number)
+            write_uvarint(plain, number)
+            w.uvarint(number)
+        assert plain == want
+        assert w.getvalue() == bytes(want)
+        r = VarReader(bytes(want))
+        assert [r.uvarint() for _ in numbers] == numbers
+        assert r.done()
+
+    @given(st.lists(uvarints, min_size=1, max_size=4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reader_agrees_with_the_loop_on_any_cut(self, numbers, data):
+        blob = bytearray()
+        for number in numbers:
+            loop_write_uvarint(blob, number)
+        blob = bytes(blob[:data.draw(st.integers(0, len(blob)))])
+        r = VarReader(blob)
+        pos = 0
+        while pos < len(blob):
+            want = loop_read_uvarint(blob, pos)
+            if want is None:
+                with pytest.raises(CodecError, match="truncated"):
+                    r.uvarint()
+                return
+            assert (r.uvarint(), r.pos) == want
+            pos = r.pos
+        with pytest.raises(CodecError, match="truncated"):
+            r.uvarint()
+
+    @given(st.integers(-(2**66), 2**66))
+    @settings(max_examples=200, deadline=None)
+    def test_signed_roundtrip(self, number):
+        w = VarWriter()
+        w.svarint(number)
+        assert VarReader(w.getvalue()).svarint() == number
+
+    def test_overlong_varint_rejected(self):
+        assert loop_read_uvarint(b"\x80" * 11 + b"\x01", 0) is None
+        with pytest.raises(CodecError, match="too long"):
+            VarReader(b"\x80" * 11 + b"\x01").uvarint()
+        assert VarReader(b"\x80" * 10 + b"\x01").uvarint() == 1 << 70
+
+    def test_negative_rejected(self):
+        for write in (write_uvarint, lambda buf, v: VarWriter().uvarint(v)):
+            with pytest.raises(CodecError, match="negative"):
+                write(bytearray(), -1)
+
 
 # -- interning ----------------------------------------------------------------
 
@@ -127,6 +269,33 @@ class TestInterning:
                           value=1, payload={"write_co": (1, 0)})
         assert encode_message(m) == encode_message(m)
         assert encoded_size(m) == len(encode_message(m))
+
+    def test_canonical_body_is_the_first_use_form(self):
+        """No table, a fresh table, and the explicit default all write
+        the same bytes: the canonical body did not change when the
+        server stopped interning."""
+        m = UpdateMessage(sender=2, wid=WriteId(2, 300), variable="k517",
+                          value="v" * 64, payload={"write_co": (7, 0, 300)})
+        bodies = []
+        for intern in ((), (None,), (InternEncoder(),)):
+            w = VarWriter()
+            encode_message_into(w, m, *intern)
+            bodies.append(w.getvalue())
+        assert bodies == [encode_message(m)] * 3
+        assert decode_message_from(VarReader(bodies[0])) == m
+
+    def test_stateless_decode_rejects_a_table_reference(self):
+        m = UpdateMessage(sender=0, wid=WriteId(0, 2), variable="x",
+                          value=1, payload={"write_co": (2, 0)})
+        enc, w = InternEncoder(), VarWriter()
+        encode_message_into(w, m, enc)
+        first = len(w.getvalue())
+        encode_message_into(w, m, enc)          # "x" is now table entry 0
+        referencing = w.getvalue()[first:]
+        with pytest.raises(CodecError, match="interned variable id 0"):
+            decode_message(referencing)
+        with pytest.raises(CodecError, match="interned variable id 0"):
+            decode_message_from(VarReader(referencing))
 
 
 # -- messages from every registry protocol ------------------------------------

@@ -1,0 +1,271 @@
+"""An update is encoded once: the same bytes on both peer links, in the
+retransmission buffer, in the snapshot and in the receivers' WAL -- and
+a peer connection decodes each body on its own, holding no table.
+
+In-process replicas on one event loop, real UDS sockets and real frames
+(as in test_session.py); the hostile-peer tests dial a listening
+replica by hand.
+"""
+
+import asyncio
+
+import repro.serve.server as server_mod
+from repro import durability as dur
+from repro.model.operations import WriteId
+from repro.protocols import PROTOCOLS
+from repro.serve import codec
+from repro.serve.client import AsyncSessionClient
+from repro.serve.codec import (
+    FRAME_HELLO,
+    FRAME_MSG_BATCH,
+    FRAME_PEER_WELCOME,
+    ROLE_PEER,
+    VarReader,
+    read_frame,
+    write_frame,
+)
+from repro.serve.server import ReplicaServer
+from repro.serve.shard import ClusterSpec, parse_endpoint
+from repro.sim.node import Node
+from repro.sim.trace import NullTrace
+
+from tests.serve.test_session import Group, run
+
+#: bytes of a WAL record before its payload: kind + a tagged float time
+_RECV_HEADER = 1 + 1 + 8
+#: every wait below is bounded: a regression fails, it does not hang
+_PATIENCE = 10.0
+
+
+async def eventually(condition) -> None:
+    async def poll():
+        while not condition():
+            await asyncio.sleep(0.005)
+    await asyncio.wait_for(poll(), _PATIENCE)
+
+
+async def closed_by_server(reader) -> bool:
+    return await asyncio.wait_for(reader.read(), _PATIENCE) == b""
+
+
+def split_batch(payload: bytes) -> list:
+    """The message bodies of one MSG_BATCH frame, as the byte slices."""
+    r = VarReader(payload)
+    assert r.u8() == FRAME_MSG_BATCH
+    bodies = []
+    for _ in range(r.uvarint()):
+        start = r.pos
+        codec.decode_message_from(r)
+        bodies.append(payload[start:r.pos])
+    assert r.done()
+    return bodies
+
+
+def recv_payloads(wal_path) -> list:
+    return [body[_RECV_HEADER:] for body in dur.read_wal(wal_path).bodies
+            if body[0] == dur.KIND_RECV]
+
+
+class TestOneBody:
+    def test_links_buffer_snapshot_and_wal_hold_the_same_bytes(
+            self, tmp_path, monkeypatch):
+        sent_frames = []     # (writer, payload) of every frame server 0 wrote
+
+        def spy(writer, body):
+            sent_frames.append((writer, body))
+            write_frame(writer, body)
+
+        monkeypatch.setattr(server_mod, "write_frame", spy)
+        encodes = []         # every message encoded, by any of the replicas
+        encode_into = codec.encode_message_into
+
+        def counting(w, message, *intern):
+            encodes.append(message.wid)
+            encode_into(w, message, *intern)
+
+        monkeypatch.setattr(codec, "encode_message_into", counting)
+        wal = tmp_path / "wal"
+        writes = [(f"k{i % 3}", f"value-{i}") for i in range(7)]
+
+        async def go():
+            group = Group(tmp_path)
+            group.servers = [
+                ReplicaServer(group.spec, 0, i, rundir=tmp_path, wal_dir=wal,
+                              snapshot_every=3)
+                for i in range(3)]
+            async with group:
+                origin = group.servers[0]
+                client = AsyncSessionClient(group.spec, replica=0)
+                for variable, value in writes:
+                    await client.put(variable, value)
+                await client.close()
+                await eventually(lambda: all(
+                    s.applied[0] == len(writes) for s in group.servers))
+                by_link = {link.writer: dest
+                           for dest, link in origin._links.items()}
+                return origin, by_link
+
+        origin, by_link = run(go())
+        sent = origin._sent
+        assert len(sent) == len(writes)
+        # one encode per write in the whole group, snapshots included (it
+        # was two at the origin, one more in each receiver's journal and
+        # all of ``_sent`` again at every snapshot)
+        assert encodes == [WriteId(0, k + 1) for k in range(len(writes))]
+        # (b) the buffer holds (e) the canonical encoding of each write
+        for k, (body, (variable, value)) in enumerate(zip(sent, writes)):
+            assert type(body) is bytes
+            message = codec.decode_message(body)
+            assert (message.sender, message.wid) == (0, WriteId(0, k + 1))
+            assert (message.variable, message.value) == (variable, value)
+            assert codec.encode_message(message) == body
+        # (a) each peer link sent exactly those slices, in order
+        on_wire = {1: [], 2: []}
+        for writer, payload in sent_frames:
+            if writer in by_link and payload[0] == FRAME_MSG_BATCH:
+                on_wire[by_link[writer]] += split_batch(payload)
+        assert on_wire == {1: sent, 2: sent}
+        # (c) the snapshot stores them as they are
+        doc = dur.decode_snapshot(dur.read_framed_file(wal / "node-g0n0.snap"))
+        assert len(doc["sent"]) >= 3
+        assert doc["sent"] == sent[:len(doc["sent"])]
+        # (d) and each receiver journaled the bytes it was sent
+        for peer in (1, 2):
+            assert recv_payloads(wal / f"node-g0n{peer}.wal") == sent
+
+    def test_resync_resends_the_stored_suffix(self, tmp_path):
+        """A peer that acknowledges K writes in its WELCOME is sent
+        ``_sent[K:]``, byte for byte, with nothing encoded again."""
+        spec = ClusterSpec.local_uds(tmp_path, "optp", 1, 2)
+        origin = ReplicaServer(spec, 0, 0, rundir=tmp_path)
+        for i in range(5):
+            origin.node.do_write("x", f"v{i}")       # no link yet: only _sent
+        received = []
+
+        async def stale_peer(reader, writer):
+            assert (await read_frame(reader))[0] == FRAME_HELLO
+            welcome = codec.VarWriter()
+            welcome.u8(FRAME_PEER_WELCOME)
+            welcome.uvarint(2)                       # "I applied two of yours"
+            write_frame(writer, welcome.getvalue())
+            received.extend(split_batch(await read_frame(reader)))
+            writer.close()
+
+        async def go():
+            origin._loop = asyncio.get_running_loop()
+            _, path = parse_endpoint(spec.endpoint(0, 1))
+            listener = await asyncio.start_unix_server(stale_peer, path=path)
+            supervisor = asyncio.ensure_future(origin._peer_supervisor(1))
+            await eventually(lambda: len(received) == 3)
+            origin._stop.set()
+            await asyncio.wait_for(supervisor, _PATIENCE)
+            listener.close()
+            await listener.wait_closed()
+
+        run(go())
+        assert received == origin._sent[2:]
+
+
+class FakePeer:
+    """Process 1 of a 2-group, driven by hand: its real OptP updates, and
+    raw access to the bytes it puts on a peer connection to replica 0."""
+
+    def __init__(self, tmp_path):
+        self.spec = ClusterSpec.local_uds(tmp_path, "optp", 1, 2)
+        self.server = ReplicaServer(self.spec, 0, 0, rundir=tmp_path,
+                                    wal_dir=tmp_path / "wal")
+        self._sent = []
+        self._node = Node(
+            PROTOCOLS["optp"](1, 2), NullTrace(2), clock=lambda: 0.0,
+            dispatch=lambda _, outs: self._sent.extend(
+                codec.encode_message(o.message) for o in outs))
+
+    def updates(self, count: int) -> list:
+        """Canonical bodies of its next ``count`` writes, one fresh
+        variable name each."""
+        start = len(self._sent)
+        for i in range(start, start + count):
+            self._node.do_write(f"name-{i}", i)
+        return self._sent[start:]
+
+    async def __aenter__(self):
+        self.server._loop = asyncio.get_running_loop()
+        await self.server._listen()
+        return self
+
+    async def __aexit__(self, *exc):
+        await self.server._teardown()
+
+    async def dial(self):
+        _, path = parse_endpoint(self.spec.endpoint(0, 0))
+        reader, writer = await asyncio.open_unix_connection(path)
+        hello = codec.VarWriter()
+        hello.u8(FRAME_HELLO)
+        hello.u8(ROLE_PEER)
+        hello.uvarint(1)
+        write_frame(writer, hello.getvalue())
+        assert (await read_frame(reader))[0] == FRAME_PEER_WELCOME
+        return reader, writer
+
+    @staticmethod
+    def batch(bodies) -> bytes:
+        return bytes([FRAME_MSG_BATCH, len(bodies)]) + b"".join(bodies)
+
+    async def applied(self, count: int) -> None:
+        await eventually(lambda: self.server.applied[1] == count)
+
+
+def referencing_update(seq: int) -> bytes:
+    """An update whose variable is "entry 0 of this connection's table":
+    what an interning sender wrote for a name it had already spelled."""
+    return bytes([0, 1, 1, seq, 2, 0, 0])
+
+
+class TestStatelessPeerPlane:
+    def test_spelled_out_names_build_no_table(self, tmp_path):
+        """300 updates with 300 distinct names over one connection, then
+        a reference to "the first name": there is no first name, because
+        nothing was kept -- the old per-connection decoder appended every
+        spelled-out name to a list for the life of the connection."""
+        async def go():
+            async with FakePeer(tmp_path) as peer:
+                reader, writer = await peer.dial()
+                bodies = peer.updates(300)
+                for i in range(0, 300, 100):
+                    write_frame(writer, peer.batch(bodies[i:i + 100]))
+                await peer.applied(300)
+                write_frame(writer, peer.batch([referencing_update(45)]))
+                assert await closed_by_server(reader)
+                server = peer.server
+                assert server.stats["client_aborts"] == 1
+                assert server.stats["wal_records"] == 300
+                assert server.applied == [0, 300]
+
+        run(go())
+
+    def test_table_reference_drops_only_that_connection(self, tmp_path):
+        async def go():
+            async with FakePeer(tmp_path) as peer:
+                server = peer.server
+                _, good = await peer.dial()
+                bad_reader, bad = await peer.dial()
+                first, second = peer.updates(2)
+                write_frame(bad, peer.batch([referencing_update(1)]))
+                assert await closed_by_server(bad_reader)
+                assert server.stats["client_aborts"] == 1
+                assert server.stats["wal_records"] == 0      # nothing journaled
+                assert server.applied == [0, 0]
+                # the other connection never noticed
+                write_frame(good, peer.batch([first, second]))
+                await peer.applied(2)
+                assert server.stats["wal_records"] == 2
+                assert server.stats["client_aborts"] == 1
+            # and what was journaled replays with no connection at all
+            wal = dur.read_wal(tmp_path / "wal" / "node-g0n0.wal")
+            assert [body[_RECV_HEADER:] for body in wal.bodies] \
+                == [first, second]
+            node = dur.rebuild_node(PROTOCOLS["optp"], 0, 2, None,
+                                    wal.bodies, dedup=True)
+            assert node.do_read("name-1") == 1
+
+        run(go())
