@@ -19,7 +19,7 @@ from repro.core.vectorclock import (
     vc_lt,
 )
 from repro.protocols.anbkh import ANBKHProtocol
-from repro.protocols.base import Disposition
+from repro.core.base import Disposition
 from repro.sim import Engine
 
 
@@ -150,18 +150,23 @@ def test_bench_q4_drain_scaling(benchmark, depth):
     """Cost of the re-test-all pending-buffer drain vs buffer depth
     (DESIGN.md 'Buffering strategy' ablation): a worst case where one
     arrival unblocks a same-sender chain of `depth` buffered writes.
-    Pinned to the legacy scan -- this measures the ablated re-scan
-    itself; the indexed path is covered in test_bench_scheduler.py."""
+    Runs the protocol with its requirement hidden -- this measures the
+    ablated re-scan itself; the counting path is covered in
+    test_bench_scheduler.py."""
     from repro.sim.node import Node
     from repro.sim.trace import Trace
+
+    from tests.oracle import hide_requirement
+
+    rescanned = hide_requirement(OptPProtocol)
 
     def run():
         sender = OptPProtocol(0, 2)
         msgs = [sender.write("x", k).outgoing[0].message
                 for k in range(depth + 1)]
         trace = Trace(2)
-        node = Node(OptPProtocol(1, 2), trace, clock=lambda: 0.0,
-                    dispatch=lambda *a: None, scheduler="legacy")
+        node = Node(rescanned(1, 2), trace, clock=lambda: 0.0,
+                    dispatch=lambda *a: None)
         for m in msgs[1:]:
             node.receive(m)          # all buffered (first write missing)
         assert node.buffered_count == depth

@@ -5,24 +5,22 @@ single ``if obs.enabled:`` branch (instrument handles are resolved once
 at construction).  This benchmark checks the budget on the most
 hook-dense workload we have -- the reversed-chain scheduler drain of
 ``test_bench_scheduler.py``, where every message goes receipt -> park
--> wakeup -> apply, hitting Node and IndexedScheduler hooks on each
+-> wakeup -> apply, hitting Node and CountingScheduler hooks on each
 step.
 
-Three variants over the same workload, for each backend (the scalar
-indexed scheduler and the flat requirement-row backend):
+Three variants over the same workload:
 
 - ``bare``      -- benchmark-local Node/scheduler subclasses whose hot
-                   methods are the pre-instrumentation bodies (no obs
-                   attribute loads, no branches): the honest
-                   "instrumentation absent" control;
+                   methods are the shipped bodies with the obs gates
+                   removed (no obs attribute loads, no branches): the
+                   honest "instrumentation absent" control;
 - ``disabled``  -- the shipped code with the default ``NULL_OBS``
                    handle (what every non-observed run pays);
 - ``enabled``   -- ``Obs.recording()``: metrics + spans materialized.
 
-The acceptance bar (asserted per backend, and written to
-``BENCH_obs.json``): ``disabled / bare <= 1.05``.  ``enabled`` is
-reported for context; it has no bar -- recording is allowed to cost
-real work.
+The acceptance bar (asserted, and written to ``BENCH_obs.json``):
+``disabled / bare <= 1.05``.  ``enabled`` is reported for context; it
+has no bar -- recording is allowed to cost real work.
 """
 
 import gc
@@ -37,7 +35,7 @@ from repro.core.base import Disposition
 from repro.core.optp import OptPProtocol
 from repro.obs import Obs
 from repro.sim.node import Node
-from repro.sim.scheduler import FlatScheduler, IndexedScheduler
+from repro.sim.scheduler import CountingScheduler
 from repro.sim.trace import EventKind, Trace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -51,135 +49,36 @@ OVERHEAD_CEILING = 1.05
 NOISE_FLOOR_S = 0.002
 
 
-class BareIndexedScheduler(IndexedScheduler):
-    """IndexedScheduler with the obs gates stripped from the hot path
-    (park / notify_applied / pump bodies as they were pre-hooks)."""
-
-    def park(self, msg):
-        seq = self._arrivals
-        self._arrivals += 1
-        self._buffered[seq] = msg
-        self._park_under_next_dep(seq, msg)
-
-    def notify_applied(self, msg):
-        key = self.protocol.apply_event(msg)
-        entries = self._parked.pop(key, None)
-        if entries:
-            for entry in entries:
-                heapq.heappush(self._woken, entry)
-            self.wakeups += len(entries)
-
-    def pump(self, apply_cb, discard_cb):
-        woken = self._woken
-        while woken:
-            seq, msg = heapq.heappop(woken)
-            if seq not in self._buffered:  # pragma: no cover - defensive
-                continue
-            disposition = self.protocol.classify(msg)
-            if disposition is Disposition.BUFFER:
-                self._park_under_next_dep(seq, msg)
-                continue
-            del self._buffered[seq]
-            if disposition is Disposition.APPLY:
-                apply_cb(msg)
-            else:
-                discard_cb(msg)
-
-
-class BareNode(Node):
-    """Node with the obs gates stripped from the receive/apply path."""
-
-    def _receive_update(self, msg):
-        now = self.clock()
-        self.trace.record(
-            now, self.process_id, EventKind.RECEIPT,
-            wid=msg.wid, variable=msg.variable, value=msg.value,
-        )
-        disposition = self.protocol.classify(msg)
-        if disposition is Disposition.APPLY:
-            self._apply(msg)
-            self._drain()
-        elif disposition is Disposition.BUFFER:
-            self.trace.record(
-                now, self.process_id, EventKind.BUFFER,
-                wid=msg.wid, variable=msg.variable,
-            )
-            self.scheduler.park(msg)
-        else:
-            self._discard(msg)
-
-    def _apply(self, msg):
-        self.protocol.apply_update(msg)
-        self.trace.record(
-            self.clock(), self.process_id, EventKind.APPLY,
-            wid=msg.wid, variable=msg.variable, value=msg.value,
-            state=self._state(),
-        )
-        self.scheduler.notify_applied(msg)
-        if self._on_remote_apply is not None:
-            self._on_remote_apply()
-
-
-class BareFlatScheduler(FlatScheduler):
-    """FlatScheduler with the obs gates stripped from the hot path
-    (offer / notify_applied / pump bodies as they were pre-hooks; the
-    sparse requirement loop only -- the chain workload never crosses
-    the dense threshold)."""
+class BareScheduler(CountingScheduler):
+    """CountingScheduler with the obs gates stripped from the hot path
+    (offer / notify_applied / pump bodies minus every hook)."""
 
     def offer(self, msg):
-        deps = msg.flat_deps
-        if deps is None:
-            deps = self.protocol.flat_deps(msg)
-        fast = self._fp.fast
-        pivot = deps.pivot
-        missing = []
-        if pivot is not None:
-            d = fast[pivot] - deps.pivot_req
-            if d > 0:
-                self._dead_park(msg)
-                return Disposition.BUFFER
-            if d < 0:
-                missing.append((pivot, deps.pivot_req))
-        items = deps.items
-        if len(items) <= 16:  # DENSE_THRESHOLD
-            for c, req in items:
-                if fast[c] < req:
-                    missing.append((c, req))
-        else:
-            row = deps.row
-            import numpy as np
-            for c in np.flatnonzero(row > self._fp.vec):
-                c = int(c)
-                if c != pivot:
-                    missing.append((c, int(row[c])))
+        protocol = self.protocol
+        requirement = protocol.requirement(msg)
+        missing = protocol.missing_deps(msg, requirement)
         if not missing:
+            self._handed = requirement
             return Disposition.APPLY
         seq = self._arrivals
         self._arrivals += 1
         self._buffered[seq] = msg
-        parked = self._parked
-        if self._default_dep_key:
+        head = missing[0]
+        if protocol.progress[head[0]] > head[1]:
+            self.dead_parked += 1
+        else:
+            parked = self._parked
             for key in missing:
                 parked.setdefault(key, []).append(seq)
-        else:
-            dep_key = self.protocol.flat_dep_key
-            for key in (dep_key(c, req) for c, req in missing):
-                parked.setdefault(key, []).append(seq)
-        self._slots[seq] = [msg, deps, len(missing)]
+            self._slots[seq] = [msg, requirement, len(missing)]
         return Disposition.BUFFER
 
-    def _dead_park(self, msg):
-        seq = self._arrivals
-        self._arrivals += 1
-        self._buffered[seq] = msg
-        self.dead_parked += 1
-
     def notify_applied(self, msg):
-        if self._default_apply_key:
-            key = (msg.sender, msg.wid.seq)
-        else:
-            key = self.protocol.apply_event(msg)
-        seqs = self._parked.pop(key, None)
+        parked = self._parked
+        if not parked:
+            return
+        row, pivot = self._handed
+        seqs = parked.pop((pivot, row[pivot]), None)
         if seqs:
             slots = self._slots
             ready = self._ready
@@ -192,38 +91,41 @@ class BareFlatScheduler(FlatScheduler):
 
     def pump(self, apply_cb, discard_cb):
         ready = self._ready
-        fast = self._fp.fast
+        progress = self.protocol.progress
         slots = self._slots
         while ready:
             seq = heapq.heappop(ready)
             slot = slots.pop(seq, None)
             if slot is None:  # pragma: no cover - defensive
                 continue
-            msg, deps = slot[0], slot[1]
-            pivot = deps.pivot
-            if pivot is not None and fast[pivot] != deps.pivot_req:
+            row, pivot = slot[1]
+            if progress[pivot] != row[pivot] - 1:
                 self.dead_parked += 1
                 continue
             del self._buffered[seq]
-            apply_cb(msg)
+            self._handed = slot[1]
+            apply_cb(slot[0])
 
 
-class BareFlatNode(Node):
-    """Node with the obs gates stripped from the flat receive/apply path."""
+class BareNode(Node):
+    """Node with the obs gates stripped from the receive/apply path."""
 
-    def _receive_update_flat(self, msg):
+    def _receive_update(self, msg):
         now = self.clock()
         trace = self.trace
         trace.record_compact(now, self.process_id, EventKind.RECEIPT,
                              msg.wid, msg.variable, msg.value)
-        if self.scheduler.offer(msg) is Disposition.APPLY:
-            self._apply_flat(msg)
-            self.scheduler.pump(self._apply_flat, self._discard)
-        else:
+        disposition = self.scheduler.offer(msg)
+        if disposition is Disposition.APPLY:
+            self._apply(msg)
+            self.scheduler.pump(self._apply, self._discard)
+        elif disposition is Disposition.BUFFER:
             trace.record_compact(now, self.process_id, EventKind.BUFFER,
                                  msg.wid, msg.variable)
+        else:
+            self._discard(msg)
 
-    def _apply_flat(self, msg):
+    def _apply(self, msg):
         self.protocol.apply_update(msg)
         self.trace.record_compact(self.clock(), self.process_id,
                                   EventKind.APPLY,
@@ -242,27 +144,15 @@ def reversed_chain(n=N_PROCESSES, depth=CHAIN_DEPTH):
 
 def make_node(variant, n=N_PROCESSES):
     trace = Trace(n)
-    backend, _, mode = variant.partition("-")
-    if backend == "flat":
-        if mode == "bare":
-            node = BareFlatNode(OptPProtocol(1, n), trace, clock=lambda: 0.0,
-                                dispatch=lambda *a: None,
-                                state_backend="flat")
-            node.scheduler = BareFlatScheduler(node.protocol)
-            return node
-        obs = Obs.recording() if mode == "enabled" else None
-        kwargs = {"obs": obs} if obs is not None else {}
-        return Node(OptPProtocol(1, n), trace, clock=lambda: 0.0,
-                    dispatch=lambda *a: None, state_backend="flat", **kwargs)
     if variant == "bare":
         node = BareNode(OptPProtocol(1, n), trace, clock=lambda: 0.0,
-                        dispatch=lambda *a: None, scheduler="indexed")
-        node.scheduler = BareIndexedScheduler(node.protocol)
+                        dispatch=lambda *a: None)
+        node.scheduler = BareScheduler(node.protocol)
         return node
     obs = Obs.recording() if variant == "enabled" else None
     kwargs = {"obs": obs} if obs is not None else {}
     return Node(OptPProtocol(1, n), trace, clock=lambda: 0.0,
-                dispatch=lambda *a: None, scheduler="indexed", **kwargs)
+                dispatch=lambda *a: None, **kwargs)
 
 
 def drain(variant, msgs, n=N_PROCESSES):
@@ -274,10 +164,9 @@ def drain(variant, msgs, n=N_PROCESSES):
 
 
 VARIANTS = ["bare", "disabled", "enabled"]
-FLAT_VARIANTS = ["flat-bare", "flat-disabled", "flat-enabled"]
 
 
-@pytest.mark.parametrize("variant", VARIANTS + FLAT_VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_bench_obs_drain(benchmark, variant):
     msgs = reversed_chain()
     benchmark.pedantic(drain, args=(variant, msgs), rounds=3, iterations=1)
@@ -290,16 +179,7 @@ def test_bare_variant_matches_shipped_behaviour():
     real = drain("disabled", msgs, n=8)
     assert len(bare.trace.apply_order(1)) == len(real.trace.apply_order(1)) == 32
     assert bare.scheduler.wakeups == real.scheduler.wakeups
-
-
-def test_bare_flat_variant_matches_shipped_behaviour():
-    """Same proof for the flat backend's control."""
-    msgs = reversed_chain(n=8, depth=32)
-    bare = drain("flat-bare", msgs, n=8)
-    real = drain("flat-disabled", msgs, n=8)
-    assert len(bare.trace.apply_order(1)) == len(real.trace.apply_order(1)) == 32
-    assert bare.scheduler.wakeups == real.scheduler.wakeups
-    assert bare.scheduler.mode == real.scheduler.mode == "flat"
+    assert type(real.scheduler) is CountingScheduler
 
 
 def _best_of(fn, repeats=5):
@@ -335,38 +215,29 @@ def _best_of_interleaved(fns, repeats=9):
 
 
 def test_obs_overhead_report():
-    """Times all variants on both backends, asserts the disabled-mode
-    ceiling per backend, and writes the committed ``BENCH_obs.json``
-    artifact."""
+    """Times all variants, asserts the disabled-mode ceiling, and
+    writes the committed ``BENCH_obs.json`` artifact."""
     msgs = reversed_chain()
     timings = _best_of_interleaved(
-        {v: (lambda v=v: drain(v, msgs)) for v in VARIANTS + FLAT_VARIANTS})
+        {v: (lambda v=v: drain(v, msgs)) for v in VARIANTS})
     ratio = timings["disabled"] / timings["bare"]
-    flat_ratio = timings["flat-disabled"] / timings["flat-bare"]
 
     report = {
         "bench": "observability hot-path overhead",
         "workload": {
-            "shape": "single-sender reversed chain, indexed + flat backends",
+            "shape": "single-sender reversed chain, counting scheduler",
             "chain_depth": CHAIN_DEPTH,
             "n_processes": N_PROCESSES,
         },
         "best_of_s": {v: round(t, 6) for v, t in timings.items()},
         "disabled_over_bare": round(ratio, 4),
         "enabled_over_bare": round(timings["enabled"] / timings["bare"], 4),
-        "flat_disabled_over_bare": round(flat_ratio, 4),
-        "flat_enabled_over_bare": round(
-            timings["flat-enabled"] / timings["flat-bare"], 4),
         "ceiling": OVERHEAD_CEILING,
     }
     RESULTS_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
-    for name, r, dis, bare in (
-        ("indexed", ratio, "disabled", "bare"),
-        ("flat", flat_ratio, "flat-disabled", "flat-bare"),
-    ):
-        within_noise = (timings[dis] - timings[bare]) <= NOISE_FLOOR_S
-        assert r <= OVERHEAD_CEILING or within_noise, (
-            f"{name} disabled-observability overhead {r:.3f}x exceeds "
-            f"the {OVERHEAD_CEILING}x budget: {report['best_of_s']}"
-        )
+    within_noise = (timings["disabled"] - timings["bare"]) <= NOISE_FLOOR_S
+    assert ratio <= OVERHEAD_CEILING or within_noise, (
+        f"disabled-observability overhead {ratio:.3f}x exceeds the "
+        f"{OVERHEAD_CEILING}x budget: {report['best_of_s']}"
+    )

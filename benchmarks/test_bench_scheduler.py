@@ -1,25 +1,27 @@
-"""Tentpole benchmark: dependency-indexed scheduler vs legacy re-scan.
+"""Tentpole benchmark: counting scheduler vs classify re-scan.
 
 The adversarial workload for buffered delivery is a *reversed chain*:
 one sender issues W causally ordered writes and the receiver gets them
 newest-first, so every message buffers until the oldest arrives and
-then the whole chain cascades.  The legacy drain re-classifies the
-entire pending buffer on every receipt and after every apply --
-O(W^2 * n) vector comparisons; the indexed scheduler parks each write
-under its one missing ``(process, seq)`` key and wakes exactly one
-message per apply -- O(W * n).
+then the whole chain cascades.  The re-scan re-classifies the entire
+pending buffer on every receipt and after every apply -- O(W^2 * n)
+vector comparisons; the counting scheduler parks each write under its
+one missing ``(component, required)`` key and wakes exactly one message
+per apply -- O(W * n).  The re-scan baseline is the same protocol with
+its requirement hidden (:func:`tests.oracle.hide_requirement`); no
+argument selects it.
 
 Two harnesses:
 
 - a single-node harness (pure scheduler cost, no event loop) swept
-  over n in {16, 64, 128} with pytest-benchmark timings per mode;
+  over n in {16, 64, 128} with pytest-benchmark timings per path;
 - a full-cluster run at n=16 under a reversing latency model, showing
   the end-to-end effect.
 
-``test_scheduler_speedup_report`` re-times both modes with
+``test_scheduler_speedup_report`` re-times both paths with
 ``time.perf_counter`` (pytest-benchmark may run with
 ``--benchmark-disable`` in CI smoke), asserts the acceptance bar --
-indexed >= 5x faster at n=64 -- and writes ``BENCH_scheduler.json``
+counting >= 5x faster at n=64 -- and writes ``BENCH_scheduler.json``
 at the repo root.
 """
 
@@ -37,8 +39,13 @@ from repro.sim.node import Node
 from repro.sim.trace import Trace
 from repro.workloads.generators import write_burst_schedule
 
+from tests.oracle import hide_requirement
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = REPO_ROOT / "BENCH_scheduler.json"
+
+#: protocol factory per measured path
+PATHS = {"rescan": hide_requirement(OptPProtocol), "counting": OptPProtocol}
 
 CHAIN_DEPTH = 1024
 SWEEP_N = [16, 64, 128]
@@ -66,34 +73,33 @@ def reversed_chain(n, depth=CHAIN_DEPTH):
     return msgs
 
 
-def drain_reversed(n, mode, msgs):
+def drain_reversed(n, path, msgs):
     trace = Trace(n)
-    node = Node(OptPProtocol(1, n), trace, clock=lambda: 0.0,
-                dispatch=lambda *a: None, scheduler=mode)
+    node = Node(PATHS[path](1, n), trace, clock=lambda: 0.0,
+                dispatch=lambda *a: None)
     for m in msgs:
         node.receive(m)
     assert node.buffered_count == 0
     return len(trace.apply_order(1))
 
 
-@pytest.mark.parametrize("mode", ["legacy", "indexed"])
+@pytest.mark.parametrize("path", sorted(PATHS))
 @pytest.mark.parametrize("n", SWEEP_N)
-def test_bench_scheduler_reversed_chain(benchmark, n, mode):
+def test_bench_scheduler_reversed_chain(benchmark, n, path):
     msgs = reversed_chain(n)
-    applies = benchmark.pedantic(drain_reversed, args=(n, mode, msgs),
+    applies = benchmark.pedantic(drain_reversed, args=(n, path, msgs),
                                  rounds=3, iterations=1)
     assert applies == CHAIN_DEPTH
 
 
-@pytest.mark.parametrize("mode", ["legacy", "indexed"])
-def test_bench_scheduler_cluster_reversed(benchmark, mode):
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_bench_scheduler_cluster_reversed(benchmark, path):
     """End-to-end: 16 processes, one bursty writer, reversed delivery."""
     n, burst = 16, 96
     sched = write_burst_schedule(1, 1, burst)
 
     def run():
-        c = SimCluster("optp", n, latency=ReversingLatency(burst + 1),
-                       scheduler=mode)
+        c = SimCluster(PATHS[path], n, latency=ReversingLatency(burst + 1))
         r = c.run_schedule(sched)
         assert r.remote_applies == burst * (n - 1)
         return r
@@ -111,31 +117,31 @@ def _best_of(fn, repeats=3):
 
 
 def test_scheduler_speedup_report():
-    """Times both modes, asserts the >=5x acceptance bar at n=64, and
+    """Times both paths, asserts the >=5x acceptance bar at n=64, and
     writes the committed ``BENCH_scheduler.json`` artifact."""
     results = {}
     for n in SWEEP_N:
         msgs = reversed_chain(n)
-        legacy = _best_of(lambda: drain_reversed(n, "legacy", msgs))
-        indexed = _best_of(lambda: drain_reversed(n, "indexed", msgs))
+        rescan = _best_of(lambda: drain_reversed(n, "rescan", msgs))
+        counting = _best_of(lambda: drain_reversed(n, "counting", msgs))
         results[str(n)] = {
-            "legacy_s": round(legacy, 6),
-            "indexed_s": round(indexed, 6),
-            "speedup": round(legacy / indexed, 2),
+            "rescan_s": round(rescan, 6),
+            "counting_s": round(counting, 6),
+            "speedup": round(rescan / counting, 2),
         }
 
     n, burst = 16, 96
     sched = write_burst_schedule(1, 1, burst)
 
-    def cluster(mode):
-        SimCluster("optp", n, latency=ReversingLatency(burst + 1),
-                   scheduler=mode).run_schedule(sched)
+    def cluster(path):
+        SimCluster(PATHS[path], n,
+                   latency=ReversingLatency(burst + 1)).run_schedule(sched)
 
-    cl_legacy = _best_of(lambda: cluster("legacy"))
-    cl_indexed = _best_of(lambda: cluster("indexed"))
+    cl_rescan = _best_of(lambda: cluster("rescan"))
+    cl_counting = _best_of(lambda: cluster("counting"))
 
     report = {
-        "bench": "dependency-indexed delivery scheduler",
+        "bench": "counting delivery scheduler vs classify re-scan",
         "workload": {
             "shape": "single-sender reversed chain",
             "chain_depth": CHAIN_DEPTH,
@@ -143,15 +149,15 @@ def test_scheduler_speedup_report():
         },
         "single_node": results,
         "cluster_n16_burst96": {
-            "legacy_s": round(cl_legacy, 6),
-            "indexed_s": round(cl_indexed, 6),
-            "speedup": round(cl_legacy / cl_indexed, 2),
+            "rescan_s": round(cl_rescan, 6),
+            "counting_s": round(cl_counting, 6),
+            "speedup": round(cl_rescan / cl_counting, 2),
         },
     }
     RESULTS_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     speedup_64 = results["64"]["speedup"]
     assert speedup_64 >= SPEEDUP_FLOOR_AT_64, (
-        f"indexed scheduler only {speedup_64}x faster than legacy at "
+        f"counting scheduler only {speedup_64}x faster than the re-scan at "
         f"n=64 (floor {SPEEDUP_FLOOR_AT_64}x): {results}"
     )

@@ -5,7 +5,7 @@
   batch comparators used by the trace analyzers;
 - :mod:`repro.core.optp` -- the OptP protocol of Section 4 (Figures 4-5),
   a line-for-line port of the paper's pseudocode onto the
-  :class:`repro.protocols.base.Protocol` interface.
+  :class:`repro.core.base.Protocol` interface.
 """
 
 from repro.core.vectorclock import (

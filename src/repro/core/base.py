@@ -14,10 +14,10 @@ Every protocol ``P ∈ 𝒫`` reacts to three stimuli:
 
 The hosting substrate (:mod:`repro.sim` or :mod:`repro.runtime`) owns
 the pending buffer, re-examines buffered messages when applies land
-(via the dependency-indexed wakeup scheduler of
-:mod:`repro.sim.scheduler`, or a legacy full re-scan for protocols
-that cannot enumerate their wait predicate -- see
-:meth:`Protocol.missing_deps`), and records the trace events (`send`,
+(the counting wakeup scheduler of :mod:`repro.sim.scheduler` for
+protocols that declare a :meth:`Protocol.requirement`, a classify
+re-scan for those that cannot enumerate their wait predicate), and
+records the trace events (`send`,
 `receipt`, `apply`, `return`, plus `buffer`/`discard`/`suppress`
 bookkeeping events) that the analyzers consume.
 
@@ -34,6 +34,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.flatstate import DENSE_THRESHOLD, ProgressMirror, wide_row
 from repro.model.operations import BOTTOM, WriteId
 
 #: Destination sentinel: deliver to every other process.
@@ -56,13 +57,15 @@ class UpdateMessage:
     variable: Hashable
     value: Any
     payload: Mapping[str, Any] = field(default_factory=dict)
-    #: Writer-precomputed flat requirement row (``core.flatstate``),
-    #: or None when the writer runs scalar.  Deliberately *outside*
-    #: ``payload`` (and excluded from comparison/repr): it is derived
-    #: metadata over the same numbers the payload already carries, so
+    #: Receiver-side cache of the requirement row's summary
+    #: (:func:`repro.core.flatstate.wide_row`), filled only for rows
+    #: wider than ``DENSE_THRESHOLD``.  Deliberately *outside*
+    #: ``payload`` (and excluded from construction/comparison/repr): it
+    #: is derived from numbers the payload already carries, so
     #: wire-size estimates, message fingerprints, and payload
     #: immutability scans are unaffected.
-    flat_deps: Any = field(default=None, compare=False, repr=False)
+    row_cache: Any = field(default=None, init=False, compare=False,
+                           repr=False)
 
     def __str__(self) -> str:
         return f"m({self.variable}={self.value!r} from {self.wid})"
@@ -169,6 +172,12 @@ class Protocol(abc.ABC):
         self._store: Dict[Hashable, Tuple[Any, Optional[WriteId]]] = {}
         self._write_seq = 0
         self._apply_recorder: Optional[Any] = None
+        #: The live progress vector :meth:`requirement` rows are
+        #: measured against -- the protocol's *own* apply-count list
+        #: (``Apply``, ``vc``, ...), bound by subclasses that declare a
+        #: requirement and only ever mutated in place.
+        self.progress: Optional[List[int]] = None
+        self._mirror: Optional[ProgressMirror] = None
 
     # -- local replica ------------------------------------------------------
 
@@ -268,51 +277,93 @@ class Protocol(abc.ABC):
 
     # -- delivery scheduling ---------------------------------------------------
 
-    def missing_deps(
+    def requirement(
         self, msg: UpdateMessage
-    ) -> Optional[List[Tuple[int, int]]]:
-        """Enumerate the apply events still missing before ``msg`` applies.
+    ) -> Optional[Tuple[Sequence[int], int]]:
+        """The wait predicate of ``msg`` as data: ``(row, pivot)``.
 
-        Contract (see :mod:`repro.sim.scheduler` and DESIGN.md,
-        "Buffering strategy"):
+        The one readiness declaration besides :meth:`classify` (see
+        DESIGN.md, "Buffering strategy").  ``row`` has one entry per
+        component of :attr:`progress`; the message is applicable iff
 
-        - Return ``None`` when the protocol cannot enumerate its wait
-          predicate (the substrate then falls back to the legacy
-          re-scan of the whole pending buffer).
-        - Otherwise return the list of *currently unsatisfied* keys
-          ``(process, seq)`` such that ``classify(msg)`` can only turn
-          ``APPLY`` once every listed apply event has occurred locally.
-          Each key must match a future :meth:`apply_event` value -- an
-          event that has not yet fired here and fires at most once.
-        - An empty list together with ``classify(msg) is BUFFER`` means
-          the message is permanently undeliverable (e.g. a duplicate of
-          an already-applied write): the substrate parks it forever,
-          mirroring the legacy path's wedged-buffer behaviour.
+        - ``progress[c] >= row[c]`` for every ``c != pivot``, and
+        - ``progress[pivot] == row[pivot] - 1`` *exactly*: the message
+          is advance number ``row[pivot]`` of its pivot component, and
+          :meth:`apply_update` performs that advance (by one).
 
-        Must be side-effect free, like :meth:`classify`.
+        Everything else is derived by the substrate: an unsatisfied
+        ``(c, row[c])`` waits for component ``c`` to reach ``row[c]``,
+        the apply of this message fires ``(pivot, row[pivot])``, and a
+        pivot that has *overshot* marks a duplicate of an applied write
+        (parked forever, the wedged-buffer semantics of the re-scan).
+
+        Return ``None`` (the default) when the predicate cannot be
+        enumerated this way -- writing-semantics discards, token
+        batches, gossip; the substrate then re-scans with
+        :meth:`classify`.  Must agree with :meth:`classify`, be side-
+        effect free, and copy nothing it can hand over as is: OptP
+        returns the ``Write_co`` tuple its payload carries.
         """
         return None
 
-    def apply_event(self, msg: UpdateMessage) -> Tuple[int, int]:
-        """The wakeup key satisfied by applying ``msg`` (see
-        :meth:`missing_deps`).  Called by the substrate right after
-        :meth:`apply_update` returns.  The default -- the writer and
-        its per-writer sequence number -- fits protocols whose wait
-        predicates count per-writer applies (OptP, ANBKH); protocols
-        keyed differently (the sequencer's global stamp order) override
-        it.  Only consulted when :meth:`missing_deps` is implemented.
+    def missing_deps(
+        self,
+        msg: UpdateMessage,
+        requirement: Optional[Tuple[Sequence[int], int]] = None,
+    ) -> Optional[List[Tuple[int, int]]]:
+        """Evaluate :meth:`requirement` against :attr:`progress`.
+
+        Returns the still-unsatisfied ``(component, required)`` keys,
+        pivot first (``required`` for the pivot is ``row[pivot] - 1``),
+        or ``None`` when the protocol declares no requirement.  An empty
+        list means *applicable now*.  An overshot pivot is reported
+        alone: nothing can ever satisfy it.
+
+        Derived, never overridden -- this is the single evaluation of
+        the wait predicate the counting scheduler runs per receipt (it
+        passes the ``requirement`` it already holds).
         """
-        return (msg.sender, msg.wid.seq)
+        if requirement is None:
+            requirement = self.requirement(msg)
+            if requirement is None:
+                return None
+        row, pivot = requirement
+        progress = self.progress
+        need = row[pivot] - 1
+        have = progress[pivot]
+        if have == need:
+            missing: List[Tuple[int, int]] = []
+        elif have > need:
+            return [(pivot, need)]
+        else:
+            missing = [(pivot, need)]
+        if len(row) <= DENSE_THRESHOLD:
+            c = 0
+            for required in row:
+                if progress[c] < required and c != pivot:
+                    missing.append((c, required))
+                c += 1
+            return missing
+        _, items, dense = wide_row(msg, row)
+        if dense is None:
+            for c, required in items:
+                if progress[c] < required and c != pivot:
+                    missing.append((c, required))
+            return missing
+        mirror = self._mirror
+        if mirror is None:
+            mirror = self._mirror = ProgressMirror(progress)
+        missing += mirror.unsatisfied(row, dense, pivot)
+        return missing
 
     # -- durability ------------------------------------------------------------
 
     #: Class-level opt-in to crash durability (:mod:`repro.durability`).
     #: A protocol that sets this True must implement
     #: :meth:`snapshot_state` / :meth:`restore_state` as exact inverses
-    #: over the codec value vocabulary (:mod:`repro.serve.codec`), on
-    #: both the scalar and the flat state backend.  Only
-    #: snapshot-capable protocols can be crash-checked or served with a
-    #: write-ahead log.
+    #: over the codec value vocabulary (:mod:`repro.serve.codec`).
+    #: Only snapshot-capable protocols can be crash-checked or served
+    #: with a write-ahead log.
     supports_snapshot: ClassVar[bool] = False
 
     def snapshot_state(self) -> Dict[str, Any]:
@@ -327,66 +378,11 @@ class Protocol(abc.ABC):
 
     def restore_state(self, doc: Dict[str, Any]) -> None:
         """Inverse of :meth:`snapshot_state` on a freshly constructed
-        instance.  Must mutate existing vectors in place (the flat
-        backend's :class:`~repro.core.flatstate.FlatProgress` wraps the
-        protocol's own list) and mark flat mirrors dirty."""
+        instance.  Must mutate existing vectors in place
+        (:attr:`progress` *is* one of them)."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support snapshots"
         )
-
-    # -- flat-state backend ----------------------------------------------------
-
-    #: Class-level opt-in to the struct-of-arrays backend
-    #: (:mod:`repro.core.flatstate`).  A protocol that sets this True
-    #: must implement :meth:`enable_flat_state`, :meth:`flat_progress`,
-    #: and :meth:`flat_deps` so the flat delivery scheduler can run its
-    #: counting/vectorized activation predicate; the substrate resolves
-    #: ``state_backend="auto"`` to flat iff this is set.
-    supports_flat_state: ClassVar[bool] = False
-
-    def enable_flat_state(self) -> None:
-        """Switch this instance to flat bookkeeping.
-
-        Called once by the substrate before any operation runs.  Flat
-        protocols start attaching precomputed requirement rows
-        (:class:`~repro.core.flatstate.FlatDeps`) to outgoing updates
-        and routing progress bumps through :meth:`flat_progress`'s
-        view.  Observable behaviour must not change: flat and scalar
-        runs are byte-identical by contract.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support the flat backend"
-        )
-
-    def flat_progress(self):
-        """The node's live progress vector
-        (:class:`~repro.core.flatstate.FlatProgress`) -- a view over
-        the protocol's own apply-count list.  Only called after
-        :meth:`enable_flat_state`."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support the flat backend"
-        )
-
-    def flat_deps(self, msg: UpdateMessage):
-        """The message's requirement row
-        (:class:`~repro.core.flatstate.FlatDeps`).
-
-        Receiver-side fallback for messages whose writer did not attach
-        one (``msg.flat_deps is None``) -- e.g. the partial-replication
-        protocol, whose requirement row is receiver-specific.  Must be
-        side-effect free; called at most once per message per receiver
-        (the scheduler caches the result)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support the flat backend"
-        )
-
-    def flat_dep_key(self, component: int, required: int) -> Tuple[int, int]:
-        """Map an unsatisfied flat requirement to the
-        :meth:`apply_event` key whose firing satisfies it.  The default
-        matches protocols whose progress components count per-writer
-        applies in wid order (OptP, ANBKH, partial); the sequencer's
-        one-dimensional stamp overrides it."""
-        return (component, required)
 
     # -- introspection --------------------------------------------------------
 

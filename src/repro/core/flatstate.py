@@ -1,275 +1,97 @@
-"""Struct-of-arrays backend for the protocol activation predicates.
+"""Evaluation of wide requirement rows.
 
-The scalar hot path re-derives a message's wait predicate from Python
-tuples on every classify call.  The flat backend factors that work into
-three pieces, all indexed by a single *component* axis (process id for
-the vector protocols, the one global stamp for the sequencer):
+A protocol declares a message's wait predicate as a *requirement*
+(:meth:`repro.core.base.Protocol.requirement`): one row of required
+progress per component plus the exact-match pivot, evaluated against
+the protocol's live ``progress`` list by
+:meth:`repro.core.base.Protocol.missing_deps`.  Up to
+:data:`DENSE_THRESHOLD` components that evaluation is a plain Python
+loop over the row the message already carries -- no numpy, no
+per-message copy.  Wider rows are summarized **at most once per
+message** (:func:`wide_row`, cached on the message object so every
+simulated receiver of a broadcast shares the result):
 
-- :class:`FlatDeps` -- the per-message **requirement row**: the local
-  progress each component must reach before the message applies,
-  precomputed once (by the writer, or on first receipt) from the same
-  numbers the payload already carries.  The row is a read-only numpy
-  ``int64`` array; a sparse ``items`` view carries only the non-trivial
-  components so small fan-outs never touch numpy at all.
-- :class:`FlatProgress` -- the per-node **progress vector**: a live
-  view of the protocol's *existing* apply-count list (``Apply`` for
-  OptP, the Fidge-Mattern ``vc`` for ANBKH, ...), mirrored lazily into
-  a preallocated numpy array.  Protocols keep mutating plain Python
-  ints; the mirror refreshes only when a dense comparison needs it.
-- :class:`PendingMatrix` -- the pending set as a preallocated
-  ``(capacity, n)`` requirement matrix, so "which buffered messages are
-  ready?" is a single vectorized comparison against the progress row
-  (``benchmarks/test_bench_flatstate.py`` drives it at 10^6 rows/s).
+- a sparse view of the components that ask for anything at all -- a
+  wide vector is mostly zeros, and a handful of pairs is still a Python
+  loop;
+- only when that view is itself wide, the row as a read-only ``int64``
+  array, compared against a :class:`ProgressMirror` that is never
+  refreshed wholesale: progress components only grow, so a stale
+  mirror can only *over*-report unsatisfied components, and each
+  candidate is rechecked against the live list (and healed) before it
+  is reported.
 
-Application predicate (uniform across the flat-capable protocols)::
-
-    ready(msg)  iff  progress >= deps.row  componentwise,
-    with the *pivot* component (the writer / the stamp) required to
-    match exactly: progress[pivot] - deps.row[pivot] > 0 means the
-    message is a duplicate of an already-applied write (dead-parked,
-    mirroring the scalar path's wedged-buffer semantics).
-
-See docs/performance.md ("Flat-array protocol state") for the layout
-diagram and the backend-selection rules; the scalar path stays the
-differential oracle (byte-identical traces are pinned by
-``tests/integration/test_flatstate_differential.py``).
+See docs/performance.md ("Flat-array protocol state").
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = [
-    "DENSE_THRESHOLD",
-    "FlatDeps",
-    "FlatProgress",
-    "PendingMatrix",
-    "STATE_BACKENDS",
-    "resolve_state_backend",
-]
+__all__ = ["DENSE_THRESHOLD", "ProgressMirror", "wide_row"]
 
-#: Recognized values of the ``state_backend=`` switch (same pattern as
-#: ``model/legality.py``'s ``mode=``).
-STATE_BACKENDS = ("auto", "flat", "scalar")
-
-#: Requirement rows with at most this many sparse items are evaluated
-#: with a plain Python loop; larger fan-outs switch to the dense numpy
-#: comparison.  At protocol vector sizes (n < ~64) list indexing beats
-#: numpy's per-call dispatch -- same measurement that keeps
-#: ``core/vectorclock.py`` on plain lists for single comparisons.
+#: Up to this many components (of a row, then of its sparse view) are
+#: evaluated with a plain Python loop; beyond it the dense numpy
+#: comparison takes over.  At protocol vector sizes (n < ~64) list
+#: indexing beats numpy's per-call dispatch -- same measurement that
+#: keeps ``core/vectorclock.py`` on plain lists for single comparisons.
 DENSE_THRESHOLD = 16
 
 
-def resolve_state_backend(backend: str, protocol) -> bool:
-    """True iff ``protocol`` should run on the flat backend.
+def wide_row(msg, row: Sequence[int]):
+    """``(row, items, dense)`` for a row wider than the threshold,
+    cached on ``msg``.
 
-    ``auto`` and ``flat`` both resolve to flat when the protocol class
-    opts in via ``supports_flat_state``; protocols without flat hooks
-    (ws-receiver, token, gossip) fall back to scalar transparently --
-    there is no forced mode, because a flat run must stay byte-identical
-    to the scalar oracle and a protocol without the hooks has nothing
-    to be identical *to*.
+    ``items`` are the ``(component, required)`` pairs with
+    ``required > 0`` -- progress never goes below zero off the pivot,
+    so the rest ask for nothing; ``dense`` is the row as a read-only
+    int64 array, or None while ``items`` is short enough to loop over.
+
+    The cache is keyed by the identity of ``row``: a protocol whose
+    requirement row *is* the tuple its payload carries (OptP, ANBKH)
+    gets one summary per message, shared by every receiver the
+    simulator hands that message object to; a receiver-specific row
+    (partial replication) is a fresh object each time and simply
+    misses.
     """
-    if backend not in STATE_BACKENDS:
-        raise ValueError(
-            f"unknown state_backend {backend!r}; expected one of "
-            f"{STATE_BACKENDS}"
-        )
-    if backend == "scalar":
-        return False
-    return bool(type(protocol).supports_flat_state)
+    cached = msg.row_cache
+    if cached is not None and cached[0] is row:
+        return cached
+    items = [(c, required) for c, required in enumerate(row)
+             if required > 0]
+    dense = None
+    if len(items) > DENSE_THRESHOLD:
+        dense = np.asarray(row, dtype=np.int64)
+        dense.setflags(write=False)
+    cached = (row, items, dense)
+    # a frozen dataclass: the cache is derived data, not message content
+    object.__setattr__(msg, "row_cache", cached)
+    return cached
 
 
-class FlatDeps:
-    """Precomputed requirement row of one update message.
+class ProgressMirror:
+    """Lower-bound int64 mirror of a protocol's live progress list."""
 
-    Attributes
-    ----------
-    row:
-        Read-only ``(n,)`` int64 array; ``row[c]`` is the progress
-        component ``c`` must reach before the message applies.
-    items:
-        Sparse view: ``(component, required)`` pairs for the non-pivot
-        components with a non-trivial requirement (``required > 0``).
-    pivot:
-        The exact-match component (the writer for the vector protocols,
-        0 for the sequencer's one-dimensional stamp), or ``None`` when
-        every component is a plain ``>=`` bound.
-    pivot_req:
-        ``row[pivot]`` as a Python int (0 when there is no pivot).
+    __slots__ = ("_progress", "_vec")
 
-    Instances are shared between every receiver of the message (the
-    simulator ships one object), hence the read-only row.
-    """
+    def __init__(self, progress: List[int]):
+        self._progress = progress
+        self._vec = np.array(progress, dtype=np.int64)
 
-    __slots__ = ("row", "items", "pivot", "pivot_req")
-
-    def __init__(
-        self,
-        row: np.ndarray,
-        items: Tuple[Tuple[int, int], ...],
-        pivot: Optional[int],
-        pivot_req: int,
-    ):
-        self.row = row
-        self.items = items
-        self.pivot = pivot
-        self.pivot_req = pivot_req
-
-    @classmethod
-    def from_counts(
-        cls, counts: Sequence[int], pivot: Optional[int]
-    ) -> "FlatDeps":
-        """Build from required progress ``counts`` (one per component).
-
-        ``counts[pivot]`` becomes the exact-match requirement; every
-        other positive count becomes a ``>=`` bound.
-        """
-        row = np.asarray(counts, dtype=np.int64)
-        row.setflags(write=False)
-        items = tuple(
-            (c, int(req))
-            for c, req in enumerate(counts)
-            if req > 0 and c != pivot
-        )
-        pivot_req = 0 if pivot is None else int(counts[pivot])
-        return cls(row, items, pivot, pivot_req)
-
-    def __repr__(self) -> str:  # diagnostics only
-        return (
-            f"FlatDeps(row={self.row.tolist()}, pivot={self.pivot}, "
-            f"pivot_req={self.pivot_req})"
-        )
-
-
-class FlatProgress:
-    """Live progress vector over the protocol's own apply-count list.
-
-    ``fast`` *is* the protocol's existing mutable list (``Apply``,
-    ``vc``, ...): the protocol keeps reading and writing plain Python
-    ints, so ``classify``/``missing_deps``/``debug_state`` and every
-    payload stay int-pure.  The numpy mirror is refreshed lazily --
-    ``advance`` only flips a dirty bit, and the dense view is paid for
-    exclusively by callers that need a vectorized comparison.
-    """
-
-    __slots__ = ("fast", "_vec", "_dirty")
-
-    def __init__(self, fast: List[int]):
-        self.fast = fast
-        self._vec = np.zeros(len(fast), dtype=np.int64)
-        self._dirty = True
-
-    def advance(self, component: int, by: int = 1) -> None:
-        """Bump one component (the per-apply hot operation)."""
-        self.fast[component] += by
-        self._dirty = True
-
-    def mark_dirty(self) -> None:
-        """The protocol mutated ``fast`` directly; refresh on next use."""
-        self._dirty = True
-
-    @property
-    def vec(self) -> np.ndarray:
-        """The dense int64 mirror, refreshed from ``fast`` if stale."""
-        if self._dirty:
-            self._vec[:] = self.fast
-            self._dirty = False
-        return self._vec
-
-    def __len__(self) -> int:
-        return len(self.fast)
-
-
-class PendingMatrix:
-    """The pending set as a preallocated requirement matrix.
-
-    Rows are message requirement rows (:attr:`FlatDeps.row`); columns
-    are components.  :meth:`ready_mask` evaluates the activation
-    predicate of *every* pending message in one vectorized comparison
-    -- the batched form of the scheduler's per-delivery wakeup.  The
-    live delivery path keeps its O(missing-deps) counting index (a
-    dict/heap beats a full-matrix rescan per message); the matrix is
-    the batch/audit view, exposed by
-    :meth:`~repro.sim.scheduler.FlatScheduler.pending_matrix` and
-    benchmarked directly at scale.
-    """
-
-    __slots__ = ("_rows", "_pivot_rows", "_free", "_n", "_len", "_obs",
-                 "_m_adds", "_m_removes", "_m_scans", "_g_rows")
-
-    def __init__(self, n_components: int, capacity: int = 64, *, obs=None):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._n = n_components
-        self._rows = np.zeros((capacity, n_components), dtype=np.int64)
-        #: pivot requirement per slot encoded as (pivot + 1) * big + req
-        #: is overkill; keep two parallel columns instead.
-        self._pivot_rows = np.full(capacity, -1, dtype=np.int64)
-        self._free: List[int] = list(range(capacity - 1, -1, -1))
-        self._len = 0
-        #: observability handle (duck-typed to avoid a core -> obs
-        #: import); handles resolved once, every hook one gated branch.
-        self._obs = obs
-        if obs is not None and obs.enabled:
-            reg = obs.registry
-            self._m_adds = reg.counter("flat.pending_adds")
-            self._m_removes = reg.counter("flat.pending_removes")
-            self._m_scans = reg.counter("flat.ready_scans")
-            self._g_rows = reg.gauge("flat.pending_rows")
-
-    def __len__(self) -> int:
-        return self._len
-
-    @property
-    def capacity(self) -> int:
-        return self._rows.shape[0]
-
-    def _grow(self) -> None:
-        old = self._rows.shape[0]
-        new = old * 2
-        rows = np.zeros((new, self._n), dtype=np.int64)
-        rows[:old] = self._rows
-        pivots = np.full(new, -1, dtype=np.int64)
-        pivots[:old] = self._pivot_rows
-        self._rows = rows
-        self._pivot_rows = pivots
-        self._free.extend(range(new - 1, old - 1, -1))
-
-    def add(self, deps: FlatDeps) -> int:
-        """Insert a requirement row; returns its slot id."""
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        self._rows[slot] = deps.row
-        self._pivot_rows[slot] = -1 if deps.pivot is None else deps.pivot
-        self._len += 1
-        if self._obs is not None and self._obs.enabled:
-            self._m_adds.inc()
-            self._g_rows.set(self._len)
-        return slot
-
-    def remove(self, slot: int) -> None:
-        """Free a slot (the message applied or was discarded)."""
-        self._rows[slot] = 0
-        self._pivot_rows[slot] = -1
-        self._free.append(slot)
-        self._len -= 1
-        if self._obs is not None and self._obs.enabled:
-            self._m_removes.inc()
-            self._g_rows.set(self._len)
-
-    def ready_mask(self, progress: np.ndarray) -> np.ndarray:
-        """Boolean mask over slots: requirement row fully satisfied.
-
-        One vectorized comparison over the whole pending set; free
-        slots (all-zero rows) evaluate True and must be filtered by the
-        caller against its slot table.  Pivot components are checked
-        for ``>=`` here -- exact-match (duplicate) classification stays
-        with the caller, which knows the per-slot pivot requirement.
-        """
-        if self._obs is not None and self._obs.enabled:
-            self._m_scans.inc()
-        return np.all(self._rows <= progress, axis=1)
+    def unsatisfied(self, row: Sequence[int], dense: np.ndarray,
+                    pivot: int) -> List[Tuple[int, int]]:
+        """The non-pivot ``(component, required)`` pairs of ``row`` the
+        live progress has not reached, in component order."""
+        progress = self._progress
+        vec = self._vec
+        missing: List[Tuple[int, int]] = []
+        for c in np.flatnonzero(dense > vec).tolist():
+            have = progress[c]
+            required = row[c]
+            if have >= required:
+                vec[c] = have          # the mirror was stale: heal it
+            elif c != pivot:
+                missing.append((c, required))
+        return missing

@@ -45,7 +45,7 @@ affecting it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Tuple
 
 from repro.model.operations import WriteId
 from repro.core.base import (
@@ -57,7 +57,6 @@ from repro.core.base import (
     UpdateMessage,
     WriteOutcome,
 )
-from repro.core.flatstate import FlatDeps, FlatProgress
 from repro.core.vectorclock import vc_join_inplace
 
 #: Payload key under which OptP piggybacks the write's Write_co vector.
@@ -69,18 +68,18 @@ class OptPProtocol(Protocol):
 
     name = "optp"
     in_class_p = True
-    supports_flat_state = True
     supports_snapshot = True
 
     def __init__(self, process_id: int, n_processes: int):
         super().__init__(process_id, n_processes)
         n = n_processes
-        self.apply_vec: List[int] = [0] * n
+        #: Apply doubles as the progress vector requirements are
+        #: measured against
+        self.apply_vec = self.progress = [0] * n
         self.write_co: List[int] = [0] * n
         # LastWriteOn is keyed by variable name; absent key = [0]*n
         # (every component initialized to zero, Section 4.1).
         self.last_write_on: Dict[Hashable, Tuple[int, ...]] = {}
-        self._fp: Optional[FlatProgress] = None
 
     # -- operations -----------------------------------------------------------
 
@@ -91,20 +90,15 @@ class OptPProtocol(Protocol):
         wid = self.next_wid()
         assert wid.seq == self.write_co[i], "Observation 2 invariant"
         vec = tuple(self.write_co)
-        fp = self._fp
         msg = UpdateMessage(
             sender=i,
             wid=wid,
             variable=variable,
             value=value,
             payload={WRITE_CO_KEY: vec},
-            flat_deps=None if fp is None else self._make_flat_deps(vec, i),
         )                                           # line 2: send event
         self.store_put(variable, value, wid)        # line 3: apply event
-        if fp is None:                              # line 4
-            self.apply_vec[i] += 1
-        else:
-            fp.advance(i)
+        self.apply_vec[i] += 1                      # line 4
         self.last_write_on[variable] = vec          # line 5
         return WriteOutcome(wid=wid, outgoing=(Outgoing(msg, BROADCAST),))
 
@@ -149,55 +143,20 @@ class OptPProtocol(Protocol):
         u = msg.sender
         w_co = msg.payload[WRITE_CO_KEY]
         self.store_put(msg.variable, msg.value, msg.wid)   # line 3
-        if self._fp is None:                               # line 4
-            self.apply_vec[u] += 1
-        else:
-            self._fp.advance(u)
+        self.apply_vec[u] += 1                             # line 4
         # line 5: the wire vector is a frozen tuple (payload
         # immutability contract), so storing it bare is alias-safe.
         self.last_write_on[msg.variable] = w_co  # reprolint: disable=RL003
 
-    def missing_deps(self, msg: UpdateMessage) -> Optional[List[Tuple[int, int]]]:
-        """The wait predicate of Figure 5 line 2 as explicit apply events.
-
-        ``Apply[u] = W_co[u] - 1`` waits for the apply of ``p_u``'s
-        write number ``W_co[u] - 1``; ``W_co[t] <= Apply[t]`` (t != u)
-        waits for the apply of ``p_t``'s write number ``W_co[t]``.  A
-        dependency on this process itself can never be pending: the
-        sender cannot know more of our writes than we have issued (and
-        locally applied), so only remote apply events are listed --
-        which is what lets the wakeup index fire on applies alone.
-        """
-        u = msg.sender
-        w_co = msg.payload[WRITE_CO_KEY]
-        deps: List[Tuple[int, int]] = []
-        if self.apply_vec[u] < w_co[u] - 1:
-            deps.append((u, w_co[u] - 1))
-        for t in range(self.n_processes):
-            if t != u and w_co[t] > self.apply_vec[t]:
-                deps.append((t, w_co[t]))
-        return deps
-
-    # -- flat-state backend -----------------------------------------------------
-
-    @staticmethod
-    def _make_flat_deps(w_co: Tuple[int, ...], sender: int) -> FlatDeps:
-        """The wait predicate of Figure 5 line 2 as a requirement row:
-        ``Apply[t] >= W_co[t]`` for ``t != u`` and ``Apply[u]`` exactly
-        ``W_co[u] - 1`` (the pivot; overshoot means duplicate)."""
-        counts = list(w_co)
-        counts[sender] -= 1
-        return FlatDeps.from_counts(counts, sender)
-
-    def enable_flat_state(self) -> None:
-        if self._fp is None:
-            self._fp = FlatProgress(self.apply_vec)
-
-    def flat_progress(self) -> FlatProgress:
-        return self._fp
-
-    def flat_deps(self, msg: UpdateMessage) -> FlatDeps:
-        return self._make_flat_deps(msg.payload[WRITE_CO_KEY], msg.sender)
+    def requirement(self, msg: UpdateMessage) -> Tuple[Tuple[int, ...], int]:
+        """Figure 5 line 2 as data: ``Apply[t] >= W_co[t]`` for
+        ``t != u`` and ``Apply[u]`` exactly ``W_co[u] - 1`` -- the row
+        is the ``Write_co`` tuple the message carries, the pivot its
+        sender.  A dependency on this process itself can never be
+        pending (the sender cannot know more of our writes than we have
+        issued and locally applied), which is what lets wakeups fire on
+        remote applies alone."""
+        return msg.payload[WRITE_CO_KEY], msg.sender
 
     # -- durability ---------------------------------------------------------------
 
@@ -221,16 +180,14 @@ class OptPProtocol(Protocol):
         for var, value, wid in doc["store"]:
             self._store[var] = (value, wid)
         self._write_seq = doc["write_seq"]
-        # in place: the flat backend's FlatProgress wraps these lists.
-        # Snapshot restore legitimately rewrites the whole vectors --
-        # the monotonicity discipline applies to live protocol steps.
+        # in place: ``progress`` aliases apply_vec.  Snapshot restore
+        # legitimately rewrites the whole vectors -- the monotonicity
+        # discipline applies to live protocol steps.
         self.apply_vec[:] = doc["apply"]  # reprolint: disable=RL102
         self.write_co[:] = doc["write_co"]  # reprolint: disable=RL102
         self.last_write_on.clear()
         for var, vec in doc["last_write_on"]:
             self.last_write_on[var] = tuple(vec)
-        if self._fp is not None:
-            self._fp.mark_dirty()
 
     # -- introspection ------------------------------------------------------------
 

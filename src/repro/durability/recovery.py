@@ -105,7 +105,6 @@ def rebuild_node(factory: Callable[[int, int], Protocol],
                  bodies: Sequence[bytes],
                  *,
                  dedup: bool = False,
-                 state_backend: str = "scalar",
                  lose_tail: int = 0) -> Node:
     """Build a recovered :class:`~repro.sim.node.Node` for ``process_id``.
 
@@ -131,7 +130,7 @@ def rebuild_node(factory: Callable[[int, int], Protocol],
             f"protocol {type(protocol).__name__} does not support snapshots")
     node = Node(protocol, NullTrace(n_processes),
                 clock=_zero_clock, dispatch=_sink_dispatch,
-                dedup=dedup, state_backend=state_backend, obs=NULL_OBS)
+                dedup=dedup, obs=NULL_OBS)
     replay = list(bodies)
     if lose_tail > 0:
         replay = replay[:max(0, len(replay) - lose_tail)]

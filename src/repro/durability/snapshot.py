@@ -86,21 +86,14 @@ def restore_node(node, doc: Dict[str, Any]) -> None:
     """Inverse of :func:`snapshot_node`, onto a freshly built node.
 
     Protocol state first (parking re-evaluates the wait predicate
-    against it), then the buffer, then the dedup guard.  Works on both
-    state backends: the flat scheduler classifies-and-parks in one
-    ``offer`` call, the scalar schedulers park directly -- a message
-    that was buffered under the snapshotted state classifies BUFFER
-    again under the restored state, so ``offer`` cannot spuriously
-    apply.
+    against it), then the buffer, then the dedup guard.  A message that
+    was buffered under the snapshotted state classifies BUFFER again
+    under the restored state, so ``offer`` parks it and cannot
+    spuriously report it applicable.
     """
     node.protocol.restore_state(doc["protocol"])
-    flat = node.scheduler.mode == "flat"
     for raw in doc["pending"]:
-        msg = decode_message(raw)
-        if flat:
-            node.scheduler.offer(msg)
-        else:
-            node.scheduler.park(msg)
+        node.scheduler.offer(decode_message(raw))
     node._seen_updates.clear()
     node._seen_updates.update(_unpack_seen(doc["seen"]))
     node.duplicates_dropped = doc["dups"]

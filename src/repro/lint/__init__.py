@@ -7,8 +7,8 @@ check dynamically:
 - **replay determinism** in ``sim`` / ``core`` / ``protocols``
   (RL001 nondeterministic calls, RL002 set-iteration order);
 - **vector-clock aliasing** across the node boundary (RL003);
-- the **class-𝒫 protocol contract** -- mandatory hooks, the
-  ``missing_deps``/``apply_event`` pair, declared-capability handlers
+- the **class-𝒫 protocol contract** -- mandatory hooks, the one
+  ``requirement`` declaration, declared-capability handlers
   (RL004, RL005);
 - **obs gating** on hot-path modules (RL006);
 - **cross-node isolation** -- all inter-process information flows

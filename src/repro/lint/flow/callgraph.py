@@ -17,7 +17,7 @@ and per-function summaries --
 Resolution is deliberately conservative: only plain function names,
 ``module.function`` chains through the import table, and
 ``self.method`` against same-module class bodies resolve.  Duck-typed
-attribute calls (``self.protocol.flat_deps(...)``) stay unresolved and
+attribute calls (``self.protocol.missing_deps(...)``) stay unresolved and
 are skipped by the consuming rules, which keeps the analysis free of
 speculative edges -- a finding always names a concrete chain.
 

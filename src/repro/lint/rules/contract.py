@@ -8,13 +8,12 @@ RL004 (``protocol-pair``)
       hooks ``write`` / ``read`` / ``classify`` / ``apply_update``
       (the ABC enforces this at *instantiation* time; the linter
       reports it at the definition).
-    - ``apply_event`` is only ever consulted by the dependency-indexed
-      scheduler when ``missing_deps`` is implemented -- overriding
-      ``apply_event`` without ``missing_deps`` is dead code hiding a
-      half-finished scheduling contract.  (The converse is fine: the
-      default ``(sender, seq)`` keying fits per-writer protocols.)
-    - Both scheduling hooks must keep the ``(self, msg)`` signature the
-      substrate calls them with.
+    - Readiness has one declaration besides ``classify``:
+      ``requirement``.  An override must keep the ``(self, msg)``
+      signature the substrate calls it with, and the class must not
+      also override ``missing_deps`` -- that is the base class's single
+      evaluation of the requirement, and a second hand-written copy of
+      the predicate is exactly what the hook replaced.
 
 RL005 (``protocol-hooks``)
     Declared capabilities must come with their handler:
@@ -40,10 +39,6 @@ from repro.lint.registry import Rule, register
 __all__ = ["ProtocolHooksRule", "ProtocolPairRule"]
 
 _MANDATORY = ("write", "read", "classify", "apply_update")
-_SCHEDULING = ("missing_deps", "apply_event")
-#: The PR-6/7 flat-backend hook surface a ``supports_flat_state = True``
-#: declaration promises (see ``repro.core.base.Protocol``).
-_FLAT_HOOKS = ("enable_flat_state", "flat_progress", "flat_deps")
 
 
 def _base_names(cls: ast.ClassDef) -> Set[str]:
@@ -92,8 +87,8 @@ class ProtocolPairRule(Rule):
     code = "RL004"
     name = "protocol-pair"
     summary = (
-        "Protocol subclasses: mandatory hooks present, "
-        "missing_deps/apply_event paired with conforming signatures"
+        "Protocol subclasses: mandatory hooks present, requirement "
+        "has the conforming signature and missing_deps stays derived"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -111,54 +106,22 @@ class ProtocolPairRule(Rule):
                         f"Protocol subclass {cls.name} is missing mandatory "
                         f"hook(s): {', '.join(missing)}",
                     )
-            if "apply_event" in methods and "missing_deps" not in methods:
+            requirement = methods.get("requirement")
+            if requirement is not None \
+                    and not self._signature_ok(requirement):
                 yield self.finding(
-                    ctx, methods["apply_event"],
-                    f"{cls.name}.apply_event is only consulted when "
-                    "missing_deps is implemented; define missing_deps or "
-                    "drop the override",
+                    ctx, requirement,
+                    f"{cls.name}.requirement must keep the (self, msg) "
+                    "signature the delivery scheduler calls it with",
                 )
-            for hook in _SCHEDULING:
-                fn = methods.get(hook)
-                if fn is not None and not self._signature_ok(fn):
-                    yield self.finding(
-                        ctx, fn,
-                        f"{cls.name}.{hook} must keep the (self, msg) "
-                        "signature the delivery scheduler calls it with",
-                    )
-            yield from self._check_flat_surface(ctx, cls, methods)
-
-    def _check_flat_surface(self, ctx, cls, methods) -> Iterator[Finding]:
-        """``supports_flat_state`` must match the implemented hooks."""
-        declared = _class_var(cls, "supports_flat_state")
-        declares_flat = (
-            isinstance(declared, ast.Constant) and declared.value is True
-        )
-        implemented = [h for h in _FLAT_HOOKS if h in methods]
-        if declares_flat:
-            missing = [h for h in _FLAT_HOOKS if h not in methods]
-            if missing:
+            if "missing_deps" in methods:
                 yield self.finding(
-                    ctx, declared,
-                    f"{cls.name} declares supports_flat_state = True but "
-                    f"is missing flat hook(s): {', '.join(missing)}; the "
-                    "FlatScheduler would fail at construction",
+                    ctx, methods["missing_deps"],
+                    f"{cls.name}.missing_deps re-states the wait "
+                    "predicate by hand; it is derived from requirement "
+                    "in Protocol -- declare requirement and drop the "
+                    "override",
                 )
-            elif "missing_deps" not in methods:
-                yield self.finding(
-                    ctx, declared,
-                    f"{cls.name} declares supports_flat_state = True "
-                    "without missing_deps; flat wakeup keys mirror the "
-                    "missing_deps enumeration (span parity) -- define it",
-                )
-        elif implemented:
-            yield self.finding(
-                ctx, methods[implemented[0]],
-                f"{cls.name} implements flat hook(s) "
-                f"{', '.join(implemented)} without declaring "
-                "supports_flat_state = True; make_scheduler would never "
-                "select the flat backend",
-            )
 
     @staticmethod
     def _signature_ok(fn: ast.FunctionDef) -> bool:

@@ -1,29 +1,27 @@
-"""RL009: no per-message vector allocation in flat-backend hot zones.
+"""RL009: no per-message vector allocation on the delivery hot path.
 
-The flat state backend (:mod:`repro.core.flatstate`,
-``docs/performance.md``) exists to make the per-delivery path
-allocation-free: dependency rows are built **once per write** by
-``FlatDeps.from_counts``, progress advances in place, and the
-scheduler's predicate evaluation compares against preallocated arrays.
-A ``list(...)``/``tuple(...)`` conversion inside the per-delivery hot
-zone quietly reintroduces the per-message vector rebuild the backend
-was built to eliminate -- the run stays correct, the speedup silently
-evaporates, and only the benchmark sweep would notice.
+One receipt costs one predicate evaluation, one apply and one O(1)
+wake lookup (``docs/performance.md``): a message's requirement row is
+the tuple its payload already carries, progress advances in place, and
+the dense form of a wide row is built once per message
+(:func:`repro.core.flatstate.wide_row`).  A ``list(...)`` /
+``tuple(...)`` conversion inside the per-delivery path quietly
+reintroduces the per-message vector rebuild that design eliminates --
+the run stays correct, the speed silently evaporates, and only the
+benchmark sweep would notice.
 
-Flat hot zones (zones ``sim`` / ``core`` / ``protocols``):
+Hot zones (zones ``sim`` / ``core`` / ``protocols``), by method name:
 
-- the per-delivery methods of the flat classes (``Flat*``,
-  ``PendingMatrix``): ``offer`` / ``notify_applied`` / ``pump`` /
-  ``advance`` / ``ready_mask`` / ``add`` / ``remove``;
-- any function or method whose name ends with ``_flat`` (the node's
-  ``_receive_update_flat`` / ``_apply_flat`` receive path).
+- the protocol's readiness surface: ``requirement`` / ``missing_deps``;
+- the scheduler interface: ``offer`` / ``notify_applied`` / ``pump``,
+  and the dense evaluation ``unsatisfied``;
+- the node's receive path: ``_receive_update`` / ``_apply``.
 
 Flagged: any call to ``list`` / ``tuple`` (conversion or empty -- both
-allocate per message).  Tuple *literals* like ``(sender, seq)`` keys
-are fine: small fixed-arity keys, not vector rebuilds.  Constructors
-(``__init__``, ``from_counts``, ``enable_flat_state``) and audit views
-(``pending_matrix``, ``buffered``) run off the per-delivery path and
-are deliberately out of scope.
+allocate per message).  Tuple *literals* like ``(component, required)``
+keys are fine: small fixed-arity keys, not vector rebuilds.
+Constructors and audit views (``buffered``) run off the per-delivery
+path and are deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -37,37 +35,29 @@ from repro.lint.registry import Rule, register
 
 __all__ = ["FlatHotAllocRule", "iter_hot_zones"]
 
-#: Per-delivery methods of the flat-backend classes.
+#: The per-delivery methods, wherever they are defined.
 _HOT_METHODS = {
-    "offer", "notify_applied", "pump", "advance", "ready_mask",
-    "add", "remove",
+    "requirement", "missing_deps",
+    "offer", "notify_applied", "pump", "unsatisfied",
+    "_receive_update", "_apply",
 }
-
-#: Class-name shapes the flat backend uses.
-_FLAT_CLASS_PREFIX = "Flat"
-_FLAT_CLASS_NAMES = {"PendingMatrix"}
 
 _ALLOC_CALLS = {"list", "tuple"}
 
 
-def _is_flat_class(name: str) -> bool:
-    return name.startswith(_FLAT_CLASS_PREFIX) or name in _FLAT_CLASS_NAMES
-
-
 def iter_hot_zones(ctx: ModuleContext):
-    """Yield (function node, human-readable zone name) for every flat
-    hot zone in the module -- shared with interprocedural RL104."""
+    """Yield (function node, human-readable zone name) for every
+    delivery hot zone in the module -- shared with interprocedural
+    RL104."""
     for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        if node.name.endswith("_flat"):
-            yield node, f"{node.name}()"
-            continue
-        if node.name not in _HOT_METHODS:
+        if not isinstance(node, ast.FunctionDef) \
+                or node.name not in _HOT_METHODS:
             continue
         parent = ctx.parent(node)
-        if isinstance(parent, ast.ClassDef) and _is_flat_class(parent.name):
+        if isinstance(parent, ast.ClassDef):
             yield node, f"{parent.name}.{node.name}()"
+        else:
+            yield node, f"{node.name}()"
 
 
 @register
@@ -76,7 +66,7 @@ class FlatHotAllocRule(Rule):
     name = "flat-hot-alloc"
     summary = (
         "no per-message list/tuple vector allocation inside "
-        "flat-backend hot zones"
+        "delivery hot zones"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -92,9 +82,9 @@ class FlatHotAllocRule(Rule):
                 yield self.finding(
                     ctx, node,
                     f"{name}(...) allocates a fresh vector per message "
-                    f"inside flat hot zone {where}; use the "
-                    "preallocated FlatDeps row / advance the progress "
-                    "vector in place (repro.core.flatstate)",
+                    f"inside delivery hot zone {where}; hand over the "
+                    "row the payload carries / advance the progress "
+                    "vector in place",
                 )
 
     def _hot_zones(self, ctx: ModuleContext):

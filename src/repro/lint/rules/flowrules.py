@@ -30,7 +30,7 @@ RL103 (``transitive-nondet``)
 
 RL104 (``flat-hot-alloc-transitive``)
     RL009 through callees: a hot method that calls a helper which
-    allocates ``list``/``tuple`` per message defeats the flat backend
+    allocates ``list``/``tuple`` per message costs the delivery path
     just as surely as allocating inline.
 """
 
@@ -232,7 +232,8 @@ class VectorClockMonotonicityRule(Rule):
                         yield from self._check_store(
                             ctx, cls, node, vectors)
                     yield from self._check_skipped_loop(
-                        ctx, node, vectors, payload_vecs)
+                        ctx, node, vectors, payload_vecs,
+                        any_read=method.name == "requirement")
 
     # -- stores -------------------------------------------------------------
 
@@ -330,8 +331,11 @@ class VectorClockMonotonicityRule(Rule):
                         out.add(target.id)
         return out
 
-    def _check_skipped_loop(self, ctx, node, vectors,
-                            payload_vecs) -> Iterator[Finding]:
+    def _check_skipped_loop(self, ctx, node, vectors, payload_vecs,
+                            any_read=False) -> Iterator[Finding]:
+        """A ``range(k, ...)`` loop (``k > 0``) that compares a vector
+        component -- or, inside ``requirement`` (``any_read``), merely
+        copies one into the row -- skips components ``0..k-1``."""
         if not isinstance(node, (ast.For, ast.AsyncFor)):
             return
         it = node.iter
@@ -347,9 +351,10 @@ class VectorClockMonotonicityRule(Rule):
             return
         loop_var = node.target.id
         start = it.args[0].value
+        wanted = ast.Subscript if any_read else ast.Compare
         for body_stmt in node.body:
             for sub in ast.walk(body_stmt):
-                if not isinstance(sub, ast.Compare):
+                if not isinstance(sub, wanted):
                     continue
                 if self._compares_vector(sub, loop_var, vectors,
                                          payload_vecs):
@@ -363,9 +368,9 @@ class VectorClockMonotonicityRule(Rule):
                     return
 
     @staticmethod
-    def _compares_vector(cmp: ast.Compare, loop_var: str,
+    def _compares_vector(expr: ast.AST, loop_var: str,
                          vectors: Set[str], payload_vecs: Set[str]) -> bool:
-        for sub in ast.walk(cmp):
+        for sub in ast.walk(expr):
             if not isinstance(sub, ast.Subscript):
                 continue
             if not (isinstance(sub.slice, ast.Name)
@@ -421,7 +426,7 @@ class InterproceduralAllocRule(Rule):
     code = "RL104"
     name = "flat-hot-alloc-transitive"
     summary = (
-        "flat-backend hot zones must not allocate vectors through "
+        "delivery hot zones must not allocate vectors through "
         "callees either"
     )
     requires_flow = True
@@ -447,7 +452,7 @@ class InterproceduralAllocRule(Rule):
                 desc, chain = hit
                 yield self.finding(
                     ctx, call,
-                    f"call from flat hot zone {where} transitively "
+                    f"call from delivery hot zone {where} transitively "
                     f"allocates a vector per message: "
                     f"{' -> '.join(chain)} -> {desc}; hoist the "
                     "allocation out of the per-delivery path",

@@ -15,9 +15,7 @@ sweeps and examples.
 
 from typing import Callable, Dict
 
-from repro.core.optp import OptPProtocol
-from repro.protocols.anbkh import ANBKHProtocol
-from repro.protocols.base import (
+from repro.core.base import (
     BROADCAST,
     ControlMessage,
     Disposition,
@@ -28,6 +26,8 @@ from repro.protocols.base import (
     UpdateMessage,
     WriteOutcome,
 )
+from repro.core.optp import OptPProtocol
+from repro.protocols.anbkh import ANBKHProtocol
 from repro.protocols.gossip import GossipOptPProtocol
 from repro.protocols.jimenez import JimenezTokenProtocol
 from repro.protocols.partial import (

@@ -32,7 +32,7 @@ write-delay optimal (paper, Section 3.6, Figure 3 / Table 2 -- the
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Tuple
 
 from repro.core.base import (
     BROADCAST,
@@ -43,7 +43,6 @@ from repro.core.base import (
     UpdateMessage,
     WriteOutcome,
 )
-from repro.core.flatstate import FlatDeps, FlatProgress
 
 #: Payload key for the Fidge-Mattern timestamp of the send event.
 VT_KEY = "vt"
@@ -54,24 +53,19 @@ class ANBKHProtocol(Protocol):
 
     name = "anbkh"
     in_class_p = True
-    supports_flat_state = True
     supports_snapshot = True
 
     def __init__(self, process_id: int, n_processes: int):
         super().__init__(process_id, n_processes)
-        #: vc[j] = number of writes of p_j applied locally.
-        self.vc: List[int] = [0] * n_processes
-        self._fp: Optional[FlatProgress] = None
+        #: vc[j] = number of writes of p_j applied locally (and the
+        #: progress vector requirements are measured against).
+        self.vc = self.progress = [0] * n_processes
 
     # -- operations -----------------------------------------------------------
 
     def write(self, variable: Hashable, value: Any) -> WriteOutcome:
         i = self.process_id
-        fp = self._fp
-        if fp is None:
-            self.vc[i] += 1
-        else:
-            fp.advance(i)
+        self.vc[i] += 1
         wid = self.next_wid()
         assert wid.seq == self.vc[i]
         vt = tuple(self.vc)
@@ -81,7 +75,6 @@ class ANBKHProtocol(Protocol):
             variable=variable,
             value=value,
             payload={VT_KEY: vt},
-            flat_deps=None if fp is None else self._make_flat_deps(vt, i),
         )
         self.store_put(variable, value, wid)
         return WriteOutcome(wid=wid, outgoing=(Outgoing(msg, BROADCAST),))
@@ -107,48 +100,15 @@ class ANBKHProtocol(Protocol):
 
     def apply_update(self, msg: UpdateMessage) -> None:
         self.store_put(msg.variable, msg.value, msg.wid)
-        if self._fp is None:
-            self.vc[msg.sender] += 1
-        else:
-            self._fp.advance(msg.sender)
+        self.vc[msg.sender] += 1
 
-    def missing_deps(self, msg: UpdateMessage) -> Optional[List[Tuple[int, int]]]:
-        """The BSS delivery condition as explicit apply events:
-        ``VT[u] = VC[u] + 1`` waits for the apply of ``p_u``'s write
-        number ``VT[u] - 1``; ``VT[t] <= VC[t]`` waits for ``p_t``'s
-        write number ``VT[t]``.  Dependencies on this process itself
-        cannot be pending (the sender cannot have applied more of our
-        writes than we issued), so only remote applies are listed."""
-        u = msg.sender
-        vt = msg.payload[VT_KEY]
-        deps: List[Tuple[int, int]] = []
-        if self.vc[u] + 1 < vt[u]:
-            deps.append((u, vt[u] - 1))
-        for t in range(self.n_processes):
-            if t != u and vt[t] > self.vc[t]:
-                deps.append((t, vt[t]))
-        return deps
-
-    # -- flat-state backend -----------------------------------------------------
-
-    @staticmethod
-    def _make_flat_deps(vt: Tuple[int, ...], sender: int) -> FlatDeps:
-        """The BSS delivery condition as a requirement row:
-        ``VC[t] >= VT[t]`` for ``t != u``, ``VC[u]`` exactly
-        ``VT[u] - 1`` (pivot; overshoot = duplicate)."""
-        counts = list(vt)
-        counts[sender] -= 1
-        return FlatDeps.from_counts(counts, sender)
-
-    def enable_flat_state(self) -> None:
-        if self._fp is None:
-            self._fp = FlatProgress(self.vc)
-
-    def flat_progress(self) -> FlatProgress:
-        return self._fp
-
-    def flat_deps(self, msg: UpdateMessage) -> FlatDeps:
-        return self._make_flat_deps(msg.payload[VT_KEY], msg.sender)
+    def requirement(self, msg: UpdateMessage) -> Tuple[Tuple[int, ...], int]:
+        """The BSS delivery condition as data: ``VC[t] >= VT[t]`` for
+        ``t != u``, ``VC[u]`` exactly ``VT[u] - 1`` -- the row is the
+        timestamp the message carries, the pivot its sender.
+        Dependencies on this process itself cannot be pending (the
+        sender cannot have applied more of our writes than we issued)."""
+        return msg.payload[VT_KEY], msg.sender
 
     # -- durability ---------------------------------------------------------------
 
@@ -165,12 +125,10 @@ class ANBKHProtocol(Protocol):
         for var, value, wid in doc["store"]:
             self._store[var] = (value, wid)
         self._write_seq = doc["write_seq"]
-        # in place: the flat backend's FlatProgress wraps this list.
-        # Snapshot restore legitimately rewrites the whole vector --
-        # the monotonicity discipline applies to live protocol steps.
+        # in place: ``progress`` aliases vc.  Snapshot restore
+        # legitimately rewrites the whole vector -- the monotonicity
+        # discipline applies to live protocol steps.
         self.vc[:] = doc["vc"]  # reprolint: disable=RL102
-        if self._fp is not None:
-            self._fp.mark_dirty()
 
     # -- introspection ------------------------------------------------------------
 

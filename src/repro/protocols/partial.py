@@ -22,11 +22,12 @@ counts inside ``w``'s causal past (exact under componentwise-max
 merging, because per-process writes are prefixes).  A holder ``d`` of
 ``x`` derives the *relevant* dependency vector itself::
 
-    rel(t) = sum over y in held(d) of VP[y][t]      (own write excluded)
+    rel(t) = sum over y in held(d) of VP[y][t]      (own write included)
 
-and applies ``w`` iff ``rel(t) <= AppliedRel[t]`` for every ``t``,
-where ``AppliedRel[t]`` counts the writes of ``p_t`` applied at ``d``
-(all of which are on variables ``d`` holds).  Because each process's
+and applies ``w`` from ``p_u`` iff ``rel(t) <= AppliedRel[t]`` for
+every ``t != u`` and ``AppliedRel[u] = rel(u) - 1``, where
+``AppliedRel[t]`` counts the writes of ``p_t`` applied at ``d`` (all of
+which are on variables ``d`` holds).  Because each process's
 writes on ``held(d)`` form a subsequence of its write sequence and
 ``rel`` counts its prefixes, the condition forces per-sender
 subsequence order and (transitively, since ``VP`` flows through reads
@@ -52,7 +53,6 @@ from typing import (
     Hashable,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -65,7 +65,6 @@ from repro.core.base import (
     UpdateMessage,
     WriteOutcome,
 )
-from repro.core.flatstate import FlatDeps, FlatProgress
 from repro.core.vectorclock import vc_join_inplace
 from repro.model.operations import WriteId
 
@@ -131,7 +130,6 @@ class PartialReplicationProtocol(Protocol):
 
     name = "partial"
     in_class_p = False
-    supports_flat_state = True
 
     def __init__(self, process_id: int, n_processes: int,
                  replication: ReplicationMap):
@@ -142,15 +140,15 @@ class PartialReplicationProtocol(Protocol):
         self.held = replication.held_by(process_id)
         #: per-variable causal-past vectors (exact; see module docstring)
         self.var_past: Dict[Hashable, List[int]] = {}
-        #: writes of p_t applied here (all on held variables)
-        self.applied_rel: List[int] = [0] * n_processes
+        #: writes of p_t applied here (all on held variables); the
+        #: progress vector requirements are measured against
+        self.applied_rel = self.progress = [0] * n_processes
         #: last applied write's VP map per variable, in wire form (the
         #: sorted immutable pairs tuple shipped in payloads).
         self.last_var_past_on: Dict[
             Hashable, Tuple[Tuple[Hashable, Tuple[int, ...]], ...]
         ] = {}
         self.unreplicated = 0
-        self._fp: Optional[FlatProgress] = None
 
     # -- helpers ---------------------------------------------------------------
 
@@ -178,16 +176,15 @@ class PartialReplicationProtocol(Protocol):
                 f"{sorted(self.replication.holders(variable))})"
             )
 
-    def _rel(self, vp: Tuple[Tuple[Hashable, Tuple[int, ...]], ...],
-             sender: int) -> List[int]:
-        """Dependency counts restricted to this replica's held set,
-        excluding the carried write itself."""
+    def _rel(self, vp: Tuple[Tuple[Hashable, Tuple[int, ...]], ...]
+             ) -> List[int]:
+        """Per-process write counts of the causal past ``vp`` restricted
+        to this replica's held set, the carried write included."""
         rel = [0] * self.n_processes
         for var, vec in vp:
             if var in self.held:
                 for t, v in enumerate(vec):
                     rel[t] += v
-        rel[sender] -= 1  # the write itself
         return rel
 
     # -- operations -----------------------------------------------------------
@@ -206,10 +203,7 @@ class PartialReplicationProtocol(Protocol):
             payload={VAR_PAST_KEY: vp},
         )
         self.store_put(variable, value, wid)
-        if self._fp is None:
-            self.applied_rel[i] += 1
-        else:
-            self._fp.advance(i)
+        self.applied_rel[i] += 1
         # the wire pairs tuple doubles as the read-merge source; no
         # per-write dict rebuild (immutable, so sharing is safe)
         self.last_var_past_on[variable] = vp  # reprolint: disable=RL003
@@ -232,33 +226,24 @@ class PartialReplicationProtocol(Protocol):
     # -- message handling -------------------------------------------------------
 
     def classify(self, msg: UpdateMessage) -> Disposition:
-        rel = self._rel(msg.payload[VAR_PAST_KEY], msg.sender)
+        u = msg.sender
+        rel = self._rel(msg.payload[VAR_PAST_KEY])
+        if self.applied_rel[u] != rel[u] - 1:
+            return Disposition.BUFFER
         for t in range(self.n_processes):
-            if rel[t] > self.applied_rel[t]:
+            if t != u and rel[t] > self.applied_rel[t]:
                 return Disposition.BUFFER
         return Disposition.APPLY
 
-    def missing_deps(self, msg: UpdateMessage) -> Optional[List[Tuple[int, int]]]:
-        """Held-restricted dependencies as explicit apply events.
-
-        ``rel[t]`` counts the writes of ``p_t`` on *held* variables in
-        the message's causal past; the t-th obligation is satisfied
-        when the ``rel[t]``-th such write applies here.  Apply events
-        are therefore keyed by this replica's per-sender *applied
-        count* (see :meth:`apply_event`), not by global write sequence
-        numbers -- p_t's held writes form a subsequence of its write
-        sequence."""
-        rel = self._rel(msg.payload[VAR_PAST_KEY], msg.sender)
-        return [
-            (t, rel[t])
-            for t in range(self.n_processes)
-            if rel[t] > self.applied_rel[t]
-        ]
-
-    def apply_event(self, msg: UpdateMessage) -> Tuple[int, int]:
-        # Called right after apply_update: applied_rel[sender] already
-        # counts the apply that just happened.
-        return (msg.sender, self.applied_rel[msg.sender])
+    def requirement(self, msg: UpdateMessage) -> Tuple[List[int], int]:
+        """Held-restricted dependencies as data.  ``rel[t]`` counts the
+        writes of ``p_t`` on *held* variables in the message's causal
+        past, so progress is this replica's per-sender *applied count*,
+        not a global write sequence number (p_t's held writes form a
+        subsequence of its write sequence); the message itself is held
+        write number ``rel[u]`` of its sender, the pivot.  The row is
+        receiver-specific, hence computed here and not by the writer."""
+        return self._rel(msg.payload[VAR_PAST_KEY]), msg.sender
 
     def apply_update(self, msg: UpdateMessage) -> None:
         # NOTE: the write's causal knowledge (its VP map, including
@@ -269,32 +254,11 @@ class PartialReplicationProtocol(Protocol):
         # we merely applied, reintroducing the false causality the
         # paper eliminates.
         self.store_put(msg.variable, msg.value, msg.wid)
-        if self._fp is None:
-            self.applied_rel[msg.sender] += 1
-        else:
-            self._fp.advance(msg.sender)
+        self.applied_rel[msg.sender] += 1
         # The wire VP is a deeply immutable sorted pairs tuple (payload
         # contract), so storing it bare is alias-safe -- and drops the
         # per-delivery dict rebuild this hot path used to pay.
         self.last_var_past_on[msg.variable] = msg.payload[VAR_PAST_KEY]  # reprolint: disable=RL003
-
-    # -- flat-state backend -------------------------------------------------------
-
-    def enable_flat_state(self) -> None:
-        if self._fp is None:
-            self._fp = FlatProgress(self.applied_rel)
-
-    def flat_progress(self) -> FlatProgress:
-        return self._fp
-
-    def flat_deps(self, msg: UpdateMessage) -> FlatDeps:
-        """Receiver-side requirement row: the held-restricted ``rel``
-        counts.  No pivot -- the scalar predicate is pure ``>=`` (a
-        duplicate that slips past node-level dedup re-applies under
-        both backends, keeping flat byte-identical to scalar)."""
-        return FlatDeps.from_counts(
-            self._rel(msg.payload[VAR_PAST_KEY], msg.sender), None
-        )
 
     # -- introspection ------------------------------------------------------------
 

@@ -40,7 +40,7 @@ delay optimality: decidedly **not** -- the point of the baseline.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Sequence, Tuple
 
 from repro.core.base import (
     BROADCAST,
@@ -52,7 +52,6 @@ from repro.core.base import (
     UpdateMessage,
     WriteOutcome,
 )
-from repro.core.flatstate import FlatDeps, FlatProgress
 from repro.model.operations import WriteId
 
 #: Control kind for write requests travelling to the sequencer.
@@ -68,15 +67,14 @@ class SequencerProtocol(Protocol):
 
     name = "sequencer"
     in_class_p = True
-    supports_flat_state = True
 
     def __init__(self, process_id: int, n_processes: int):
         super().__init__(process_id, n_processes)
         #: next stamp to hand out (sequencer only)
         self.next_gsn = 0
-        #: next stamp to apply locally
-        self.next_apply_gsn = 0
-        self._fp: Optional[FlatProgress] = None
+        #: one progress component, the stamp chain: the highest stamp
+        #: applied locally (-1 = none yet)
+        self.applied_gsn = self.progress = [-1]
         #: sequencer: per-sender next expected write seq (gap handling)
         self.expected_seq: List[int] = [1] * n_processes
         #: sequencer: out-of-order write requests, per sender by seq
@@ -87,6 +85,11 @@ class SequencerProtocol(Protocol):
     @property
     def is_sequencer(self) -> bool:
         return self.process_id == SEQUENCER
+
+    @property
+    def next_apply_gsn(self) -> int:
+        """The next stamp to apply locally."""
+        return self.applied_gsn[0] + 1
 
     # -- operations -----------------------------------------------------------
 
@@ -159,15 +162,11 @@ class SequencerProtocol(Protocol):
             variable=variable,
             value=value,
             payload={GSN_KEY: gsn},
-            flat_deps=None if self._fp is None
-            else FlatDeps.from_counts([gsn], 0),
         )
         # The sequencer's own replica applies at stamping time.
         assert gsn == self.next_apply_gsn
         self.store_put(variable, value, wid)
-        if self._fp is not None:
-            self._fp.advance(0)
-        self.next_apply_gsn += 1
+        self.applied_gsn[0] += 1
         if wid.process == SEQUENCER:
             # write(): the WRITE trace event covers this local apply
             pass
@@ -182,52 +181,21 @@ class SequencerProtocol(Protocol):
             return Disposition.APPLY
         return Disposition.BUFFER
 
-    def missing_deps(self, msg: UpdateMessage) -> Optional[List[Tuple[int, int]]]:
-        """Stamp order is a single chain: update ``gsn`` waits only for
-        the apply of update ``gsn - 1``.  A stamped update with
-        ``gsn < next_apply_gsn`` (a network duplicate) has no pending
-        dependency and can never apply: empty list = dead-park."""
-        gsn = msg.payload[GSN_KEY]
-        if gsn > self.next_apply_gsn:
-            return [(SEQUENCER, gsn - 1)]
-        return []
-
-    def apply_event(self, msg: UpdateMessage) -> Tuple[int, int]:
-        """Wakeup keys follow the global stamp order, not per-writer
-        sequence numbers (every stamped update has sender SEQUENCER)."""
-        return (SEQUENCER, msg.payload[GSN_KEY])
+    def requirement(self, msg: UpdateMessage) -> Tuple[Tuple[int], int]:
+        """Stamp order is a single chain: update ``gsn`` is advance
+        number ``gsn`` of the one stamp component and waits only for
+        stamp ``gsn - 1``.  A stamped update at or below the applied
+        stamp (a network duplicate) has overshot and can never apply."""
+        return (msg.payload[GSN_KEY],), 0
 
     def apply_update(self, msg: UpdateMessage) -> None:
         assert msg.payload[GSN_KEY] == self.next_apply_gsn
         self.store_put(msg.variable, msg.value, msg.wid)
-        if self._fp is not None:
-            self._fp.advance(0)
-        self.next_apply_gsn += 1
+        self.applied_gsn[0] += 1
         pending = self.pending_own.get(msg.variable)
         if pending is not None and pending[1] == msg.wid:
             # our own write came back stamped; stop forwarding it
             del self.pending_own[msg.variable]
-
-    # -- flat-state backend -------------------------------------------------------------
-
-    def enable_flat_state(self) -> None:
-        # One-component progress: the stamp chain.  next_apply_gsn
-        # stays the authoritative scalar; the flat view mirrors it so
-        # the scheduler's counting index never touches the int attr.
-        if self._fp is None:
-            self._fp = FlatProgress([self.next_apply_gsn])
-
-    def flat_progress(self) -> FlatProgress:
-        return self._fp
-
-    def flat_deps(self, msg: UpdateMessage) -> FlatDeps:
-        return FlatDeps.from_counts([msg.payload[GSN_KEY]], 0)
-
-    def flat_dep_key(self, component: int, required: int) -> Tuple[int, int]:
-        """Requirement ``next_apply_gsn >= gsn`` is satisfied by the
-        apply of stamp ``gsn - 1`` (whose apply_event key is
-        ``(SEQUENCER, gsn - 1)``)."""
-        return (SEQUENCER, required - 1)
 
     # -- introspection ------------------------------------------------------------------
 

@@ -26,7 +26,8 @@ behind real sockets:
   logs (which keeps the Theorem-5 liveness check meaningful).
 
 Everything protocol-visible reuses the existing substrate unchanged:
-buffering goes through the dependency-indexed scheduler, events land
+buffering goes through the same counting scheduler the simulator and
+the model checker run, events land
 in a real :class:`~repro.sim.trace.Trace` (or a no-op trace when not
 recording), and the recorded log replays through every checker via
 :mod:`repro.serve.merge` / :mod:`repro.serve.conformance`.
@@ -52,7 +53,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.base import BROADCAST, Outgoing
+from repro.core.base import BROADCAST, Outgoing, UpdateMessage
 from repro.obs.spans import NULL_OBS, Obs
 from repro.serve import codec
 from repro.serve.codec import (
@@ -235,8 +236,6 @@ class ReplicaServer:
             clock=self._now,
             dispatch=self._dispatch,
             on_apply_msg=self._count_remote_apply,
-            scheduler="auto",
-            state_backend="scalar",
             # Links redial on EOF and retransmit the unacked suffix;
             # the ack only covers *applied* updates, so a retransmitted
             # update may race its buffered twin -- the at-least-once
@@ -247,6 +246,8 @@ class ReplicaServer:
         #: grows monotonically, so ``tuple(applied)`` is the progress
         #: vector clients fold into their session vectors.
         self.applied: List[int] = [0] * self.n
+        #: the types of a well-formed requirement row (see :meth:`_admit`)
+        self._int_row = (int,) * self.n
         #: own broadcast updates in issue order, as canonical bodies:
         #: ``_sent[k]`` is write k+1's update, so a peer whose WELCOME
         #: acknowledged K applied writes needs exactly the suffix
@@ -614,7 +615,32 @@ class ReplicaServer:
             if task is not None and task in self._conn_tasks:
                 self._conn_tasks.remove(task)
 
+    def _admit(self, message, peer: int) -> None:
+        """Validate one peer update at the door, before the journal.
+
+        What is journaled is replayed on every later start, so nothing
+        the protocol cannot evaluate may reach the WAL: the update must
+        come from the link's own peer and its requirement row
+        (:meth:`~repro.core.base.Protocol.requirement`) must be a tuple
+        of exactly one integer per group member.  Anything else is a
+        :class:`CodecError` on this connection only.
+        """
+        if (type(message) is not UpdateMessage or message.sender != peer
+                or message.wid.process != peer):
+            raise CodecError(
+                f"peer {peer} sent a message that is not its own update")
+        try:
+            row, _ = self.node.protocol.requirement(message)
+        except KeyError:
+            row = None
+        if type(row) is not tuple or tuple(map(type, row)) != self._int_row:
+            raise CodecError(
+                f"update {message.wid} from peer {peer} carries no "
+                f"requirement of {self.n} integer components")
+
     async def _serve_peer(self, reader, writer, sender: int) -> None:
+        if not 0 <= sender < self.n or sender == self.node_id:
+            raise CodecError(f"HELLO from peer {sender}: not a group peer")
         # WELCOME tells the dialing peer how many of its writes we have
         # applied, so it retransmits exactly the suffix we are missing.
         w = VarWriter()
@@ -637,6 +663,7 @@ class ReplicaServer:
                 # stateless: each body decodes on its own, so the slice
                 # journaled below replays without this connection
                 message = codec.decode_message_from(r)
+                self._admit(message, sender)
                 if self._wal is not None:
                     # duplicates are journaled too: replay routes them
                     # through the same dedup guard, so the rebuilt

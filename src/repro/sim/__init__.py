@@ -30,12 +30,9 @@ from repro.sim.network import Network, estimate_size
 from repro.sim.node import Node
 from repro.sim.result import RunResult
 from repro.sim.scheduler import (
+    CountingScheduler,
     DeliveryScheduler,
-    IndexedScheduler,
-    LegacyScanScheduler,
-    SCHEDULER_MODES,
-    make_scheduler,
-    supports_indexing,
+    RescanScheduler,
 )
 from repro.sim.serialize import (
     run_metrics_from_dict,
@@ -47,18 +44,17 @@ from repro.sim.trace import EventKind, Trace, TraceEvent
 
 __all__ = [
     "ConstantLatency",
+    "CountingScheduler",
     "DeliveryScheduler",
     "Engine",
     "EngineLimitError",
     "EventKind",
-    "IndexedScheduler",
-    "LegacyScanScheduler",
-    "SCHEDULER_MODES",
     "ExponentialLatency",
     "LatencyModel",
     "MatrixLatency",
     "Network",
     "Node",
+    "RescanScheduler",
     "RunResult",
     "ScriptedLatency",
     "SeededLatency",
@@ -67,12 +63,10 @@ __all__ = [
     "TraceEvent",
     "UniformLatency",
     "estimate_size",
-    "make_scheduler",
     "run_metrics_from_dict",
     "run_metrics_to_dict",
     "run_programs",
     "run_schedule",
-    "supports_indexing",
     "trace_from_jsonl",
     "trace_to_jsonl",
 ]

@@ -24,14 +24,13 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.core.base import BROADCAST, Outgoing, Protocol
-from repro.core.flatstate import resolve_state_backend
 from repro.obs.spans import NULL_OBS, Obs
 from repro.sim.engine import Engine
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.result import RunResult
-from repro.sim.trace import FlatTrace, Trace
+from repro.sim.trace import FlatTrace
 from repro.workloads.ops import (
     Program,
     ReadOp,
@@ -76,8 +75,6 @@ class SimCluster:
         congestion_factor: float = 0.0,
         duplicate_prob: float = 0.0,
         dedup: bool = False,
-        scheduler: str = "auto",
-        state_backend: str = "auto",
         obs: Optional[Obs] = None,
     ):
         """See the class docstring; fault-injection extras:
@@ -91,24 +88,6 @@ class SimCluster:
             Stop the run at this simulated time even if not quiescent
             (the run result then shows partial progress; checkers that
             assume quiescence should not be applied wholesale).
-        scheduler:
-            Delivery scheduling strategy for buffered updates:
-            ``"auto"`` (dependency-indexed wakeups where the protocol
-            supports :meth:`~repro.core.base.Protocol.missing_deps`,
-            legacy re-scan otherwise), ``"indexed"``, or ``"legacy"``
-            (force the re-scan; differential tests and benchmarks).
-            Forcing a mode pins ``state_backend="auto"`` to scalar so
-            the requested scheduler actually runs; an explicit
-            ``state_backend="flat"`` overrides it (the flat scheduler
-            subsumes the indexed one).
-        state_backend:
-            Protocol-state bookkeeping (:mod:`repro.core.flatstate`):
-            ``"auto"``/``"flat"`` run the struct-of-arrays backend for
-            protocols that opt in (OptP, ANBKH, the sequencer, partial
-            replication), falling back to scalar transparently for
-            those that do not; ``"scalar"`` forces the oracle path.
-            Flat and scalar runs are byte-identical by contract
-            (``tests/integration/test_flatstate_differential.py``).
         obs:
             Observability handle (:class:`repro.obs.Obs`); default is
             the shared disabled handle -- zero instrumentation beyond
@@ -135,19 +114,7 @@ class SimCluster:
         self.obs = obs if obs is not None else NULL_OBS
         self.engine = Engine(obs=self.obs)
         self.engine.diag_context = self._diag_context
-        # Build the protocol instances first: the backend resolution
-        # (and hence the trace flavour) depends on the protocol class.
-        protocols = [factory(i, n_processes) for i in range(n_processes)]
-        # An explicitly forced scalar scheduler mode pins "auto" to the
-        # scalar backend: the caller asked to exercise that scheduler,
-        # and the flat backend would silently replace it.
-        if state_backend == "auto" and scheduler != "auto":
-            flat = False
-        else:
-            flat = resolve_state_backend(state_backend, protocols[0])
-        #: resolved protocol-state backend ("flat" or "scalar").
-        self.state_backend = "flat" if flat else "scalar"
-        self.trace = FlatTrace(n_processes) if flat else Trace(n_processes)
+        self.trace = FlatTrace(n_processes)
         model = (latency or ConstantLatency(1.0)).fork()
         self.network = Network(
             self.engine, model, self._deliver, fifo=fifo,
@@ -166,7 +133,7 @@ class SimCluster:
         self._ran = False
         self.nodes: List[Node] = [
             Node(
-                protocols[i],
+                factory(i, n_processes),
                 self.trace,
                 clock=lambda: self.engine.now,
                 dispatch=self._dispatch,
@@ -174,8 +141,6 @@ class SimCluster:
                 on_remote_apply=self._count_apply,
                 on_write=self._count_write,
                 dedup=dedup,
-                scheduler=scheduler,
-                state_backend=self.state_backend,
                 obs=self.obs,
             )
             for i in range(n_processes)

@@ -4,11 +4,11 @@ The node implements the substrate side of the class-𝒫 contract
 (Section 3.2): it turns protocol decisions into trace events and owns
 the pending buffer -- the paper's "the thread is suspended till the
 condition becomes true" is realized by a
-:class:`~repro.sim.scheduler.DeliveryScheduler`: dependency-indexed
-wakeups for protocols that can enumerate their wait predicate
-(:meth:`~repro.core.base.Protocol.missing_deps`), a legacy full
-re-scan for those that cannot (see DESIGN.md, "Buffering strategy",
-and the ablation in ``benchmarks/test_bench_scheduler.py``).
+:class:`~repro.sim.scheduler.DeliveryScheduler`: counting wakeups for
+protocols that declare their wait predicate as a
+:meth:`~repro.core.base.Protocol.requirement`, a classify re-scan for
+those that cannot (see DESIGN.md, "Buffering strategy", and the
+ablation in ``benchmarks/test_bench_scheduler.py``).
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from repro.core.base import (
     Protocol,
     UpdateMessage,
 )
-from repro.core.flatstate import resolve_state_backend
 from repro.model.operations import WriteId, fresh_value
 from repro.obs.spans import NULL_OBS, Obs
-from repro.sim.scheduler import FlatScheduler, make_scheduler
+from repro.sim.scheduler import CountingScheduler, RescanScheduler
 from repro.sim.trace import EventKind, Trace
 
 Dispatch = Callable[[int, Sequence[Outgoing]], None]
@@ -47,8 +46,6 @@ class Node:
         on_remote_apply: Optional[Callable[[], None]] = None,
         on_write: Optional[Callable[[], None]] = None,
         dedup: bool = False,
-        scheduler: str = "auto",
-        state_backend: str = "scalar",
         obs: Obs = NULL_OBS,
     ):
         self.protocol = protocol
@@ -57,21 +54,14 @@ class Node:
         self.clock = clock
         self.dispatch = dispatch
         self.record_state = record_state
-        #: flat struct-of-arrays bookkeeping (``core.flatstate``).  The
-        #: node-level default is ``"scalar"``: direct Node constructions
-        #: (the model checker's controlled substrate, existing tests)
-        #: keep the oracle path, and :class:`~repro.sim.cluster.SimCluster`
-        #: resolves its own ``state_backend="auto"`` switch before
-        #: passing the literal down.
-        self._flat = resolve_state_backend(state_backend, protocol)
-        #: delivery scheduler owning the pending buffer (see
-        #: :mod:`repro.sim.scheduler` for the mode semantics).
-        if self._flat:
-            protocol.enable_flat_state()
-            self.scheduler = FlatScheduler(protocol, obs=obs, clock=clock)
-        else:
-            self.scheduler = make_scheduler(protocol, scheduler, obs=obs,
-                                            clock=clock)
+        #: delivery scheduler owning the pending buffer: counting
+        #: wakeups iff the protocol declares a requirement.
+        scheduler_cls = (
+            RescanScheduler
+            if type(protocol).requirement is Protocol.requirement
+            else CountingScheduler
+        )
+        self.scheduler = scheduler_cls(protocol, obs=obs, clock=clock)
         #: observability handle; hot-path hooks are gated on
         #: ``obs.enabled`` (instrument handles resolved once, here).
         self._obs = obs
@@ -101,17 +91,6 @@ class Node:
         self.duplicates_dropped = 0
         # Out-of-band applies (token batches) land here:
         protocol.bind_recorder(self._record_oob_apply)
-
-    @property
-    def scheduler_mode(self) -> str:
-        """The resolved delivery strategy: ``"flat"``, ``"indexed"`` or
-        ``"legacy"``."""
-        return self.scheduler.mode
-
-    @property
-    def state_backend(self) -> str:
-        """The resolved protocol-state backend: ``"flat"`` or ``"scalar"``."""
-        return "flat" if self._flat else "scalar"
 
     @property
     def pending(self) -> List[UpdateMessage]:
@@ -223,60 +202,6 @@ class Node:
         self._receive_update(message)
 
     def _receive_update(self, msg: UpdateMessage) -> None:
-        if self._flat:
-            self._receive_update_flat(msg)
-            return
-        if self.dedup:
-            if msg.wid in self._seen_updates:
-                self.duplicates_dropped += 1
-                if self._obs.enabled:
-                    self._m_dups_dropped.inc()
-                return
-            self._seen_updates.add(msg.wid)
-        now = self.clock()
-        self.trace.record(
-            now,
-            self.process_id,
-            EventKind.RECEIPT,
-            wid=msg.wid,
-            variable=msg.variable,
-            value=msg.value,
-        )
-        if self._obs.enabled:
-            self._m_receipts.inc()
-            self._obs.sink.on_receipt(now, self.process_id, msg.wid,
-                                      msg.variable, msg.sender)
-        disposition = self.protocol.classify(msg)
-        if disposition is Disposition.APPLY:
-            self._apply(msg)
-            self._drain()
-        elif disposition is Disposition.BUFFER:
-            # Definition 3: this write suffers a write delay here.
-            self.trace.record(
-                now,
-                self.process_id,
-                EventKind.BUFFER,
-                wid=msg.wid,
-                variable=msg.variable,
-            )
-            if self._obs.enabled:
-                self._m_buffers.inc()
-            # the scheduler records the span's wait interval (it knows
-            # the blocking dependency it parks the message under)
-            self.scheduler.park(msg)
-        else:
-            self._discard(msg)
-
-    def _receive_update_flat(self, msg: UpdateMessage) -> None:
-        """Hot-path twin of :meth:`_receive_update`.
-
-        Same events, same order, byte-identical trace -- but the
-        receipt/apply records go through the trace's compact path (no
-        per-event dataclass construction until a reader looks), and
-        classification + parking collapse into one
-        :meth:`~repro.sim.scheduler.FlatScheduler.offer` call against
-        the precomputed requirement row.
-        """
         if self.dedup:
             if msg.wid in self._seen_updates:
                 self.duplicates_dropped += 1
@@ -287,24 +212,30 @@ class Node:
         now = self.clock()
         trace = self.trace
         obs_on = self._obs.enabled
+        # state-less events go through the trace's compact path (no
+        # per-event dataclass construction until a reader looks)
         trace.record_compact(now, self.process_id, EventKind.RECEIPT,
                              msg.wid, msg.variable, msg.value)
         if obs_on:
             self._m_receipts.inc()
             self._obs.sink.on_receipt(now, self.process_id, msg.wid,
                                       msg.variable, msg.sender)
-        if self.scheduler.offer(msg) is Disposition.APPLY:
-            self._apply_flat(msg)
-            self.scheduler.pump(self._apply_flat, self._discard)
-        else:
+        disposition = self.scheduler.offer(msg)
+        if disposition is Disposition.APPLY:
+            self._apply(msg)
+            self.scheduler.pump(self._apply, self._discard)
+        elif disposition is Disposition.BUFFER:
             # Definition 3: this write suffers a write delay here (the
-            # offer already parked it, or dead-parked a duplicate).
+            # offer parked it, and opened the span's wait interval
+            # under the dependency it knows is blocking).
             trace.record_compact(now, self.process_id, EventKind.BUFFER,
                                  msg.wid, msg.variable)
             if obs_on:
                 self._m_buffers.inc()
+        else:
+            self._discard(msg)
 
-    def _apply_flat(self, msg: UpdateMessage) -> None:
+    def _apply(self, msg: UpdateMessage) -> None:
         self.protocol.apply_update(msg)
         now = self.clock()
         if self.record_state:
@@ -327,25 +258,6 @@ class Node:
         if self._on_remote_apply is not None:
             self._on_remote_apply()
 
-    def _apply(self, msg: UpdateMessage) -> None:
-        self.protocol.apply_update(msg)
-        now = self.clock()
-        self.trace.record(
-            now,
-            self.process_id,
-            EventKind.APPLY,
-            wid=msg.wid,
-            variable=msg.variable,
-            value=msg.value,
-            state=self._state(),
-        )
-        if self._obs.enabled:
-            self._m_applies.inc()
-            self._obs.sink.on_apply(now, self.process_id, msg.wid)
-        self.scheduler.notify_applied(msg)
-        if self._on_remote_apply is not None:
-            self._on_remote_apply()
-
     def _discard(self, msg: UpdateMessage) -> None:
         self.protocol.discard_update(msg)
         now = self.clock()
@@ -359,11 +271,6 @@ class Node:
         if self._obs.enabled:
             self._m_discards.inc()
             self._obs.sink.on_discard(now, self.process_id, msg.wid)
-
-    def _drain(self) -> None:
-        """Perform every now-actionable buffered message (the woken
-        synchronization threads of Figure 5), oldest-buffered first."""
-        self.scheduler.pump(self._apply, self._discard)
 
     def _record_oob_apply(self, wid: WriteId, variable: Hashable, value: Any) -> None:
         """Recorder callback for protocols that apply writes outside the

@@ -1,48 +1,37 @@
 """Delivery scheduling: when do buffered update messages get re-examined?
 
 The paper's Figure 5 suspends a synchronization thread "till the
-condition becomes true".  The substrate realizes the wakeup two ways:
+condition becomes true".  The substrate realizes the wakeup one of two
+ways, chosen by :class:`~repro.sim.node.Node` from what the protocol
+declares (never by an argument):
 
-- :class:`LegacyScanScheduler` -- the original strategy: after every
-  apply, re-classify the pending buffer front-to-back and perform the
-  first actionable message, restarting until a fixpoint.  O(B) per
-  apply (O(B^2) per delivery burst), but works for *any* protocol
-  because it only needs :meth:`~repro.core.base.Protocol.classify`.
+- :class:`CountingScheduler` -- for protocols that declare a
+  :meth:`~repro.core.base.Protocol.requirement`.  The wait predicate is
+  evaluated **once**, at receipt
+  (:meth:`~repro.core.base.Protocol.missing_deps`); a blocked message
+  is parked under *every* unsatisfied ``(component, required)`` key
+  with an unsatisfied-counter, each apply fires exactly one key (one
+  dict pop), and a message is ready when its counter reaches zero --
+  O(1) amortized per apply.  Duplicates of already-applied writes
+  (under ``duplicate_prob`` without ``dedup``) are *dead-parked*: they
+  stay in the buffer forever, exactly like the wedged duplicates of
+  the re-scan.
 
-- :class:`IndexedScheduler` -- a dependency-indexed wakeup structure:
-  each buffered message is parked under its first missing apply event
-  ``(process, seq)`` as reported by
-  :meth:`~repro.core.base.Protocol.missing_deps`; when that event fires
-  (:meth:`~repro.core.base.Protocol.apply_event` of an applied
-  message), exactly the parked messages are woken -- O(1) amortized per
-  apply.  A woken message that is still not applicable re-parks under
-  its next missing dependency, so each message is woken at most once
-  per dependency (<= n wakeups total).  Messages whose dependency list
-  is exhausted while ``classify`` still says ``BUFFER`` (duplicates of
-  already-applied writes, under ``duplicate_prob`` without ``dedup``)
-  are *dead-parked*: they stay in the buffer forever, exactly like the
-  wedged duplicates of the legacy path.
+- :class:`RescanScheduler` -- for protocols that cannot enumerate
+  their wait predicate (token batches, gossip, writing-semantics
+  receivers): after every apply, re-classify the pending buffer
+  front-to-back and perform the first actionable message, restarting
+  until a fixpoint.  O(B) per apply, but it only needs
+  :meth:`~repro.core.base.Protocol.classify`.
 
-Both schedulers realize the same canonical drain order -- *apply the
-oldest-buffered actionable message first, repeatedly* -- so seeded runs
-produce byte-identical traces on either path
-(``tests/integration/test_scheduler_differential.py``).  The legacy
-restart-scan picks the lowest-position actionable message by
-construction; the indexed path keeps woken messages in a min-heap keyed
-by buffer arrival sequence, which coincides because a message becomes
-actionable exactly when its last missing dependency fires (and is woken
-at that moment).
-
-Scheduler choice (``Node(scheduler=...)`` / ``SimCluster(scheduler=...)``):
-
-- ``"auto"`` (default): indexed iff the protocol overrides
-  ``missing_deps`` (OptP, ANBKH, the sequencer, partial replication);
-  legacy otherwise (token batches, gossip, writing-semantics
-  receivers, whose wait predicates are not enumerable as a finite
-  static set of apply events).
-- ``"indexed"``: indexed where supported, legacy fallback otherwise.
-- ``"legacy"``: force the re-scan path (differential tests, the drain
-  ablation benchmark).
+Both realize the same canonical drain order -- *apply the
+oldest-buffered actionable message first, repeatedly* -- so a protocol
+run with its requirement hidden produces byte-identical traces
+(``tests/integration/test_scheduler_differential.py``).  The re-scan
+picks the lowest-position actionable message by construction; the
+counting path keeps ready messages in a min-heap keyed by buffer
+arrival sequence, which coincides because a message becomes actionable
+exactly when its last missing dependency fires.
 """
 
 from __future__ import annotations
@@ -50,40 +39,12 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.base import Disposition, Protocol, UpdateMessage
-from repro.core.flatstate import DENSE_THRESHOLD, PendingMatrix
 from repro.obs.spans import NULL_OBS, Obs
 
 ApplyCallback = Callable[[UpdateMessage], None]
 DiscardCallback = Callable[[UpdateMessage], None]
 Clock = Callable[[], float]
-
-#: Valid values for the ``scheduler`` argument of Node / SimCluster.
-SCHEDULER_MODES = ("auto", "indexed", "legacy")
-
-
-def supports_indexing(protocol: Protocol) -> bool:
-    """True iff the protocol overrides :meth:`Protocol.missing_deps`."""
-    return type(protocol).missing_deps is not Protocol.missing_deps
-
-
-def make_scheduler(
-    protocol: Protocol,
-    mode: str = "auto",
-    *,
-    obs: Obs = NULL_OBS,
-    clock: Optional[Clock] = None,
-) -> "DeliveryScheduler":
-    """Resolve a scheduler mode for ``protocol`` (see module docstring)."""
-    if mode not in SCHEDULER_MODES:
-        raise ValueError(
-            f"unknown scheduler mode {mode!r}; known: {SCHEDULER_MODES}"
-        )
-    if mode != "legacy" and supports_indexing(protocol):
-        return IndexedScheduler(protocol, obs=obs, clock=clock)
-    return LegacyScanScheduler(protocol, obs=obs, clock=clock)
 
 
 class DeliveryScheduler:
@@ -93,16 +54,19 @@ class DeliveryScheduler:
     mutates protocol state; the scheduler only decides *which* buffered
     message to hand back next.  Interaction protocol:
 
-    - ``park(msg)`` -- ``classify`` said ``BUFFER`` at receipt;
-    - ``notify_applied(msg)`` -- the node applied ``msg`` (receipt path
-      or drain path); the scheduler marks dependencies satisfied;
+    - ``offer(msg)`` -- a receipt: evaluate the wait predicate and
+      return its disposition; on ``BUFFER`` the message is parked;
+    - ``notify_applied(msg)`` -- the node applied ``msg``, the message
+      the scheduler last handed out (``offer`` reporting ``APPLY`` or
+      ``pump`` calling ``apply_cb``); the scheduler marks dependencies
+      satisfied;
     - ``pump(apply_cb, discard_cb)`` -- perform every now-actionable
       buffered message, oldest-buffered first, until a fixpoint.  The
       callbacks re-enter ``notify_applied``, so cascades (one apply
       unblocking the next) happen inside a single pump.
     """
 
-    #: "legacy" or "indexed" (introspection / tests / benchmarks).
+    #: label of the ``sched.parks`` series (introspection only).
     mode: str = "abstract"
 
     def __init__(
@@ -129,15 +93,7 @@ class DeliveryScheduler:
             self._g_buffer_depth = reg.gauge("sched.buffer_depth", process=pid)
             self._g_index_depth = reg.gauge("sched.index_depth", process=pid)
 
-    def _first_missing_dep(
-        self, msg: UpdateMessage
-    ) -> Optional[Tuple[int, int]]:
-        """The ``(process, seq)`` apply event ``msg`` is waiting on, or
-        None when the protocol cannot enumerate it (span attribution)."""
-        deps = self.protocol.missing_deps(msg)
-        return deps[0] if deps else None
-
-    def park(self, msg: UpdateMessage) -> None:
+    def offer(self, msg: UpdateMessage) -> Disposition:
         raise NotImplementedError
 
     def notify_applied(self, msg: UpdateMessage) -> None:
@@ -157,26 +113,26 @@ class DeliveryScheduler:
         raise NotImplementedError
 
 
-class LegacyScanScheduler(DeliveryScheduler):
-    """The original strategy: full re-scan of the buffer per apply."""
+class RescanScheduler(DeliveryScheduler):
+    """Full re-scan of the buffer per apply; needs only ``classify``."""
 
-    mode = "legacy"
+    mode = "rescan"
 
     def __init__(self, protocol: Protocol, **kwargs):
         super().__init__(protocol, **kwargs)
         self._pending: List[UpdateMessage] = []
 
-    def park(self, msg: UpdateMessage) -> None:
-        self._pending.append(msg)
-        if self._obs.enabled:
-            self._m_parks.inc()
-            self._g_buffer_depth.set(len(self._pending))
-            # Attribution is best-effort on the legacy path: the
-            # protocol may not enumerate its wait predicate at all.
-            self._obs.sink.on_buffer(
-                self._clock(), self.protocol.process_id, msg.wid,
-                self._first_missing_dep(msg),
-            )
+    def offer(self, msg: UpdateMessage) -> Disposition:
+        disposition = self.protocol.classify(msg)
+        if disposition is Disposition.BUFFER:
+            self._pending.append(msg)
+            if self._obs.enabled:
+                self._m_parks.inc()
+                self._g_buffer_depth.set(len(self._pending))
+                # no attribution: the wait predicate is not enumerable
+                self._obs.sink.on_buffer(
+                    self._clock(), self.protocol.process_id, msg.wid, None)
+        return disposition
 
     def notify_applied(self, msg: UpdateMessage) -> None:
         pass  # the next pump() re-scans everything anyway
@@ -184,9 +140,9 @@ class LegacyScanScheduler(DeliveryScheduler):
     def pump(self, apply_cb: ApplyCallback, discard_cb: DiscardCallback) -> None:
         # Canonical order: perform the oldest actionable message, then
         # restart (an apply may enable messages parked earlier in the
-        # buffer).  Removal is by index -- the previous
-        # ``pending.remove(msg)`` re-scanned the list by value on every
-        # hit, turning each sweep quadratic.
+        # buffer).  Removal is by index -- ``pending.remove(msg)`` would
+        # re-scan the list by value on every hit, turning each sweep
+        # quadratic.
         pending = self._pending
         obs_on = self._obs.enabled
         i = 0
@@ -215,274 +171,103 @@ class LegacyScanScheduler(DeliveryScheduler):
         self._pending.clear()
 
 
-class IndexedScheduler(DeliveryScheduler):
-    """Dependency-indexed wakeups: O(1) amortized per apply."""
+class CountingScheduler(DeliveryScheduler):
+    """Counting wakeups over requirement rows.
 
-    mode = "indexed"
-
-    def __init__(self, protocol: Protocol, **kwargs):
-        super().__init__(protocol, **kwargs)
-        if not supports_indexing(protocol):
-            raise TypeError(
-                f"{type(protocol).__name__} does not implement missing_deps"
-            )
-        #: arrival order -> message; insertion-ordered, O(1) removal.
-        self._buffered: Dict[int, UpdateMessage] = {}
-        #: wakeup index: missing apply event -> parked (arrival, msg).
-        self._parked: Dict[Tuple[int, int], List[Tuple[int, UpdateMessage]]] = {}
-        #: woken messages awaiting re-examination, min-heap by arrival.
-        self._woken: List[Tuple[int, UpdateMessage]] = []
-        self._arrivals = 0
-        #: counters for tests / benchmarks
-        self.wakeups = 0
-        self.dead_parked = 0
-
-    # -- parking ---------------------------------------------------------------
-
-    def park(self, msg: UpdateMessage) -> None:
-        seq = self._arrivals
-        self._arrivals += 1
-        self._buffered[seq] = msg
-        dep = self._park_under_next_dep(seq, msg)
-        if self._obs.enabled:
-            self._m_parks.inc()
-            self._g_buffer_depth.set(len(self._buffered))
-            self._g_index_depth.set(len(self._parked))
-            self._obs.sink.on_buffer(
-                self._clock(), self.protocol.process_id, msg.wid, dep
-            )
-
-    def _park_under_next_dep(
-        self, seq: int, msg: UpdateMessage
-    ) -> Optional[Tuple[int, int]]:
-        """Park under the first missing dependency; returns the key
-        used (None = dead-parked)."""
-        deps = self.protocol.missing_deps(msg)
-        if deps:
-            self._parked.setdefault(deps[0], []).append((seq, msg))
-            return deps[0]
-        # classify() said BUFFER yet no future apply can help:
-        # permanently undeliverable (duplicate of an applied write).
-        # It stays counted in the buffer, like the legacy path.
-        self.dead_parked += 1
-        if self._obs.enabled:
-            self._m_dead_parked.inc()
-        return None
-
-    # -- wakeups ---------------------------------------------------------------
-
-    def notify_applied(self, msg: UpdateMessage) -> None:
-        key = self.protocol.apply_event(msg)
-        entries = self._parked.pop(key, None)
-        if entries:
-            for entry in entries:
-                heapq.heappush(self._woken, entry)
-            self.wakeups += len(entries)
-            if self._obs.enabled:
-                self._m_wakeups.inc(len(entries))
-                self._g_index_depth.set(len(self._parked))
-
-    def pump(self, apply_cb: ApplyCallback, discard_cb: DiscardCallback) -> None:
-        woken = self._woken
-        obs_on = self._obs.enabled
-        while woken:
-            seq, msg = heapq.heappop(woken)
-            if seq not in self._buffered:  # pragma: no cover - defensive
-                continue
-            disposition = self.protocol.classify(msg)
-            if disposition is Disposition.BUFFER:
-                dep = self._park_under_next_dep(seq, msg)
-                if obs_on:
-                    # woken but still blocked: re-parked under the next
-                    # missing dependency (a new wait interval).
-                    self._m_reparks.inc()
-                    self._g_index_depth.set(len(self._parked))
-                    self._obs.sink.on_repark(
-                        self._clock(), self.protocol.process_id, msg.wid, dep
-                    )
-                continue
-            del self._buffered[seq]
-            if disposition is Disposition.APPLY:
-                apply_cb(msg)  # re-enters notify_applied -> may re-fill woken
-            else:
-                discard_cb(msg)
-
-    # -- introspection -----------------------------------------------------------
-
-    def buffered(self) -> List[UpdateMessage]:
-        return list(self._buffered.values())
-
-    def __len__(self) -> int:
-        return len(self._buffered)
-
-    def clear(self) -> None:
-        self._buffered.clear()
-        self._parked.clear()
-        self._woken.clear()
-
-
-class FlatScheduler(DeliveryScheduler):
-    """Counting wakeups over flat requirement rows (``core.flatstate``).
-
-    The scalar schedulers re-enter :meth:`Protocol.classify` (a Python
-    tuple loop) on receipt and on every wakeup.  The flat scheduler
-    evaluates the activation predicate once, against the protocol's
-    live progress vector, directly from the message's precomputed
-    :class:`~repro.core.flatstate.FlatDeps` row:
-
-    - :meth:`offer` checks the row (a sparse int loop for small
-      fan-outs, one vectorized comparison above ``DENSE_THRESHOLD``)
-      and either reports ``APPLY`` or parks the message under *every*
-      unsatisfied dependency key with an unsatisfied-counter;
-    - :meth:`notify_applied` decrements counters for the fired key --
-      batching the per-delivery wakeup to one dict pop per apply -- and
-      queues messages whose counter hits zero;
+    - :meth:`offer` runs the protocol's one predicate evaluation
+      (:meth:`~repro.core.base.Protocol.missing_deps`) and either
+      reports ``APPLY`` or parks the message under *every* unsatisfied
+      key with an unsatisfied-counter;
+    - :meth:`notify_applied` fires the applied message's pivot key
+      ``(pivot, row[pivot])`` -- one dict pop per apply, from the
+      requirement :meth:`offer` / :meth:`pump` handed out with the
+      message, never a second ``requirement()`` call -- decrements the
+      counters parked under it, and queues messages whose counter hits
+      zero;
     - :meth:`pump` drains the ready heap oldest-arrival first.  The
       only *behavioural* recheck needed at pop time is the O(1) pivot
       test: progress components are monotone, so a satisfied ``>=``
       bound stays satisfied, and only the exact-match pivot can
-      *overshoot* (a duplicate raced its original in; dead-park it,
-      mirroring the scalar paths).  An undershoot is impossible -- the
-      counter reaches zero only after the pivot's own key fired.  With
-      obs on, the heap additionally carries flagged *recheck* entries
-      so repark telemetry is decided at pop time, exactly where the
-      indexed scheduler decides it (span parity:
-      ``tests/integration/test_flat_obs_parity.py``).
-
-    Drain order is the same canonical oldest-buffered-actionable-first
-    realized by both scalar schedulers, so flat runs stay
-    byte-identical (``tests/integration/test_flatstate_differential.py``).
+      *overshoot* (a duplicate raced its original in; dead-park it).
+      An undershoot is impossible -- the counter reaches zero only
+      after the pivot's own key fired.  With obs on, the heap
+      additionally carries flagged *recheck* entries so a re-park is
+      reported at pop time, in arrival order, interleaved with the
+      cascade -- the wait-interval tiling ``obs.critpath`` attributes
+      (pinned by ``tests/integration/test_flat_obs_parity.py``).
     """
 
-    mode = "flat"
+    mode = "counting"
 
     def __init__(self, protocol: Protocol, **kwargs):
         super().__init__(protocol, **kwargs)
-        if not type(protocol).supports_flat_state:
+        if protocol.progress is None:
             raise TypeError(
-                f"{type(protocol).__name__} does not support the flat backend"
+                f"{type(protocol).__name__} declares a requirement but "
+                "binds no progress vector"
             )
-        fp = protocol.flat_progress()
-        if fp is None:
-            raise TypeError(
-                "enable_flat_state() must run before the FlatScheduler "
-                "is constructed"
-            )
-        self._fp = fp
         #: arrival order -> message; insertion-ordered, O(1) removal.
         self._buffered: Dict[int, UpdateMessage] = {}
-        #: arrival order -> [msg, deps, unsatisfied-count].
+        #: arrival order -> [msg, requirement, unsatisfied-count,
+        #: still-unsatisfied keys (span emission only),
+        #: pending-obs-recheck flag].
         self._slots: Dict[int, List] = {}
-        #: wakeup index: apply-event key -> arrival seqs parked under it.
+        #: requirement of the message last handed out for apply (by
+        #: ``offer`` or ``pump``); ``notify_applied`` fires its pivot.
+        self._handed: Optional[Tuple] = None
+        #: wakeup index: key -> arrival seqs parked under it.
         self._parked: Dict[Tuple[int, int], List[int]] = {}
         #: ready-to-apply arrivals, min-heap.
         self._ready: List[int] = []
         self._arrivals = 0
-        #: resolved-once fast paths for the default key functions.
-        self._default_apply_key = (
-            type(protocol).apply_event is Protocol.apply_event
-        )
-        self._default_dep_key = (
-            type(protocol).flat_dep_key is Protocol.flat_dep_key
-        )
-        #: counters for tests / benchmarks (IndexedScheduler parity).
+        #: counters for tests / benchmarks
         self.wakeups = 0
         self.dead_parked = 0
 
     # -- receipt ---------------------------------------------------------------
 
     def offer(self, msg: UpdateMessage) -> Disposition:
-        """Classify ``msg`` against the flat predicate; parks on BUFFER.
-
-        Replaces the scalar ``classify`` + ``park`` pair: the caller
-        records its trace events from the returned disposition and, on
-        ``APPLY``, performs the apply and pumps.
-        """
-        deps = msg.flat_deps
-        if deps is None:
-            deps = self.protocol.flat_deps(msg)
-        fast = self._fp.fast
-        pivot = deps.pivot
-        missing: List[Tuple[int, int]] = []
-        if pivot is not None:
-            d = fast[pivot] - deps.pivot_req
-            if d > 0:
-                # Duplicate of an already-applied write: permanently
-                # undeliverable, dead-park (wedged-buffer semantics).
-                self._dead_park(msg)
-                return Disposition.BUFFER
-            if d < 0:
-                # Pivot first: missing_deps() of every flat-capable
-                # protocol lists the pivot dependency before the plain
-                # >= bounds, and span wait-interval sequences must match
-                # the indexed scheduler's dep order exactly
-                # (tests/integration/test_flat_obs_parity.py).
-                missing.append((pivot, deps.pivot_req))
-        items = deps.items
-        if len(items) <= DENSE_THRESHOLD:
-            for c, req in items:
-                if fast[c] < req:
-                    missing.append((c, req))
-        else:
-            row = deps.row
-            for c in np.flatnonzero(row > self._fp.vec):
-                c = int(c)
-                if c != pivot:
-                    missing.append((c, int(row[c])))
+        protocol = self.protocol
+        requirement = protocol.requirement(msg)
+        missing = protocol.missing_deps(msg, requirement)
         if not missing:
+            self._handed = requirement
             return Disposition.APPLY
         seq = self._arrivals
         self._arrivals += 1
         self._buffered[seq] = msg
-        parked = self._parked
-        if self._default_dep_key:
-            keys = missing
-            for key in keys:
-                parked.setdefault(key, []).append(seq)
+        obs_on = self._obs.enabled
+        head = missing[0]
+        if protocol.progress[head[0]] > head[1]:
+            # An overshot pivot: duplicate of an already-applied write,
+            # permanently undeliverable (wedged-buffer semantics).
+            head = None
+            self.dead_parked += 1
+            if obs_on:
+                self._m_dead_parked.inc()
         else:
-            dep_key = self.protocol.flat_dep_key
-            keys = [dep_key(c, req) for c, req in missing]
-            for key in keys:
+            parked = self._parked
+            for key in missing:
                 parked.setdefault(key, []).append(seq)
-        # slot[3] is the ordered still-unsatisfied key list; only span
-        # emission reads it (notify_applied advances it when obs is on).
-        # slot[4] marks a pending obs recheck entry in the ready heap.
-        self._slots[seq] = [msg, deps, len(missing), keys, False]
-        if self._obs.enabled:
+            self._slots[seq] = [msg, requirement, len(missing), missing,
+                                False]
+        if obs_on:
             self._m_parks.inc()
             self._g_buffer_depth.set(len(self._buffered))
-            self._g_index_depth.set(len(parked))
+            self._g_index_depth.set(len(self._parked))
             self._obs.sink.on_buffer(
-                self._clock(), self.protocol.process_id, msg.wid, keys[0]
-            )
+                self._clock(), protocol.process_id, msg.wid, head)
         return Disposition.BUFFER
-
-    def _dead_park(self, msg: UpdateMessage) -> None:
-        seq = self._arrivals
-        self._arrivals += 1
-        self._buffered[seq] = msg
-        self.dead_parked += 1
-        if self._obs.enabled:
-            self._m_parks.inc()
-            self._m_dead_parked.inc()
-            self._g_buffer_depth.set(len(self._buffered))
-            self._obs.sink.on_buffer(
-                self._clock(), self.protocol.process_id, msg.wid, None
-            )
-
-    def park(self, msg: UpdateMessage) -> None:  # pragma: no cover
-        raise NotImplementedError(
-            "the flat path classifies and parks in one offer() call"
-        )
 
     # -- wakeups ---------------------------------------------------------------
 
     def notify_applied(self, msg: UpdateMessage) -> None:
-        if self._default_apply_key:
-            key = (msg.sender, msg.wid.seq)
-        else:
-            key = self.protocol.apply_event(msg)
-        seqs = self._parked.pop(key, None)
+        parked = self._parked
+        if not parked:
+            return  # nothing waits (the in-order steady state)
+        row, pivot = self._handed
+        key = (pivot, row[pivot])
+        seqs = parked.pop(key, None)
         if seqs:
             slots = self._slots
             ready = self._ready
@@ -493,19 +278,16 @@ class FlatScheduler(DeliveryScheduler):
                 if slot[2] == 0:
                     heapq.heappush(ready, seq)
                 elif obs_on:
-                    # Head-advance == the indexed scheduler's repark:
-                    # that path parks under only the first missing dep,
-                    # so a satisfied head there means wake + re-park
-                    # under the next still-missing dep.  Components are
-                    # monotone, so "not yet fired" == "still missing"
-                    # and the surviving original order matches a fresh
-                    # missing_deps() enumeration.  The repark itself is
-                    # *not* emitted here: the indexed scheduler only
-                    # reparks a woken message when its pump pops it (in
-                    # arrival order, interleaved with the cascade), and
-                    # by then a same-instant apply may have cleared the
-                    # dep entirely.  Queue a flagged recheck entry and
-                    # let pump() make the same pop-time decision.
+                    # The head of the still-unsatisfied keys is the
+                    # dependency the open wait interval is charged to.
+                    # When it fires the message is *woken*; whether it
+                    # re-parks under the next key is decided when the
+                    # pump pops it (in arrival order, interleaved with
+                    # the cascade) -- by then a same-instant apply may
+                    # have cleared the rest.  Components are monotone,
+                    # so "not yet fired" == "still missing" and the
+                    # surviving original order is the order a fresh
+                    # evaluation would report.
                     keys = slot[3]
                     was_head = keys[0] == key
                     keys.remove(key)
@@ -515,13 +297,13 @@ class FlatScheduler(DeliveryScheduler):
             self.wakeups += len(seqs)
             if obs_on:
                 self._m_wakeups.inc(len(seqs))
-                self._g_index_depth.set(len(self._parked))
+                self._g_index_depth.set(len(parked))
 
     def pump(self, apply_cb: ApplyCallback, discard_cb: DiscardCallback) -> None:
-        # discard_cb is part of the scheduler interface but unused: the
-        # flat-capable protocols never classify DISCARD.
+        # discard_cb is part of the scheduler interface but unused: a
+        # requirement never classifies DISCARD.
         ready = self._ready
-        fast = self._fp.fast
+        progress = self.protocol.progress
         slots = self._slots
         while ready:
             seq = heapq.heappop(ready)
@@ -533,9 +315,8 @@ class FlatScheduler(DeliveryScheduler):
                 continue
             if slot[2]:
                 # Obs recheck entry: woken by its head dependency but
-                # still blocked now that the cascade reached it -- emit
-                # the repark the indexed scheduler would emit from its
-                # pop-time classify, under the surviving head dep.
+                # still blocked now that the cascade reached it --
+                # re-parked under the surviving head dependency.
                 slot[4] = False
                 if self._obs.enabled:
                     self._m_reparks.inc()
@@ -545,13 +326,13 @@ class FlatScheduler(DeliveryScheduler):
                     )
                 continue
             del slots[seq]
-            msg, deps = slot[0], slot[1]
-            pivot = deps.pivot
-            if pivot is not None and fast[pivot] != deps.pivot_req:
+            msg = slot[0]
+            row, pivot = slot[1]
+            if progress[pivot] != row[pivot] - 1:
                 # Overshoot only (undershoot cannot reach the heap): a
                 # duplicate whose original applied first.  Keep it in
-                # the buffer forever, like the scalar dead-park (which
-                # reports the terminal wait as a dependency-less repark).
+                # the buffer forever; the terminal wait is reported as
+                # a dependency-less repark.
                 self.dead_parked += 1
                 if self._obs.enabled:
                     self._m_dead_parked.inc()
@@ -561,17 +342,8 @@ class FlatScheduler(DeliveryScheduler):
                     )
                 continue
             del self._buffered[seq]
+            self._handed = slot[1]
             apply_cb(msg)  # re-enters notify_applied -> may refill ready
-
-    # -- batch view --------------------------------------------------------------
-
-    def pending_matrix(self) -> PendingMatrix:
-        """The pending set as a requirement matrix (audit/batch view;
-        built on demand -- the live path keeps the counting index)."""
-        pm = PendingMatrix(len(self._fp), obs=self._obs)
-        for slot in self._slots.values():
-            pm.add(slot[1])
-        return pm
 
     # -- introspection -----------------------------------------------------------
 
@@ -586,3 +358,4 @@ class FlatScheduler(DeliveryScheduler):
         self._slots.clear()
         self._parked.clear()
         self._ready.clear()
+        self._handed = None

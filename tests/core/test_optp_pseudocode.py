@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.optp import OptPProtocol, write_co_of
 from repro.model.operations import BOTTOM, WriteId
-from repro.protocols.base import BROADCAST, Disposition
+from repro.core.base import BROADCAST, Disposition
 
 
 def make_three():

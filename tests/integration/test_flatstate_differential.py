@@ -1,23 +1,23 @@
-"""Flat-state differential tests: the struct-of-arrays backend must be
-*observationally identical* to the scalar oracle.
+"""Dense-evaluation differential: the vectorized form of the wait
+predicate must be *observationally identical* to the scalar loop.
 
-The flat backend (:mod:`repro.core.flatstate`) changes how protocol
-vectors are stored and how activation predicates are evaluated, never
-what gets applied when: for every protocol in the registry (and
-partial replication, which needs its own factory), a seeded workload
-run under ``state_backend="scalar"`` and ``state_backend="flat"`` must
-produce byte-identical serialized traces -- same events, same order,
-same times, same state snapshots -- and identical delay audits.
+:meth:`repro.core.base.Protocol.missing_deps` evaluates a requirement
+row with a plain Python loop up to ``DENSE_THRESHOLD`` components and
+with :mod:`repro.core.flatstate` above it (a cached int64 row compared
+against a self-healing progress mirror).  The choice depends on the row
+width alone, so the simulator's usual sizes never reach the dense
+path; here every run is repeated with the threshold forced to zero --
+*every* row goes through numpy -- and must produce byte-identical
+serialized traces and identical delay audits.
 
-Protocols that do not opt in (ws-receiver, token, gossip) resolve
-``"flat"`` back to scalar transparently; the comparison is trivially
-exact there but still runs to pin the fallback's transparency.
+Protocols that declare no requirement (ws-receiver, token, gossip)
+never evaluate a row; the comparison is trivially exact there but still
+runs to pin that the threshold reaches nothing else.
 
 The reverse-chain block replays the adversarial topology of
 ``test_scheduler_repark`` -- a causal chain delivered to an observer in
-every permutation -- because out-of-order chains are exactly where the
-flat scheduler's counting-wakeup bookkeeping can drift from the
-scalar classify/park/wake cycle.
+every permutation -- because out-of-order chains are where a stale
+progress mirror would first mis-report a dependency.
 """
 
 import itertools
@@ -26,14 +26,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import check_run
+import repro.core.base
+import repro.core.flatstate
 from repro.protocols import PROTOCOLS
 from repro.protocols.partial import ReplicationMap, partial_factory
-from repro.sim import SeededLatency, run_schedule
-from repro.sim.serialize import trace_to_jsonl
-from repro.workloads import WorkloadConfig, random_schedule
+from repro.sim import SeededLatency, SimCluster, run_schedule
+from repro.sim.scheduler import CountingScheduler, RescanScheduler
+from repro.workloads import random_schedule
 from repro.workloads.generators import random_partial_schedule
 
+from tests.integration.test_scheduler_differential import (
+    DECLARING,
+    _cfg,
+    assert_observationally_identical,
+)
 from tests.integration.test_scheduler_repark import (
     SENDS,
     chain_schedule,
@@ -41,38 +47,33 @@ from tests.integration.test_scheduler_repark import (
 )
 from tests.strategies import latency_seeds, workload_configs
 
-#: Protocols that opt into the flat backend; the rest must resolve
-#: ``"auto"``/``"flat"`` back to the scalar path.
-FLAT_PROTOCOLS = {"optp", "anbkh", "sequencer"}
+#: Protocols that evaluate requirement rows; the rest never touch the
+#: dense path.
+FLAT_PROTOCOLS = DECLARING
 
 
-def _cfg(seed, n=5):
-    return WorkloadConfig(n_processes=n, ops_per_process=14,
-                          n_variables=4, write_fraction=0.6, seed=seed)
+SHIPPED = repro.core.flatstate.DENSE_THRESHOLD
 
 
-def _run_both(factory, n, sched, seed, **kwargs):
-    results = {}
-    for backend in ("scalar", "flat"):
-        latency = SeededLatency(seed, dist="exponential", mean=2.5)
-        results[backend] = run_schedule(
-            factory, n, sched, latency=latency,
-            state_backend=backend, **kwargs)
-    return results["scalar"], results["flat"]
+def _with_threshold(threshold, fn):
+    """Run ``fn`` with the row-width and sparse-view thresholds forced."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (repro.core.base, repro.core.flatstate):
+            patch.setattr(module, "DENSE_THRESHOLD", threshold)
+        return fn()
 
 
-def assert_observationally_identical(r_scalar, r_flat):
-    # Strongest check first: the serialized traces are byte-identical,
-    # covering event order, timestamps, buffer/apply/discard events and
-    # per-event protocol state snapshots.
-    assert trace_to_jsonl(r_scalar.trace) == trace_to_jsonl(r_flat.trace)
-    assert r_scalar.stores == r_flat.stores
-    assert r_scalar.messages_sent == r_flat.messages_sent
-    assert r_scalar.write_delays == r_flat.write_delays
-    rep_s, rep_f = check_run(r_scalar), check_run(r_flat)
-    assert rep_s.ok == rep_f.ok
-    assert rep_s.total_delays == rep_f.total_delays
-    assert rep_s.unnecessary_delays == rep_f.unnecessary_delays
+def _run_both(factory, n, sched, latency, **kwargs):
+    """(scalar loop, dense numpy) on the same latencies."""
+    return [
+        _with_threshold(threshold, lambda: run_schedule(
+            factory, n, sched, latency=latency(), **kwargs))
+        for threshold in (SHIPPED, 0)
+    ]
+
+
+def _seeded(seed):
+    return lambda: SeededLatency(seed, dist="exponential", mean=2.5)
 
 
 class TestRegistryProtocols:
@@ -80,59 +81,53 @@ class TestRegistryProtocols:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_flat_matches_scalar(self, name, seed):
         sched = random_schedule(_cfg(seed))
-        r_scalar, r_flat = _run_both(PROTOCOLS[name], 5, sched, seed)
+        r_scalar, r_flat = _run_both(PROTOCOLS[name], 5, sched,
+                                     _seeded(seed))
         assert_observationally_identical(r_scalar, r_flat)
 
-    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("name", sorted(FLAT_PROTOCOLS))
     def test_backend_resolution_matches_registry_split(self, name):
-        proto = PROTOCOLS[name](0, 4)
-        assert type(proto).supports_flat_state == (
-            name in FLAT_PROTOCOLS), name
+        """The forced threshold really reaches the dense path (it
+        leaves a progress mirror on the protocol); at the shipped
+        threshold no numpy array appears at these sizes."""
+        sched = random_schedule(_cfg(0))
+
+        def run():
+            cluster = SimCluster(PROTOCOLS[name], 5, latency=_seeded(0)())
+            cluster.run_schedule(sched)
+            return [n.protocol._mirror for n in cluster.nodes]
+
+        assert _with_threshold(SHIPPED, run) == [None] * 5
+        assert any(m is not None for m in _with_threshold(0, run)), name
 
     @pytest.mark.parametrize("name", sorted(PROTOCOLS))
     def test_auto_resolution_is_visible_on_the_cluster(self, name):
-        from repro.sim import SimCluster
-
         cluster = SimCluster(PROTOCOLS[name], 4)
-        expected = "flat" if name in FLAT_PROTOCOLS else "scalar"
-        assert cluster.state_backend == expected
-
-    def test_forced_scheduler_mode_pins_auto_to_scalar(self):
-        """An explicit scalar scheduler request must actually run that
-        scheduler -- "auto" must not silently swap in the flat one
-        (regression: test_scheduler_repark's counters)."""
-        from repro.sim import SimCluster
-
-        cluster = SimCluster(PROTOCOLS["optp"], 4, scheduler="indexed")
-        assert cluster.state_backend == "scalar"
-        forced = SimCluster(PROTOCOLS["optp"], 4, scheduler="indexed",
-                            state_backend="flat")
-        assert forced.state_backend == "flat"
+        expected = (CountingScheduler if name in FLAT_PROTOCOLS
+                    else RescanScheduler)
+        assert all(type(n.scheduler) is expected for n in cluster.nodes)
 
 
 class TestReverseChain:
     """Every delivery permutation of the causal chain a -> b -> c at
     the observer, including the full reverse that forces multi-key
-    parks and cascaded wakeups in the flat scheduler."""
+    parks and cascaded wakeups."""
 
     @pytest.mark.parametrize(
         "order", list(itertools.permutations(sorted(SENDS))),
         ids=lambda o: "-".join(f"p{w.process}" for w in o),
     )
     def test_every_delivery_order_matches_scalar(self, order):
-        results = {}
-        for backend in ("scalar", "flat"):
-            results[backend] = run_schedule(
-                "optp", 4, chain_schedule(), latency=scripted(order),
-                state_backend=backend, record_state=True)
-        assert_observationally_identical(results["scalar"],
-                                         results["flat"])
-        # the chain fully applies everywhere under both backends
-        assert all(len(s) == 3 for s in results["flat"].stores)
+        r_scalar, r_flat = _run_both(
+            "optp", 4, chain_schedule(), lambda: scripted(order),
+            record_state=True)
+        assert_observationally_identical(r_scalar, r_flat)
+        # the chain fully applies everywhere both ways
+        assert all(len(s) == 3 for s in r_flat.stores)
 
 
 class TestRandomizedParity:
-    """Hypothesis widens the seed grid above: flat == scalar on
+    """Hypothesis widens the seed grid above: dense == scalar on
     arbitrary workload shapes, not just the pinned configurations."""
 
     @settings(max_examples=15, deadline=None,
@@ -145,7 +140,7 @@ class TestRandomizedParity:
     ):
         sched = random_schedule(cfg)
         r_scalar, r_flat = _run_both(
-            PROTOCOLS[name], cfg.n_processes, sched, lseed)
+            PROTOCOLS[name], cfg.n_processes, sched, _seeded(lseed))
         assert_observationally_identical(r_scalar, r_flat)
 
 
@@ -158,7 +153,7 @@ class TestPartialReplication:
         rmap = ReplicationMap.round_robin(variables, cfg.n_processes, k)
         sched = random_partial_schedule(cfg, rmap)
         r_scalar, r_flat = _run_both(
-            partial_factory(rmap), cfg.n_processes, sched, seed)
+            partial_factory(rmap), cfg.n_processes, sched, _seeded(seed))
         assert_observationally_identical(r_scalar, r_flat)
 
     def test_full_map(self):
@@ -167,30 +162,28 @@ class TestPartialReplication:
         rmap = ReplicationMap.full(variables, cfg.n_processes)
         sched = random_partial_schedule(cfg, rmap)
         r_scalar, r_flat = _run_both(
-            partial_factory(rmap), cfg.n_processes, sched, 7)
+            partial_factory(rmap), cfg.n_processes, sched, _seeded(7))
         assert_observationally_identical(r_scalar, r_flat)
 
 
 class TestFaultKnobs:
-    """Duplicates exercise the flat scheduler's dead-park (exact-match
-    pivot) path; dedup'd duplicates exercise the node-level guard.
+    """Duplicates exercise the overshot-pivot early return ahead of the
+    dense comparison; dedup'd duplicates exercise the node-level guard.
     Parity must survive both."""
 
     @pytest.mark.parametrize("name", sorted(FLAT_PROTOCOLS))
     def test_duplicates_with_dedup(self, name):
         sched = random_schedule(_cfg(11))
         r_scalar, r_flat = _run_both(
-            PROTOCOLS[name], 5, sched, 11,
+            PROTOCOLS[name], 5, sched, _seeded(11),
             duplicate_prob=0.3, dedup=True)
         assert_observationally_identical(r_scalar, r_flat)
 
     def test_duplicates_without_dedup_dead_park_identically(self):
-        # Without dedup, duplicate updates reach the scheduler and must
-        # be dead-parked by the flat pivot recheck exactly where the
-        # scalar classifier discards them; the run never quiesces, so
-        # compare at a deadline.
+        # The run never quiesces (dead-parked duplicates), so compare
+        # at a deadline.
         sched = random_schedule(_cfg(3))
         r_scalar, r_flat = _run_both(
-            PROTOCOLS["anbkh"], 5, sched, 3,
+            PROTOCOLS["anbkh"], 5, sched, _seeded(3),
             duplicate_prob=0.3, deadline=500.0)
         assert_observationally_identical(r_scalar, r_flat)

@@ -31,7 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import check_run
-from repro.core.base import BROADCAST, Disposition, Outgoing
+from repro.core.base import BROADCAST, Disposition, Outgoing, Protocol
 from repro.core.optp import WRITE_CO_KEY, OptPProtocol
 from repro.core.vectorclock import vc_join_inplace
 from repro.protocols.anbkh import ANBKHProtocol
@@ -66,9 +66,10 @@ def _record_event_streams(base_cls, cfg, lseed):
     streams = {}
 
     class Recording(base_cls):
-        # classify() is the arrival hook, so force the scalar path
-        # (the flat backend routes deliveries around it).
-        supports_flat_state = False
+        # classify() is the arrival hook, so hide the requirement: the
+        # node then runs the classify re-scan (the counting scheduler
+        # never calls classify).
+        requirement = Protocol.requirement
 
         def __init__(self, pid, n):
             super().__init__(pid, n)
@@ -88,6 +89,16 @@ def _record_event_streams(base_cls, cfg, lseed):
     sched = random_schedule(cfg)
     run_schedule(Recording, cfg.n_processes, sched,
                  latency=SeededLatency(lseed, dist="exponential", mean=2.0))
+    # Guard against a vacuous recording: under full replication every
+    # write must have arrived at every other process.
+    writes = {pid: sum(ev[0] == "write" for ev in events)
+              for pid, events in streams.items()}
+    total = sum(writes.values())
+    for pid, events in streams.items():
+        arrivals = sum(ev[0] == "arrive" for ev in events)
+        assert arrivals == total - writes[pid], (
+            f"p{pid}: recorded {arrivals} arrivals, "
+            f"expected {total - writes[pid]}")
     return streams
 
 
@@ -140,8 +151,6 @@ class CoTrackingANBKH(ANBKHProtocol):
     the read-from edges folded into ``Write_co`` are a sub-relation of
     the applied-before-send edges folded into the Fidge-Mattern ``VT``.
     """
-
-    supports_flat_state = False
 
     def __init__(self, pid, n):
         super().__init__(pid, n)

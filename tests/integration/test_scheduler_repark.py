@@ -1,13 +1,15 @@
-"""Adversarial re-park coverage for the dependency-indexed scheduler.
+"""Adversarial re-park coverage for the counting scheduler.
 
 A causal chain a -> b -> c delivered to an observer in *reverse* order
-forces the indexed scheduler through its re-park path: c parks under
-a's apply event, wakes when a lands, is still BUFFER (b is missing),
-and must re-park under b's event -- the one transition the random
-differential workloads only hit occasionally.  Every delivery
-permutation of the chain must stay byte-identical with the legacy
-restart-scan, and the wakeup/re-park counters must show the indexed
-path actually took the transitions (not a silent fallback).
+forces the scheduler through its multi-key path: c parks under both
+a's and b's keys, is woken when a lands, is still blocked (b is
+missing) when the pump reaches it, and is reported re-parked under b's
+key -- the one transition the random differential workloads only hit
+occasionally.  Every delivery permutation of the chain must stay
+byte-identical with the classify re-scan
+(:func:`tests.oracle.hide_requirement`), and the wakeup/re-park
+counters must show the counting path actually took the transitions
+(not a silent fallback).
 
 Topology (n=4, OptP):
 
@@ -28,6 +30,8 @@ from repro.sim import run_schedule
 from repro.sim.latency import ScriptedLatency, message_key
 from repro.sim.serialize import trace_to_jsonl
 from repro.workloads import ReadOp, Schedule, ScheduledOp, WriteOp
+
+from tests.oracle import hide_requirement
 
 #: send times of the three chained writes (see module docstring).
 SENDS = {
@@ -59,9 +63,9 @@ def scripted(arrival_order):
     return ScriptedLatency(script, default=1.0)
 
 
-def run_mode(mode, latency, obs=None):
-    return run_schedule("optp", 4, chain_schedule(), latency=latency,
-                        scheduler=mode, record_state=True, obs=obs)
+def run_chain(latency, obs=None, protocol="optp"):
+    return run_schedule(protocol, 4, chain_schedule(), latency=latency,
+                        record_state=True, obs=obs)
 
 
 @pytest.mark.parametrize(
@@ -70,30 +74,35 @@ def run_mode(mode, latency, obs=None):
 )
 def test_every_delivery_order_matches_legacy(order):
     latency = scripted(order)
-    r_legacy = run_mode("legacy", latency)
-    r_indexed = run_mode("indexed", latency)
-    assert trace_to_jsonl(r_legacy.trace) == trace_to_jsonl(r_indexed.trace)
-    assert r_legacy.stores == r_indexed.stores
-    assert r_legacy.write_delays == r_indexed.write_delays
-    # the chain fully applies everywhere under both modes
-    assert all(len(store) == 3 for store in r_indexed.stores)
+    r_rescan = run_chain(latency, protocol=hide_requirement("optp"))
+    r_counting = run_chain(latency)
+    assert trace_to_jsonl(r_rescan.trace) == trace_to_jsonl(r_counting.trace)
+    assert r_rescan.stores == r_counting.stores
+    assert r_rescan.write_delays == r_counting.write_delays
+    # the chain fully applies everywhere both ways
+    assert all(len(store) == 3 for store in r_counting.stores)
 
 
 def test_reverse_order_exercises_the_repark_path():
     """Reverse delivery (c, b, a) at p3: both parked messages wake on
-    a's apply; c (woken first, still missing b) re-parks under b's
-    event and wakes again.  3 wakeups, 1 re-park, nothing dead-parked."""
+    a's apply; c (woken first, still missing b) is re-parked under b's
+    key and wakes again.  3 wakeups, 1 re-park, nothing dead-parked."""
     from repro.obs import Obs
 
     obs = Obs.recording()
     a, b, c = sorted(SENDS)
-    run_mode("indexed", scripted((c, b, a)), obs=obs)
+    result = run_chain(scripted((c, b, a)), obs=obs)
     reg = obs.registry
     assert reg.value("sched.wakeups", process=OBSERVER) == 3
     assert reg.value("sched.reparks", process=OBSERVER) == 1
     assert not reg.value("sched.dead_parked", process=OBSERVER)
     # both chained messages were write-delayed (buffered) at p3
-    assert reg.value("sched.parks", process=OBSERVER, mode="indexed") == 2
+    assert reg.value("sched.parks", process=OBSERVER, mode="counting") == 2
+    waits = {s.wid: [w.dep for w in s.waits]
+             for s in result.spans if s.process == OBSERVER}
+    assert waits[c] == [(a.process, a.seq), (b.process, b.seq)]
+    assert waits[b] == [(a.process, a.seq)]
+    assert waits[a] == []
 
 
 def test_in_order_delivery_never_parks():
@@ -102,7 +111,7 @@ def test_in_order_delivery_never_parks():
 
     obs = Obs.recording()
     a, b, c = sorted(SENDS)
-    run_mode("indexed", scripted((a, b, c)), obs=obs)
+    run_chain(scripted((a, b, c)), obs=obs)
     reg = obs.registry
-    assert not reg.value("sched.parks", process=OBSERVER, mode="indexed")
+    assert not reg.value("sched.parks", process=OBSERVER, mode="counting")
     assert not reg.value("sched.wakeups", process=OBSERVER)

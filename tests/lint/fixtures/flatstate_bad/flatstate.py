@@ -1,17 +1,17 @@
 """RL006 bad fixture: ungated flat-backend instrumentation.
 
-The filename (``flatstate.py``) is what makes this hot-path -- the flat
-backend's pending-set ops run once per buffered delivery.
+The filename (``flatstate.py``) is what makes this hot-path -- the
+dense evaluation runs once per wide-row receipt.
 """
 
 
-class PendingMatrix:
+class ProgressMirror:
     def __init__(self, n_components, obs=None):
         self._obs = obs
         reg = obs.registry
-        self._m_adds = reg.counter("flat.pending_adds")  # ungated lookup
-        self._g_rows = reg.gauge("flat.pending_rows")
+        self._m_heals = reg.counter("flat.mirror_heals")  # ungated lookup
+        self._g_width = reg.gauge("flat.mirror_width")
 
-    def add(self, deps):
-        self._m_adds.inc()  # ungated counter bump
-        self._g_rows.set(1)  # ungated gauge set
+    def unsatisfied(self, row):
+        self._m_heals.inc()  # ungated counter bump
+        self._g_width.set(1)  # ungated gauge set

@@ -1,4 +1,4 @@
-"""RL004 bad fixture: missing hooks, orphan apply_event, bad signature."""
+"""RL004 bad fixture: missing hooks, orphan missing_deps, bad signature."""
 
 from repro.core.base import Protocol
 
@@ -12,7 +12,7 @@ class HalfProtocol(Protocol):
         raise NotImplementedError
 
 
-class OrphanEventProtocol(Protocol):
+class OrphanDepsProtocol(Protocol):
     name = "orphan"
 
     def write(self, variable, value):
@@ -27,9 +27,9 @@ class OrphanEventProtocol(Protocol):
     def apply_update(self, msg):
         raise NotImplementedError
 
-    # apply_event without missing_deps: never consulted
-    def apply_event(self, msg):
-        return (msg.sender, msg.wid.seq)
+    # the wait predicate enumerated by hand: never the derived evaluation
+    def missing_deps(self, msg):
+        return [(msg.sender, msg.wid.seq - 1)]
 
 
 class BadSignatureProtocol(Protocol):
@@ -47,5 +47,5 @@ class BadSignatureProtocol(Protocol):
     def apply_update(self, msg):
         raise NotImplementedError
 
-    def missing_deps(self, msg, rescan=False):  # extra parameter
+    def requirement(self, msg, rescan=False):  # extra parameter
         return None

@@ -1,35 +1,29 @@
-"""RL004 bad fixture: ``supports_flat_state`` out of sync with hooks.
+"""RL004 bad fixture: a requirement declaration out of shape.
 
-Three desynchronization shapes: declared but hooks missing, declared
-with hooks but no ``missing_deps``, and hooks implemented without the
-declaration (the flat backend would silently never be selected).
+Three shapes: the requirement declared *next to* a hand-written second
+copy of the predicate, and two signatures the delivery scheduler cannot
+call (a defaulted message, a keyword-only extra).
 """
 
 
 class BaseProtocol:
-    supports_flat_state = False
+    progress = None
 
 
-class DeclaredButHollow(BaseProtocol):
-    supports_flat_state = True
+class DeclaredTwice(BaseProtocol):
+    def requirement(self, msg):
+        return msg.payload["vt"], msg.sender
+
+    def missing_deps(self, msg):
+        vt = msg.payload["vt"]
+        return [(t, v) for t, v in enumerate(vt) if v > self.progress[t]]
 
 
-class DeclaredWithoutDeps(BaseProtocol):
-    supports_flat_state = True
-
-    def enable_flat_state(self, deps):
-        self._flat = deps
-
-    def flat_progress(self):
-        return 0
-
-    def flat_deps(self, wid):
-        return ()
+class DefaultedMessage(BaseProtocol):
+    def requirement(self, msg=None):
+        return None
 
 
-class ImplementsButSilent(BaseProtocol):
-    def flat_progress(self):
-        return 0
-
-    def flat_deps(self, wid):
-        return ()
+class KeywordExtra(BaseProtocol):
+    def requirement(self, msg, *, dense=False):
+        return msg.payload["vt"], msg.sender

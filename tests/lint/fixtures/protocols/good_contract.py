@@ -1,4 +1,4 @@
-"""RL004 good fixture: complete hook set, properly paired scheduling."""
+"""RL004 good fixture: complete hook set, one readiness declaration."""
 
 from repro.core.base import Protocol
 
@@ -18,17 +18,14 @@ class CompleteProtocol(Protocol):
     def apply_update(self, msg):
         raise NotImplementedError
 
-    def missing_deps(self, msg):
-        return []
-
-    def apply_event(self, msg):
-        return (msg.sender, msg.wid.seq)
+    def requirement(self, msg):
+        return msg.payload["vt"], msg.sender
 
 
-class DefaultKeyedProtocol(Protocol):
-    """missing_deps alone is fine: the default apply_event keying fits."""
+class ClassifyOnlyProtocol(Protocol):
+    """No requirement is fine: the substrate re-scans with classify."""
 
-    name = "default-keyed"
+    name = "classify-only"
 
     def write(self, variable, value):
         raise NotImplementedError
@@ -41,6 +38,3 @@ class DefaultKeyedProtocol(Protocol):
 
     def apply_update(self, msg):
         raise NotImplementedError
-
-    def missing_deps(self, msg):
-        return None

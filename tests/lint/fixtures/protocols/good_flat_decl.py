@@ -1,24 +1,13 @@
-"""RL004 good fixture: flat declarations in sync with the hooks."""
+"""RL004 good fixture: the requirement declared once, callable as is."""
 
 
 class BaseProtocol:
-    supports_flat_state = False
+    progress = None
 
 
-class FullyFlat(BaseProtocol):
-    supports_flat_state = True
-
-    def enable_flat_state(self, deps):
-        self._flat = deps
-
-    def flat_progress(self):
-        return 0
-
-    def flat_deps(self, wid):
-        return ()
-
-    def missing_deps(self, msg):
-        return ()
+class Declares(BaseProtocol):
+    def requirement(self, msg):
+        return msg.payload["vt"], msg.sender
 
 
 class PlainDeliverer(BaseProtocol):

@@ -1,7 +1,7 @@
-"""BAD: per-message vector allocation inside flat hot zones (RL009)."""
+"""BAD: per-message vector allocation inside delivery hot zones (RL009)."""
 
 
-class FlatScheduler:
+class CountingScheduler:
     def __init__(self, protocol):
         self.protocol = protocol
         self.parked = {}
@@ -9,7 +9,7 @@ class FlatScheduler:
 
     def offer(self, msg):
         # BAD: rebuilds the dependency vector for every delivery; the
-        # FlatDeps row already holds it as a preallocated array.
+        # payload already carries it as an immutable tuple.
         deps = list(msg.payload["vc"])
         missing = tuple(c for c, req in enumerate(deps) if req > 0)
         if missing:
@@ -19,7 +19,7 @@ class FlatScheduler:
 
     def notify_applied(self, msg):
         # BAD: snapshots the progress vector per applied message.
-        snapshot = tuple(self.protocol.apply_vec)
+        snapshot = tuple(self.protocol.progress)
         self.ready.append((msg.wid, snapshot))
 
     def pump(self, apply_cb, discard_cb):
@@ -28,15 +28,13 @@ class FlatScheduler:
             apply_cb(wid)
 
 
-class PendingMatrix:
+class VectorProtocol:
     def __init__(self, n):
-        self.rows = []
-        self.n = n
+        self.progress = [0] * n
 
-    def add(self, counts):
-        # BAD: per-parked-message list rebuild; the matrix preallocates.
-        self.rows.append(list(counts))
-        return len(self.rows) - 1
+    def requirement(self, msg):
+        # BAD: a per-receipt copy of the row the payload already holds.
+        return list(msg.payload["vc"]), msg.sender
 
 
 class Node:
@@ -44,8 +42,8 @@ class Node:
         self.scheduler = scheduler
         self.applied = []
 
-    def _receive_update_flat(self, msg):
-        # BAD: per-delivery copy of the wire vector in the flat path.
+    def _receive_update(self, msg):
+        # BAD: per-delivery copy of the wire vector on the receive path.
         wire = tuple(msg.payload["vc"])
         if self.scheduler.offer(msg) == "apply":
             self.applied.append((msg.wid, wire))

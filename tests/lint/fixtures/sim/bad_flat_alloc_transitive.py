@@ -1,4 +1,4 @@
-"""RL104 bad fixture: flat hot zones allocating *through* a helper.
+"""RL104 bad fixture: delivery hot zones allocating *through* a helper.
 
 RL009 sees no ``list``/``tuple`` call inside the hot methods
 themselves; the call graph finds the allocation one hop away.
@@ -9,7 +9,7 @@ def _snapshot(row):
     return list(row)
 
 
-class FlatRouter:
+class CountingRouter:
     def __init__(self, n):
         self.progress = [0] * n
 
@@ -18,5 +18,5 @@ class FlatRouter:
         return view
 
 
-def pump_flat(router, row):
+def missing_deps(router, row):
     return _snapshot(row)

@@ -1,29 +1,29 @@
-"""GOOD: flat hot zones stay allocation-free; conversions happen in
+"""GOOD: delivery hot zones stay allocation-free; conversions happen in
 constructors and audit views, off the per-delivery path (RL009)."""
 
 
-class FlatScheduler:
+class CountingScheduler:
     def __init__(self, protocol):
         self.protocol = protocol
         # one-time conversions are fine: __init__ is not a hot zone.
-        self.progress = list(protocol.apply_vec)
+        self.initial = list(protocol.progress)
         self.parked = {}
         self.ready = []
 
     def offer(self, msg):
-        # GOOD: reads the preallocated FlatDeps row in place; the only
+        # GOOD: evaluates the row the message carries in place; the only
         # tuples built are small fixed-arity park keys, not vectors.
-        deps = msg.flat_deps
+        row, pivot = self.protocol.requirement(msg)
         missing = 0
-        for c, req in deps.items:
-            if self.progress[c] < req:
+        for c, req in enumerate(row):
+            if self.protocol.progress[c] < req and c != pivot:
                 self.parked.setdefault((c, req), []).append(msg.wid)
                 missing += 1
         return "buffer" if missing else "apply"
 
     def notify_applied(self, msg):
-        key = (msg.sender, msg.wid.seq)
-        for wid in self.parked.pop(key, ()):
+        row, pivot = self.protocol.requirement(msg)
+        for wid in self.parked.pop((pivot, row[pivot]), ()):
             self.ready.append(wid)
 
     def pump(self, apply_cb, discard_cb):
@@ -35,21 +35,13 @@ class FlatScheduler:
         return list(self.parked.values())
 
 
-class PendingMatrix:
-    def __init__(self, n, capacity=64):
-        self.free = list(range(capacity - 1, -1, -1))
-        self.n = n
-        self.live = {}
+class VectorProtocol:
+    def __init__(self, n):
+        self.progress = [0] * n
 
-    def add(self, row):
-        # GOOD: writes into a preallocated slot, no conversion.
-        slot = self.free.pop()
-        self.live[slot] = row
-        return slot
-
-    def remove(self, slot):
-        del self.live[slot]
-        self.free.append(slot)
+    def requirement(self, msg):
+        # GOOD: the wire vector is handed over untouched.
+        return msg.payload["vc"], msg.sender
 
 
 class Node:
@@ -57,7 +49,7 @@ class Node:
         self.scheduler = scheduler
         self.applied = []
 
-    def _receive_update_flat(self, msg):
+    def _receive_update(self, msg):
         # GOOD: the wire vector rides the message untouched.
         if self.scheduler.offer(msg) == "apply":
             self.applied.append(msg.wid)

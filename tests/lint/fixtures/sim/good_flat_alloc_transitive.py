@@ -6,7 +6,7 @@ def _advance(row, idx):
     return row[idx]
 
 
-class FlatRouter:
+class CountingRouter:
     def __init__(self, n):
         self.progress = [0] * n
 
@@ -14,5 +14,5 @@ class FlatRouter:
         return _advance(self.progress, idx)
 
 
-def pump_flat(router, idx):
+def missing_deps(router, idx):
     return _advance(router.progress, idx)

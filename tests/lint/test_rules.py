@@ -104,19 +104,19 @@ def test_contract_fixture_names_missing_hooks():
     findings = run("protocols/bad_contract.py")
     messages = "\n".join(f.message for f in findings)
     assert "missing mandatory hook(s): read, classify, apply_update" in messages
-    assert "only consulted when missing_deps is implemented" in messages
-    assert "must keep the (self, msg) signature" in messages
+    assert "OrphanDepsProtocol.missing_deps re-states the wait" in messages
+    assert "requirement must keep the (self, msg) signature" in messages
     assert len(findings) == 3
 
 
 def test_flat_decl_fixture_names_each_mismatch():
     findings = run("protocols/bad_flat_decl.py")
     messages = "\n".join(f.message for f in findings)
-    assert ("missing flat hook(s): enable_flat_state, flat_progress, "
-            "flat_deps") in messages
-    assert "without missing_deps" in messages
-    assert ("implements flat hook(s) flat_progress, flat_deps without "
-            "declaring supports_flat_state = True") in messages
+    assert "DeclaredTwice.missing_deps re-states the wait predicate" \
+        in messages
+    assert "DefaultedMessage.requirement must keep the (self, msg)" \
+        in messages
+    assert "KeywordExtra.requirement must keep the (self, msg)" in messages
     assert len(findings) == 3
 
 
@@ -153,10 +153,10 @@ def test_worker_fixture_flags_each_unpicklable_shape():
 def test_flat_alloc_fixture_flags_each_hot_zone():
     findings = run("sim/bad_flat_alloc.py")
     messages = "\n".join(f.message for f in findings)
-    assert "FlatScheduler.offer()" in messages
-    assert "FlatScheduler.notify_applied()" in messages
-    assert "PendingMatrix.add()" in messages
-    assert "_receive_update_flat()" in messages
+    assert "CountingScheduler.offer()" in messages
+    assert "CountingScheduler.notify_applied()" in messages
+    assert "VectorProtocol.requirement()" in messages
+    assert "Node._receive_update()" in messages
     assert all(f.code == "RL009" for f in findings)
     assert len(findings) == 5  # offer fires twice (list + tuple)
 

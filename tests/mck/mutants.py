@@ -14,9 +14,9 @@ the checker rejects both with a replayable witness trace:
   condition: causal dependencies on ``p_0``'s writes are silently
   ignored, so a message can overtake the ``p_0`` write it depends on.
 
-Both also mirror the mutation in ``missing_deps`` so the indexed
-scheduler parks/wakes consistently with the broken predicate (the bug
-is in the *predicate*, not in scheduler bookkeeping).
+Both plant the mutation in ``requirement`` -- the one declaration of
+the predicate the counting scheduler evaluates, parks and wakes by
+(the bug is in the *predicate*, not in scheduler bookkeeping).
 
 :class:`LeakyOptP` breaks a different contract: it ships a mutable
 list inside message payloads and keeps mutating it after send,
@@ -25,9 +25,9 @@ checker's *isolation* invariant must flag it at send, at delivery, and
 in the terminal pending-pool scan.
 """
 
-from typing import List, Optional, Tuple
+from typing import List
 
-from repro.core.base import Disposition, UpdateMessage
+from repro.core.base import UpdateMessage
 from repro.core.optp import WRITE_CO_KEY, OptPProtocol
 from repro.protocols.anbkh import VT_KEY, ANBKHProtocol
 
@@ -37,27 +37,11 @@ class BrokenOptP(OptPProtocol):
 
     name = "broken-optp"
 
-    def classify(self, msg: UpdateMessage) -> Disposition:
+    def requirement(self, msg: UpdateMessage):
         u = msg.sender
         w_co = msg.payload[WRITE_CO_KEY]
-        if self.apply_vec[u] != w_co[u] - 1:
-            return Disposition.BUFFER
-        for t in range(self.n_processes):
-            # BUG: admits one still-missing causal predecessor of p_t.
-            if t != u and w_co[t] > self.apply_vec[t] + 1:
-                return Disposition.BUFFER
-        return Disposition.APPLY
-
-    def missing_deps(self, msg: UpdateMessage) -> Optional[List[Tuple[int, int]]]:
-        u = msg.sender
-        w_co = msg.payload[WRITE_CO_KEY]
-        deps: List[Tuple[int, int]] = []
-        if self.apply_vec[u] < w_co[u] - 1:
-            deps.append((u, w_co[u] - 1))
-        for t in range(self.n_processes):
-            if t != u and w_co[t] > self.apply_vec[t] + 1:
-                deps.append((t, w_co[t] - 1))
-        return deps
+        # BUG: admits one still-missing causal predecessor of p_t.
+        return [w if t == u else w - 1 for t, w in enumerate(w_co)], u
 
 
 class LeakyOptP(OptPProtocol):
@@ -85,24 +69,12 @@ class BrokenANBKH(ANBKHProtocol):
 
     name = "broken-anbkh"
 
-    def classify(self, msg: UpdateMessage) -> Disposition:
+    def requirement(self, msg: UpdateMessage):
         u = msg.sender
         vt = msg.payload[VT_KEY]
-        if vt[u] != self.vc[u] + 1:
-            return Disposition.BUFFER
+        row = [0] * self.n_processes
+        row[u] = vt[u]
         # BUG: starts at 1 -- p_0's writes are never waited for.
         for t in range(1, self.n_processes):
-            if t != u and vt[t] > self.vc[t]:
-                return Disposition.BUFFER
-        return Disposition.APPLY
-
-    def missing_deps(self, msg: UpdateMessage) -> Optional[List[Tuple[int, int]]]:
-        u = msg.sender
-        vt = msg.payload[VT_KEY]
-        deps: List[Tuple[int, int]] = []
-        if self.vc[u] + 1 < vt[u]:
-            deps.append((u, vt[u] - 1))
-        for t in range(1, self.n_processes):
-            if t != u and vt[t] > self.vc[t]:
-                deps.append((t, vt[t]))
-        return deps
+            row[t] = vt[t]
+        return row, u

@@ -171,7 +171,7 @@ class TestCommittedBaseline:
         assert "mck.optp.unnecessary_delays" in ran
         assert "mck.anbkh.unnecessary_delays" in ran
         assert "obs.disabled_over_bare" in ran
-        assert "obs.flat_disabled_over_bare" in ran
+        assert "flatstate.chain.deliveries_per_sec_256" in ran
 
     def test_injected_regression_fails(self, tmp_path):
         """Copy the committed reports, inject a state-count drift, and

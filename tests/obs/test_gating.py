@@ -16,6 +16,8 @@ from repro.sim.latency import ExponentialLatency
 from repro.sim.serialize import trace_to_jsonl
 from repro.workloads.generators import write_burst_schedule
 
+from tests.oracle import hide_requirement
+
 PROTOCOLS = ["optp", "anbkh", "sequencer"]
 
 
@@ -57,13 +59,15 @@ def test_enabled_run_carries_metrics_and_spans():
 
 
 def test_legacy_scheduler_instrumented_run():
-    """The legacy re-scan scheduler cannot enumerate wait predicates;
-    spans still form, with best-effort dependency attribution."""
-    plain = _run("optp", scheduler="legacy")
-    observed = _run("optp", scheduler="legacy", obs=Obs.recording())
+    """The re-scan scheduler cannot enumerate wait predicates; spans
+    still form, with no dependency attribution."""
+    rescanned = hide_requirement("optp")
+    plain = _run(rescanned)
+    observed = _run(rescanned, obs=Obs.recording())
     assert trace_to_jsonl(plain.trace) == trace_to_jsonl(observed.trace)
     assert observed.metrics["counters"].get("sched.scan_classifies")
     buffered = [s for s in observed.spans if s.buffered]
+    assert all(w.dep is None for s in buffered for w in s.waits)
     assert all(s.apply_time is not None or s.discard_time is not None
                for s in buffered)
 

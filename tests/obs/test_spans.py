@@ -48,7 +48,7 @@ class TestNodeSpans:
         obs = Obs.recording()
         trace = Trace(2)
         node = Node(OptPProtocol(1, 2), trace, clock=lambda: 0.0,
-                    dispatch=lambda *a: None, scheduler="indexed", obs=obs)
+                    dispatch=lambda *a: None, obs=obs)
         for m in reversed_chain():
             node.receive(m)
         assert node.buffered_count == 0
@@ -64,9 +64,10 @@ class TestNodeSpans:
 
     def test_repark_produces_one_wait_per_dependency(self):
         """A write causally after writes from two *different* processes
-        has two missing deps at a fresh receiver: it parks under the
-        first, wakes when that applies, re-parks under the second --
-        one wait interval per dependency, in wakeup order."""
+        has two missing deps at a fresh receiver: its wait is charged
+        to the first, it wakes when that applies and is re-parked under
+        the second -- one wait interval per dependency, in wakeup
+        order."""
         n = 4
         m0 = OptPProtocol(0, n).write("a", 1).outgoing[0].message
         m1 = OptPProtocol(1, n).write("b", 1).outgoing[0].message
@@ -80,7 +81,7 @@ class TestNodeSpans:
         obs = Obs.recording()
         trace = Trace(n)
         node = Node(OptPProtocol(3, n), trace, clock=lambda: 0.0,
-                    dispatch=lambda *a: None, scheduler="indexed", obs=obs)
+                    dispatch=lambda *a: None, obs=obs)
         for m in (m2, m0, m1):
             node.receive(m)
         assert node.buffered_count == 0

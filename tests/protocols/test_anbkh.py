@@ -6,7 +6,7 @@ import pytest
 from repro.core.optp import OptPProtocol
 from repro.model.operations import BOTTOM, WriteId
 from repro.protocols.anbkh import ANBKHProtocol, vt_of
-from repro.protocols.base import BROADCAST, Disposition
+from repro.core.base import BROADCAST, Disposition
 
 
 def the_message(outcome):
@@ -131,7 +131,7 @@ class TestNeverDiscards:
             p.discard_update(m)
 
     def test_no_control_messages(self):
-        from repro.protocols.base import ControlMessage
+        from repro.core.base import ControlMessage
 
         p = ANBKHProtocol(0, 2)
         with pytest.raises(NotImplementedError):

@@ -13,7 +13,7 @@ import pytest
 from repro.analysis import check_run
 from repro.model.operations import BOTTOM, WriteId
 from repro.protocols import PROTOCOLS
-from repro.protocols.base import Disposition, UpdateMessage
+from repro.core.base import Disposition, UpdateMessage
 from repro.sim import SeededLatency, run_schedule
 from repro.workloads import WorkloadConfig, random_schedule
 

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import check_run
 from repro.core.optp import WRITE_CO_KEY
 from repro.model.operations import WriteId
-from repro.protocols.base import ControlMessage, Disposition
+from repro.core.base import ControlMessage, Disposition
 from repro.protocols.gossip import DIGEST_KIND, GossipOptPProtocol
 from repro.sim import ConstantLatency, SeededLatency, run_schedule
 from repro.workloads import (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.model.operations import WriteId
-from repro.protocols.base import BROADCAST, ControlMessage
+from repro.core.base import BROADCAST, ControlMessage
 from repro.protocols.jimenez import (
     BATCH_KIND,
     TOKEN_KIND,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import check_run
 from repro.model.operations import BOTTOM, WriteId
-from repro.protocols.base import Disposition
+from repro.core.base import Disposition
 from repro.protocols.partial import (
     PartialReplicationProtocol,
     ReplicationMap,

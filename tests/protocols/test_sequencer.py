@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import check_run
 from repro.model.operations import BOTTOM, WriteId
-from repro.protocols.base import BROADCAST, ControlMessage, Disposition
+from repro.core.base import BROADCAST, ControlMessage, Disposition
 from repro.protocols.sequencer import (
     GSN_KEY,
     SEQUENCER,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.model.operations import WriteId
-from repro.protocols.base import BROADCAST, Disposition
+from repro.core.base import BROADCAST, Disposition
 from repro.protocols.ws_receiver import WSReceiverProtocol
 
 

@@ -9,8 +9,11 @@ replica by hand.
 
 import asyncio
 
+import pytest
+
 import repro.serve.server as server_mod
 from repro import durability as dur
+from repro.core.base import ControlMessage, UpdateMessage
 from repro.model.operations import WriteId
 from repro.protocols import PROTOCOLS
 from repro.serve import codec
@@ -167,16 +170,18 @@ class TestOneBody:
 
 
 class FakePeer:
-    """Process 1 of a 2-group, driven by hand: its real OptP updates, and
-    raw access to the bytes it puts on a peer connection to replica 0."""
+    """Process 1 of a group (of 2 unless said), driven by hand: its real
+    OptP updates, and raw access to the bytes it puts on a peer
+    connection to replica 0."""
 
-    def __init__(self, tmp_path):
-        self.spec = ClusterSpec.local_uds(tmp_path, "optp", 1, 2)
+    def __init__(self, tmp_path, group_size=2):
+        self.spec = ClusterSpec.local_uds(tmp_path, "optp", 1, group_size)
         self.server = ReplicaServer(self.spec, 0, 0, rundir=tmp_path,
                                     wal_dir=tmp_path / "wal")
         self._sent = []
         self._node = Node(
-            PROTOCOLS["optp"](1, 2), NullTrace(2), clock=lambda: 0.0,
+            PROTOCOLS["optp"](1, group_size), NullTrace(group_size),
+            clock=lambda: 0.0,
             dispatch=lambda _, outs: self._sent.extend(
                 codec.encode_message(o.message) for o in outs))
 
@@ -196,14 +201,19 @@ class FakePeer:
     async def __aexit__(self, *exc):
         await self.server._teardown()
 
-    async def dial(self):
+    async def hello(self, identity: int):
+        """Open a peer connection claiming to be ``identity``."""
         _, path = parse_endpoint(self.spec.endpoint(0, 0))
         reader, writer = await asyncio.open_unix_connection(path)
         hello = codec.VarWriter()
         hello.u8(FRAME_HELLO)
         hello.u8(ROLE_PEER)
-        hello.uvarint(1)
+        hello.uvarint(identity)
         write_frame(writer, hello.getvalue())
+        return reader, writer
+
+    async def dial(self):
+        reader, writer = await self.hello(1)
         assert (await read_frame(reader))[0] == FRAME_PEER_WELCOME
         return reader, writer
 
@@ -267,5 +277,103 @@ class TestStatelessPeerPlane:
             node = dur.rebuild_node(PROTOCOLS["optp"], 0, 2, None,
                                     wal.bodies, dedup=True)
             assert node.do_read("name-1") == 1
+
+        run(go())
+
+
+def _update(sender=1, wid=WriteId(1, 1), write_co=(0, 1, 0), **payload):
+    if write_co is not None:
+        payload["write_co"] = write_co
+    return UpdateMessage(sender=sender, wid=wid, variable="k", value="v",
+                         payload=payload)
+
+
+#: (what is wrong, the message): each arrives on a connection that said
+#: HELLO as peer 1 of a 3-group, at replica 0.
+MALFORMED = [
+    ("no Write_co at all", _update(write_co=None)),
+    ("Write_co shorter than the group", _update(write_co=(0, 1))),
+    ("Write_co longer than the group", _update(write_co=(0, 1, 0, 0))),
+    ("a component that is not an integer", _update(write_co=(0, 1, "0"))),
+    ("Write_co that is not a vector", _update(write_co=7)),
+    ("Write_co that is a mapping", _update(write_co={0: 0, 1: 1, 2: 0})),
+    ("Write_co that is a mutable list", _update(write_co=[0, 1, 0])),
+    ("sender outside the group", _update(sender=3, wid=WriteId(3, 1))),
+    ("sender is the receiver itself",
+     _update(sender=0, wid=WriteId(0, 1), write_co=(1, 0, 0))),
+    ("sender is another peer than the link's",
+     _update(sender=2, wid=WriteId(2, 1), write_co=(0, 0, 1))),
+    ("write id of another process", _update(wid=WriteId(2, 1))),
+    ("a control message",
+     ControlMessage(sender=1, kind="token", payload={})),
+]
+
+
+class TestMalformedPeerUpdates:
+    """Nothing the protocol cannot evaluate reaches the journal: a WAL
+    record is replayed on every later start, so one malformed update
+    journaled is a replica that never boots again."""
+
+    @pytest.mark.parametrize("message", [m for _, m in MALFORMED],
+                             ids=[why for why, _ in MALFORMED])
+    def test_rejected_at_the_door(self, tmp_path, message):
+        async def go():
+            async with FakePeer(tmp_path, group_size=3) as peer:
+                server = peer.server
+                reader, writer = await peer.dial()
+                write_frame(writer,
+                            peer.batch([codec.encode_message(message)]))
+                assert await closed_by_server(reader)
+                assert server.stats["client_aborts"] == 1
+                assert server.stats["wal_records"] == 0   # nothing journaled
+                assert server.applied == [0, 0, 0]
+                assert server.node.buffered_count == 0
+                # other connections keep serving: a well-formed update
+                # on a fresh link, and a client
+                _, good = await peer.dial()
+                write_frame(good, peer.batch(peer.updates(1)))
+                await peer.applied(1)
+                client = AsyncSessionClient(peer.spec, replica=0)
+                await client.put("mine", 1)
+                assert await client.get("mine") == 1
+                assert await client.get("name-0") == 0
+                await client.close()
+                assert server.stats["client_aborts"] == 1
+            # and the replica restarts cleanly from what it did journal
+            again = ReplicaServer(peer.spec, 0, 0, rundir=tmp_path,
+                                  wal_dir=tmp_path / "wal")
+            assert again.stats["recovered"] == 1
+            assert again.applied == [1, 1, 0]
+            assert again.node.do_read("mine") == 1
+
+        run(go())
+
+    @pytest.mark.parametrize("identity", [3, 0, 1 << 40],
+                             ids=["beyond-the-group", "the-receiver-itself",
+                                  "huge"])
+    def test_hello_from_no_group_peer(self, tmp_path, identity):
+        async def go():
+            async with FakePeer(tmp_path, group_size=3) as peer:
+                reader, _ = await peer.hello(identity)
+                assert await closed_by_server(reader)   # no WELCOME
+                assert peer.server.stats["client_aborts"] == 1
+                _, good = await peer.dial()
+                write_frame(good, peer.batch(peer.updates(1)))
+                await peer.applied(1)
+
+        run(go())
+
+    def test_update_after_good_ones_keeps_what_was_applied(self, tmp_path):
+        """A batch is journaled and applied update by update: the
+        malformed one stops the connection where it stands."""
+        async def go():
+            async with FakePeer(tmp_path, group_size=3) as peer:
+                reader, writer = await peer.dial()
+                first, second = peer.updates(2)
+                poison = codec.encode_message(_update(write_co=None))
+                write_frame(writer, peer.batch([first, poison, second]))
+                assert await closed_by_server(reader)
+                assert peer.server.applied == [0, 1, 0]
+                assert peer.server.stats["wal_records"] == 1
 
         run(go())

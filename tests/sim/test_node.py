@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.optp import OptPProtocol
 from repro.model.operations import BOTTOM, WriteId
-from repro.protocols.base import BROADCAST, Outgoing
+from repro.core.base import BROADCAST, Outgoing
 from repro.sim.node import Node
 from repro.sim.trace import EventKind, Trace
 
@@ -141,7 +141,7 @@ class TestCrash:
 class TestOutOfBandApplies:
     def test_recorder_routes_to_trace(self):
         from repro.protocols.jimenez import JimenezTokenProtocol
-        from repro.protocols.base import ControlMessage
+        from repro.core.base import ControlMessage
         from repro.protocols.jimenez import BATCH_KIND
 
         node, trace, _, _ = make_node(proto_cls=JimenezTokenProtocol)
@@ -155,7 +155,7 @@ class TestOutOfBandApplies:
 
     def test_control_followups_dispatched(self):
         from repro.protocols.jimenez import JimenezTokenProtocol, TOKEN_KIND
-        from repro.protocols.base import ControlMessage
+        from repro.core.base import ControlMessage
 
         node, _, sent, _ = make_node(proto_cls=JimenezTokenProtocol)
         node.protocol.write("x", 1)

@@ -1,7 +1,7 @@
 """Unit tests for the delivery scheduler subsystem
-(:mod:`repro.sim.scheduler`): mode resolution, dependency-indexed
-wakeups, re-parking, dead-parking, and order parity with the legacy
-re-scan."""
+(:mod:`repro.sim.scheduler`): which scheduler a protocol gets, counting
+wakeups, multi-key parking, dead-parking, and order parity with the
+classify re-scan."""
 
 import pytest
 
@@ -13,19 +13,16 @@ from repro.protocols.partial import PartialReplicationProtocol, ReplicationMap
 from repro.protocols.sequencer import SequencerProtocol
 from repro.protocols.ws_receiver import WSReceiverProtocol
 from repro.sim.node import Node
-from repro.sim.scheduler import (
-    IndexedScheduler,
-    LegacyScanScheduler,
-    make_scheduler,
-    supports_indexing,
-)
+from repro.sim.scheduler import CountingScheduler, RescanScheduler
 from repro.sim.trace import Trace
 
+from tests.oracle import hide_requirement
 
-def make_node(proto, scheduler="auto"):
+
+def make_node(proto):
     trace = Trace(proto.n_processes)
     node = Node(proto, trace, clock=lambda: 0.0,
-                dispatch=lambda *a: None, scheduler=scheduler)
+                dispatch=lambda *a: None)
     return node, trace
 
 
@@ -34,47 +31,54 @@ def msg_from(sender_proto, var, value):
 
 
 class TestModeResolution:
+    """The node picks the scheduler from what the protocol declares;
+    nothing else selects it."""
+
     @pytest.mark.parametrize("proto_cls", [
         OptPProtocol, ANBKHProtocol, SequencerProtocol,
     ])
     def test_dep_enumerable_protocols_get_the_index(self, proto_cls):
-        p = proto_cls(1, 4)
-        assert supports_indexing(p)
-        assert isinstance(make_scheduler(p, "auto"), IndexedScheduler)
-        assert isinstance(make_scheduler(p, "indexed"), IndexedScheduler)
-        assert isinstance(make_scheduler(p, "legacy"), LegacyScanScheduler)
+        node, _ = make_node(proto_cls(1, 4))
+        assert type(node.scheduler) is CountingScheduler
+        # the same protocol with its requirement hidden is re-scanned
+        hidden, _ = make_node(hide_requirement(proto_cls)(1, 4))
+        assert type(hidden.scheduler) is RescanScheduler
 
     def test_partial_replication_gets_the_index(self):
         rmap = ReplicationMap.full(["x"], 4)
-        p = PartialReplicationProtocol(1, 4, rmap)
-        assert supports_indexing(p)
-        assert isinstance(make_scheduler(p), IndexedScheduler)
+        node, _ = make_node(PartialReplicationProtocol(1, 4, rmap))
+        assert type(node.scheduler) is CountingScheduler
 
     @pytest.mark.parametrize("proto_cls", [
         WSReceiverProtocol, JimenezTokenProtocol, GossipOptPProtocol,
     ])
     def test_non_enumerable_protocols_fall_back(self, proto_cls):
         p = proto_cls(1, 4)
-        assert not supports_indexing(p)
-        # even an explicit "indexed" request degrades transparently
-        assert isinstance(make_scheduler(p, "indexed"), LegacyScanScheduler)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler mode"):
-            make_scheduler(OptPProtocol(0, 2), "eager")
-        with pytest.raises(ValueError, match="unknown scheduler mode"):
-            Node(OptPProtocol(0, 2), Trace(2), clock=lambda: 0.0,
-                 dispatch=lambda *a: None, scheduler="eager")
+        assert p.missing_deps(None) is None
+        node, _ = make_node(p)
+        assert type(node.scheduler) is RescanScheduler
 
     def test_indexed_scheduler_rejects_legacy_protocols(self):
-        with pytest.raises(TypeError, match="missing_deps"):
-            IndexedScheduler(WSReceiverProtocol(0, 2))
+        with pytest.raises(TypeError, match="binds no progress"):
+            CountingScheduler(WSReceiverProtocol(0, 2))
 
     def test_node_exposes_resolved_mode(self):
-        node, _ = make_node(OptPProtocol(1, 3))
-        assert node.scheduler_mode == "indexed"
-        node, _ = make_node(WSReceiverProtocol(1, 3))
-        assert node.scheduler_mode == "legacy"
+        """A served node, a model-checked node and a simulated node are
+        the same ``Node``: all three run OptP on the counting
+        scheduler."""
+        from repro.mck import MCK_WORKLOADS, ControlledCluster
+        from repro.serve.server import ReplicaServer
+        from repro.serve.shard import ClusterSpec
+        from repro.sim import SimCluster
+
+        simulated = SimCluster("optp", 3).nodes[0]
+        checked = ControlledCluster("optp", MCK_WORKLOADS["pair"]).nodes[0]
+        served = ReplicaServer(
+            ClusterSpec.local_uds("unused", "optp", 1, 3), 0, 0).node
+        for node in (simulated, checked, served):
+            assert type(node.scheduler) is CountingScheduler
+        rescanned, _ = make_node(WSReceiverProtocol(1, 3))
+        assert type(rescanned.scheduler) is RescanScheduler
 
 
 class TestIndexedWakeups:
@@ -94,9 +98,32 @@ class TestIndexedWakeups:
         assert node.scheduler.wakeups == depth
         assert [w.seq for w in trace.apply_order(1)] == list(range(1, depth + 2))
 
+    def test_requirement_runs_once_per_receipt(self):
+        """The wake key of an apply comes from the requirement the
+        scheduler already holds -- partial replication rebuilds its
+        receiver-specific row on every ``requirement`` call, so a
+        second call per apply is a real cost."""
+        rmap = ReplicationMap.full(["x"], 3)
+        calls = []
+
+        class Counted(PartialReplicationProtocol):
+            def requirement(self, msg):
+                calls.append(msg.wid)
+                return super().requirement(msg)
+
+        sender = PartialReplicationProtocol(0, 3, rmap)
+        msgs = [msg_from(sender, "x", k) for k in range(8)]
+        node, trace = make_node(Counted(1, 3, rmap))
+        for m in reversed(msgs):
+            node.receive(m)
+        assert node.buffered_count == 0
+        assert len(trace.apply_order(1)) == len(msgs)
+        assert sorted(calls) == sorted(m.wid for m in msgs)
+
     def test_multi_dep_message_reparks_under_next_dep(self):
-        """A write depending on two other senders is woken once per
-        dependency: first wake re-parks it, second wake applies it."""
+        """A write depending on two other senders is parked under both
+        keys and woken once per dependency: the first wake leaves it
+        blocked, the second applies it."""
         n = 4
         p0 = OptPProtocol(0, n)
         p1 = OptPProtocol(1, n)
@@ -121,7 +148,7 @@ class TestIndexedWakeups:
 
     def test_duplicate_of_applied_write_is_dead_parked(self):
         """A duplicate whose predicate can never hold again is parked
-        forever without being re-examined -- the legacy path's wedged
+        forever without being re-examined -- the re-scan's wedged
         buffer, minus the repeated re-classification."""
         sender = OptPProtocol(0, 2)
         m1 = msg_from(sender, "x", 1)
@@ -165,7 +192,8 @@ class TestOrderParity:
     def test_repark_preserves_buffer_order(self):
         """M1 (two deps) buffered before M2 (one shared dep): when the
         shared dep fires last, both paths apply M1 before M2 -- the
-        indexed path must not let M1's re-parking push it behind M2."""
+        counting path must not let M1's earlier wake push it behind
+        M2."""
         n = 4
 
         def build():
@@ -185,16 +213,17 @@ class TestOrderParity:
             return m1, m2, m_a, m_b
 
         orders = {}
-        for mode in ("legacy", "indexed"):
+        for mode, factory in (("rescan", hide_requirement(OptPProtocol)),
+                              ("counting", OptPProtocol)):
             m1, m2, m_a, m_b = build()
-            node, trace = make_node(OptPProtocol(3, n), scheduler=mode)
-            node.receive(m1)    # parks under m_a's key
+            node, trace = make_node(factory(3, n))
+            node.receive(m1)    # parks under m_a's and m_b's keys
             node.receive(m2)    # parks under m_b's key
-            node.receive(m_a)   # wakes m1 -> still missing m_b -> re-park
+            node.receive(m_a)   # wakes m1 -> still missing m_b
             node.receive(m_b)   # enables both; m1 buffered first
             assert node.buffered_count == 0
             orders[mode] = trace.apply_order(3)
-        assert orders["legacy"] == orders["indexed"]
+        assert orders["rescan"] == orders["counting"]
         # m1 (buffered first) applies before m2
-        applied = orders["legacy"]
+        applied = orders["rescan"]
         assert applied.index(m1.wid) < applied.index(m2.wid)

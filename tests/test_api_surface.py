@@ -33,6 +33,47 @@ class TestBaseProtocolDefaults:
         p.record_apply(WriteId(0, 1), "x", 1)  # must not raise
 
 
+class TestReadinessSurface:
+    """One readiness declaration, one delivery path (DESIGN.md,
+    "Buffering strategy")."""
+
+    GONE = ("apply_event", "flat_deps", "flat_dep_key", "flat_progress",
+            "enable_flat_state", "supports_flat_state")
+
+    def test_protocol_exposes_requirement_and_nothing_else(self):
+        for name in ("classify", "requirement", "missing_deps"):
+            assert callable(getattr(Protocol, name))
+        for name in self.GONE:
+            assert not hasattr(Protocol, name), name
+        assert "flat_deps" not in UpdateMessage.__dataclass_fields__
+
+    def test_missing_deps_is_derived_by_no_protocol(self):
+        from repro.protocols import PROTOCOLS, PartialReplicationProtocol
+
+        for cls in [*PROTOCOLS.values(), PartialReplicationProtocol]:
+            assert cls.missing_deps is Protocol.missing_deps, cls
+
+    def test_two_schedulers_and_no_selector(self):
+        import inspect
+
+        import repro.sim.scheduler as scheduler
+        from repro.sim import Node, SimCluster
+        from repro.durability import rebuild_node
+
+        classes = {
+            name for name, obj in vars(scheduler).items()
+            if inspect.isclass(obj) and obj.__module__ == scheduler.__name__
+            and issubclass(obj, scheduler.DeliveryScheduler)
+            and obj is not scheduler.DeliveryScheduler
+        }
+        assert classes == {"CountingScheduler", "RescanScheduler"}
+        for fn in (Node.__init__, SimCluster.__init__, rebuild_node):
+            params = inspect.signature(fn).parameters
+            assert not {"scheduler", "state_backend"} & set(params), fn
+        assert not hasattr(Node, "_receive_update_flat")
+        assert not hasattr(Node, "_apply_flat")
+
+
 class TestMessageTypes:
     def test_update_str(self):
         m = UpdateMessage(sender=0, wid=WriteId(0, 1), variable="x", value=7)
