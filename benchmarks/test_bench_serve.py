@@ -5,8 +5,9 @@ Three measurements, mirroring the serving PR's claims:
 - **n=3 saturation** -- one OptP replica group (3 server processes on
   unix sockets), an in-process load generator running pipelined
   micro-batched sessions at ``rate=0`` (closed-loop saturation).
-  Reports ops/s plus read/write p50/p99 from the ``repro.obs``
-  histograms.
+  Reports ops/s only: ``loadgen`` stamps every op of a batch with the
+  batch's latency, so a read/write split of it is fiction -- latency
+  is published by the repo benchmark (``bench/``), per single op.
 - **2-shard n=6 saturation** -- two replica groups with the key space
   CRC-sharded across them, two spawned loadgen worker processes.
   Sharding is the horizontal-scale story: groups never talk to each
@@ -89,10 +90,6 @@ def _load_section(report):
         "ops": load["ops"],
         "batches": load["batches"],
         "ops_per_sec": load["ops_per_sec"],
-        "read_p50_ms": load["read_p50_ms"],
-        "read_p99_ms": load["read_p99_ms"],
-        "write_p50_ms": load["write_p50_ms"],
-        "write_p99_ms": load["write_p99_ms"],
     }
 
 
@@ -141,8 +138,6 @@ def test_serve_throughput_report(tmp_path):
             f"{name}: {section['ops_per_sec']:.0f} ops/s is below the "
             f"sanity floor {THROUGHPUT_SANITY_FLOOR:.0f} -- the serving "
             f"stack itself regressed")
-        assert section["read_p99_ms"] is not None
-        assert section["write_p99_ms"] is not None
 
     if throughput_enforced:
         best = max(report["n3"]["ops_per_sec"],

@@ -5,7 +5,9 @@ this module turns the count into wall-clock attribution.  Input is a
 span-recording run (:class:`~repro.sim.result.RunResult` with
 ``spans``): every buffered-and-applied message carries a tiling of its
 buffered stretch into :class:`~repro.obs.spans.WaitInterval` values,
-each labeled with the blocking ``(process, seq)`` apply-event edge.
+each labeled with the blocking ``(component, required)`` edge: the slot
+of the protocol's progress vector the message waited on and the value
+it needed there (for OptP and ANBKH, the id of a write).
 
 Three outputs:
 
@@ -23,10 +25,12 @@ Three outputs:
   receipt is *unnecessary* (ANBKH's false causality, Figure 3); OptP
   attributes exactly zero there on every run.
 - **critical paths** -- for each delayed apply, the dependency chain
-  behind it: follow the releasing edge to the write that fired it, and
-  if *that* write's local apply was itself delayed, recurse.  The
-  longest chain (by blocked time) is the run's critical path -- the
-  sequence of waits a hypothetical zero-delay protocol would remove.
+  behind it: follow the releasing edge to the write that fired it
+  (only where the edge names one: ``required >= 1`` and that write was
+  itself buffered and released here), and if *that* write's local
+  apply was itself delayed, recurse.  The longest chain (by blocked
+  time) is the run's critical path -- the sequence of waits a
+  hypothetical zero-delay protocol would remove.
 
 ``repro-dsm critpath`` renders the per-protocol report on the paper's
 Ĥ₁ scenarios (docs/observability.md, "Critical-path profiler").
@@ -58,8 +62,8 @@ class Attribution:
 
     process: int
     wid: WriteId
-    #: the blocking apply-event edge (None = not enumerable: legacy
-    #: scheduling, or a dead-parked duplicate)
+    #: the blocking ``(component, required)`` edge (None = not
+    #: enumerable: legacy scheduling, or a dead-parked duplicate)
     dep: DepKey
     start: float
     end: float
@@ -241,11 +245,14 @@ def analyze_critical_paths(
         cur = span
         while len(chain) < MAX_CHAIN_LEN:
             dep = cur.released_by
-            if dep is None:
+            # The edge is a (component, required) progress key.  Where
+            # progress counts one process's applied writes it IS the id
+            # of the write whose local apply released this one; a
+            # sequencer stamp or a held-write count names no write
+            # (stamp 0 is not even a legal id), so the chain follows an
+            # edge only to a write this process really held back.
+            if dep is None or dep[1] < 1:
                 break
-            # The releasing apply event is the local apply of the
-            # dependency write; on the default apply_event key the
-            # edge (process, seq) IS that write's id.
             dep_wid = WriteId(dep[0], dep[1])
             nxt = released.get((process, dep_wid))
             if nxt is None or dep_wid in seen:

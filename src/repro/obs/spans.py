@@ -37,9 +37,11 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 from repro.model.operations import WriteId
 from repro.obs.metrics import MetricsRegistry
 
-#: A blocking dependency: the ``(process, seq)`` apply-event key of
-#: :meth:`repro.core.base.Protocol.missing_deps`.  ``None`` = the
-#: protocol cannot enumerate its wait predicate (legacy scheduler).
+#: A blocking dependency: the ``(component, required)`` key of
+#: :meth:`repro.core.base.Protocol.missing_deps` -- a write id where the
+#: component counts one process's applied writes (OptP, ANBKH), a stamp
+#: or a held-write count elsewhere.  ``None`` = the protocol cannot
+#: enumerate its wait predicate (legacy scheduler).
 DepKey = Optional[Tuple[int, int]]
 
 

@@ -35,8 +35,10 @@ Wire format (``docs/serving.md`` has the full tables):
 
 Nothing here performs I/O; framing against asyncio streams lives in
 :func:`read_frame` / :func:`write_frame` which only touch the stream
-APIs.  The module is a reprolint hot path (RL006) and determinism
-zone (RL001/RL002): no clocks, no set iteration, no instrumentation.
+APIs, and :class:`FrameBuffer` is the same framing for a receiver that
+has no stream (an ``asyncio.BufferedProtocol``).  The module is a
+reprolint hot path (RL006) and determinism zone (RL001/RL002): no
+clocks, no set iteration, no instrumentation.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from repro.model.operations import BOTTOM, WriteId
 
 __all__ = [
     "CodecError",
+    "FrameBuffer",
     "FRAME_HELLO",
     "FRAME_MSG_BATCH",
     "FRAME_PEER_WELCOME",
@@ -664,3 +667,62 @@ async def read_frame(reader) -> Optional[bytes]:
         return await reader.readexactly(length)
     except (EOFError, ConnectionError):
         raise CodecError("connection closed mid-frame") from None
+
+
+class FrameBuffer:
+    """The receive side of the framing without a reader object.
+
+    The transport fills :meth:`writable` (``recv_into``) and reports the
+    count to :meth:`wrote`; :meth:`next_frame` then hands out each
+    complete body.  One ``bytearray`` serves the whole connection: a
+    parsed frame is dropped by moving a cursor, and an unfinished one is
+    moved to the front only when the rest of it would not fit behind it.
+    The buffer grows to hold one frame (never more than
+    :data:`MAX_FRAME` + 4 bytes) and returns to ``size`` once drained.
+    """
+
+    __slots__ = ("size", "view", "start", "end")
+
+    def __init__(self, size: int = 256 << 10):  # one ``recv`` at most
+        self.size = size
+        self.view = memoryview(bytearray(size))
+        self.start = self.end = 0
+
+    def writable(self) -> memoryview:
+        """Where the next ``recv_into`` goes; never empty."""
+        return self.view[self.end:]
+
+    def wrote(self, nbytes: int) -> None:
+        self.end += nbytes
+
+    def next_frame(self) -> Optional[bytes]:
+        """The next complete frame body, or None once only an unfinished
+        frame (or nothing) is left -- room for its rest is made then."""
+        start = self.start
+        have = self.end - start
+        need = 4
+        if have >= 4:
+            (length,) = _LEN.unpack_from(self.view, start)
+            if length > MAX_FRAME:
+                raise CodecError(f"frame length {length} exceeds MAX_FRAME")
+            need += length
+            if have >= need:
+                self.start = start + need
+                return bytes(self.view[start + 4:start + need])
+        if not have:
+            self.start = self.end = 0
+            if len(self.view) > self.size:
+                self.view = memoryview(bytearray(self.size))
+        elif start + need > len(self.view):
+            rest = self.take_rest()
+            if need > len(self.view):
+                self.view = memoryview(bytearray(need))
+            self.view[:have] = rest
+            self.end = have
+        return None
+
+    def take_rest(self) -> bytes:
+        """Remove and return the bytes no frame has claimed yet."""
+        rest = bytes(self.view[self.start:self.end])
+        self.start = self.end = 0
+        return rest

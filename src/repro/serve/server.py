@@ -6,21 +6,27 @@ behind real sockets:
 
 - **peer plane**: one outgoing connection per group peer carrying
   :data:`~repro.serve.codec.FRAME_MSG_BATCH` frames.  Protocol
-  broadcasts are *micro-batched* Nagle-style: an update is appended to
-  the per-peer buffer and the frame ships when either the batch window
-  elapses (one ``call_later`` per open window) or the buffer hits its
-  message/byte cap -- so the syscall count grows with *batches*, not
-  ops, and stays sublinear in op count under load.  An update is
+  broadcasts are *micro-batched* by a self-clocked link: an update is
+  appended to the per-peer buffer, and a link that has been quiet for
+  ``batch_window`` ships at the end of the current event-loop tick
+  (after the WAL sync and the client's response; no timer), while a
+  link that flushed inside the window waits out the remainder of it --
+  so the window bounds the frame rate under load and costs an idle
+  link nothing; the message/byte caps flush at once.  An update is
   encoded **once**, to its canonical body
   (:func:`~repro.serve.codec.encode_message`): every peer link, the
   retransmission buffer and the snapshot hold those same bytes, and a
-  receiver journals the slice of the frame it decoded.
-- **client plane**: pipelined REQUEST/RESPONSE frames.  A request
-  carries the client session vector; writes execute immediately, reads
-  first await local dominance of that vector (read-your-writes +
-  monotonic reads, Section "session guarantees" of docs/serving.md)
-  and responses return the server's applied vector for the client to
-  fold into its session.
+  receiver journals the slice of the frame it decoded.  Accepted
+  connections are framed out of one reused buffer by an
+  :class:`asyncio.BufferedProtocol`, and a peer's batches are decoded,
+  admitted, journaled and applied right there, synchronously.
+- **client plane**: pipelined REQUEST/RESPONSE frames, served by one
+  coroutine per connection (handed the connection after HELLO).  A
+  request carries the client session vector; writes execute
+  immediately, reads first await local dominance of that vector
+  (read-your-writes + monotonic reads, Section "session guarantees" of
+  docs/serving.md) and responses return the server's applied vector
+  for the client to fold into its session.
 - **admin plane**: quiesce polling and two-phase shutdown, so a parent
   can drain the deployment before asking nodes to dump their event
   logs (which keeps the Theorem-5 liveness check meaningful).
@@ -111,10 +117,20 @@ class _ServedNode(Node):
 
 
 class _PeerLink:
-    """Outgoing half-connection to one peer with micro-batching."""
+    """Outgoing half-connection to one peer, flushed by its own clock.
+
+    A link that has been quiet for ``batch_window`` ships what it holds
+    at the end of the event-loop tick that enqueued it (``call_soon``:
+    all of one request, or one resync, is still one frame, written after
+    the client's response); a link that flushed inside the window waits
+    out the *rest* of it on a timer, so a busy link sends at most one
+    frame per window plus the cap flushes.  Every flush counts its cause
+    in ``stats`` (``peer_flush_idle`` / ``_window`` / ``_cap``; a flush
+    forced by the admin plane is in ``peer_batches`` only).
+    """
 
     __slots__ = ("dest", "writer", "bodies", "pending_bytes",
-                 "flush_handle", "draining", "server")
+                 "flush_handle", "flushed_at", "draining", "server")
 
     def __init__(self, server: "ReplicaServer", dest: int, writer) -> None:
         self.server = server
@@ -122,7 +138,8 @@ class _PeerLink:
         self.writer = writer
         self.bodies: List[bytes] = []
         self.pending_bytes = 0
-        self.flush_handle: Optional[asyncio.TimerHandle] = None
+        self.flush_handle: Optional[asyncio.Handle] = None
+        self.flushed_at = float("-inf")
         self.draining = False
 
     def enqueue(self, body: bytes) -> None:
@@ -132,12 +149,18 @@ class _PeerLink:
         srv = self.server
         if (len(self.bodies) >= srv.batch_max_msgs
                 or self.pending_bytes >= srv.batch_max_bytes):
-            self.flush()
+            self.flush("peer_flush_cap")
         elif self.flush_handle is None:
-            self.flush_handle = srv._loop.call_later(srv.batch_window,
-                                                     self.flush)
+            loop = srv._loop
+            wait = self.flushed_at + srv.batch_window - loop.time()
+            if wait <= 0:
+                self.flush_handle = loop.call_soon(self.flush,
+                                                   "peer_flush_idle")
+            else:
+                self.flush_handle = loop.call_later(wait, self.flush,
+                                                    "peer_flush_window")
 
-    def flush(self) -> None:
+    def flush(self, cause: Optional[str] = None) -> None:
         if self.flush_handle is not None:
             self.flush_handle.cancel()
             self.flush_handle = None
@@ -154,9 +177,12 @@ class _PeerLink:
         header.uvarint(len(self.bodies))
         payload = b"".join([header.getvalue(), *self.bodies])
         write_frame(self.writer, payload)
+        self.flushed_at = srv._loop.time()
         srv.stats["peer_batches"] += 1
         srv.stats["peer_msgs"] += len(self.bodies)
         srv.stats["peer_bytes"] += len(payload) + 4
+        if cause is not None:
+            srv.stats[cause] += 1
         if srv._obs.enabled:
             srv._m_batches.inc()
             srv._m_batch_msgs.inc(len(self.bodies))
@@ -181,10 +207,104 @@ class _PeerLink:
         if self.flush_handle is not None:
             self.flush_handle.cancel()
             self.flush_handle = None
+        self.bodies.clear()  # a flush that comes late finds nothing
+        self.pending_bytes = 0
         try:
             self.writer.close()
         except RuntimeError:  # loop already closing
             pass
+
+
+class _Inbound(asyncio.BufferedProtocol):
+    """One accepted connection, framed out of a reused receive buffer.
+
+    The first frame is HELLO.  A peer's connection then stays here for
+    good: every MSG_BATCH is decoded, admitted, journaled and applied
+    inside ``buffer_updated`` -- no reader object, no task to wake, no
+    copy per ``recv``.  A client's or an admin's connection is handed,
+    with whatever it already sent, to a stream pair and the plane's
+    coroutine (a read's session wait is an ``await``), exactly as
+    ``asyncio.start_server`` would have built them.
+
+    A :class:`CodecError` closes this connection only and is counted in
+    ``client_aborts``, as is an EOF in the middle of a frame.
+    """
+
+    __slots__ = ("server", "transport", "frames", "peer")
+
+    def __init__(self, server: "ReplicaServer") -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.frames = codec.FrameBuffer()
+        self.peer: Optional[int] = None   # set by a peer's HELLO
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._inbound.append(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.frames.writable()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        frames = self.frames
+        frames.wrote(nbytes)
+        try:
+            # a handed-over connection is no longer read here
+            while (self.transport is not None
+                   and (body := frames.next_frame()) is not None):
+                if self.peer is None:
+                    self._hello(body)
+                else:
+                    self.server._receive_batch(self.peer, body)
+        except CodecError:
+            frames.take_rest()
+            self.server.stats["client_aborts"] += 1
+            self.transport.close()
+
+    def connection_lost(self, exc) -> None:
+        if self.frames.take_rest():
+            self.server.stats["client_aborts"] += 1   # closed mid-frame
+        self.server._inbound.remove(self)
+
+    def _hello(self, body: bytes) -> None:
+        srv = self.server
+        r = VarReader(body)
+        if r.u8() != FRAME_HELLO:
+            raise CodecError("expected HELLO")
+        role = r.u8()
+        sender = r.uvarint()
+        if role == ROLE_PEER:
+            if not 0 <= sender < srv.n or sender == srv.node_id:
+                raise CodecError(
+                    f"HELLO from peer {sender}: not a group peer")
+            self.peer = sender
+            # WELCOME tells the dialing peer how many of its writes we
+            # have applied, so it retransmits exactly the suffix we are
+            # missing.
+            w = VarWriter()
+            w.u8(FRAME_PEER_WELCOME)
+            w.uvarint(srv.applied[sender])
+            write_frame(self.transport, w.getvalue())
+        elif role == ROLE_CLIENT:
+            self._hand_over(srv._serve_client)
+        elif role == ROLE_ADMIN:
+            self._hand_over(srv._serve_admin)
+        else:
+            raise CodecError(f"unknown role {role}")
+
+    def _hand_over(self, serve) -> None:
+        srv = self.server
+        transport, self.transport = self.transport, None
+        srv._inbound.remove(self)
+        reader = asyncio.StreamReader(loop=srv._loop)
+        streams = asyncio.StreamReaderProtocol(
+            reader, lambda r, w: srv._serve_stream(serve, r, w),
+            loop=srv._loop)
+        transport.set_protocol(streams)
+        streams.connection_made(transport)   # starts the coroutine
+        rest = self.frames.take_rest()
+        if rest:
+            reader.feed_data(rest)
 
 
 class ReplicaServer:
@@ -270,6 +390,9 @@ class ReplicaServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop = asyncio.Event()
+        #: accepted connections still framed here (peers, and anyone
+        #: who has not said HELLO yet); the rest are ``_conn_tasks``
+        self._inbound: List[_Inbound] = []
         self._conn_tasks: List[asyncio.Task] = []
         self.stats: Dict[str, int] = {
             "writes": 0, "reads": 0, "read_waits": 0, "requests": 0,
@@ -277,6 +400,8 @@ class ReplicaServer:
             "frames_in": 0, "client_conns": 0, "client_aborts": 0,
             "peer_dials": 0, "wal_records": 0, "snapshots": 0,
             "recovered": 0, "recovery_us": 0,
+            "peer_flush_idle": 0, "peer_flush_window": 0,
+            "peer_flush_cap": 0,
         }
         if obs.enabled:
             reg = obs.registry
@@ -481,12 +606,12 @@ class ReplicaServer:
                 os.unlink(addr)
             except OSError:
                 pass
-            self._server = await asyncio.start_unix_server(
-                self._on_connection, path=addr)
+            self._server = await self._loop.create_unix_server(
+                lambda: _Inbound(self), path=addr)
         else:
             host, port = addr
-            self._server = await asyncio.start_server(
-                self._on_connection, host=host, port=port)
+            self._server = await self._loop.create_server(
+                lambda: _Inbound(self), host=host, port=port)
 
     async def _connect_peers(self) -> None:
         for dest in sorted(self._link_up):
@@ -568,43 +693,32 @@ class ReplicaServer:
         self._links.clear()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        for conn in list(self._inbound):
+            conn.transport.close()
         for task in self._conn_tasks:
             task.cancel()
         await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
         if self._wal is not None:
             self._wal.sync()
             self._wal.close()
 
     # -- connection handling ------------------------------------------------
 
-    async def _on_connection(self, reader, writer) -> None:
+    async def _serve_stream(self, serve, reader, writer) -> None:
+        """Run one client- or admin-plane coroutine over the stream pair
+        :class:`_Inbound` handed over after HELLO."""
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.append(task)
+        self._conn_tasks.append(task)
         try:
-            body = await read_frame(reader)
-            if body is None:
-                return
-            r = VarReader(body)
-            if r.u8() != FRAME_HELLO:
-                raise CodecError("expected HELLO")
-            role = r.u8()
-            sender = r.uvarint()
-            if role == ROLE_PEER:
-                await self._serve_peer(reader, writer, sender)
-            elif role == ROLE_CLIENT:
-                await self._serve_client(reader, writer)
-            elif role == ROLE_ADMIN:
-                await self._serve_admin(reader, writer)
-            else:
-                raise CodecError(f"unknown role {role}")
+            await serve(reader, writer)
         except (CodecError, ConnectionError):
             # a torn or misbehaving connection must never take the
             # replica down; sessions on other connections are unharmed
             self.stats["client_aborts"] += 1
         except asyncio.CancelledError:
-            # teardown cancels connection tasks; asyncio.Server's
+            # teardown cancels connection tasks; the stream protocol's
             # done-callback would re-raise this as an event-loop error
             pass
         finally:
@@ -612,8 +726,7 @@ class ReplicaServer:
                 writer.close()
             except RuntimeError:
                 pass
-            if task is not None and task in self._conn_tasks:
-                self._conn_tasks.remove(task)
+            self._conn_tasks.remove(task)
 
     def _admit(self, message, peer: int) -> None:
         """Validate one peer update at the door, before the journal.
@@ -638,40 +751,29 @@ class ReplicaServer:
                 f"update {message.wid} from peer {peer} carries no "
                 f"requirement of {self.n} integer components")
 
-    async def _serve_peer(self, reader, writer, sender: int) -> None:
-        if not 0 <= sender < self.n or sender == self.node_id:
-            raise CodecError(f"HELLO from peer {sender}: not a group peer")
-        # WELCOME tells the dialing peer how many of its writes we have
-        # applied, so it retransmits exactly the suffix we are missing.
-        w = VarWriter()
-        w.u8(FRAME_PEER_WELCOME)
-        w.uvarint(self.applied[sender])
-        write_frame(writer, w.getvalue())
-        await writer.drain()
+    def _receive_batch(self, sender: int, body: bytes) -> None:
+        """One frame off ``sender``'s connection, start to finish: no
+        ``await`` separates an update's journal record from its receipt,
+        and the snapshot check runs between frames."""
+        self.stats["frames_in"] += 1
+        r = VarReader(body)
+        if r.u8() != FRAME_MSG_BATCH:
+            raise CodecError("expected MSG_BATCH on peer plane")
         node = self.node
-        while True:
-            body = await read_frame(reader)
-            if body is None:
-                return
-            self.stats["frames_in"] += 1
-            r = VarReader(body)
-            if r.u8() != FRAME_MSG_BATCH:
-                raise CodecError("expected MSG_BATCH on peer plane")
-            count = r.uvarint()
-            for _ in range(count):
-                start = r.pos
-                # stateless: each body decodes on its own, so the slice
-                # journaled below replays without this connection
-                message = codec.decode_message_from(r)
-                self._admit(message, sender)
-                if self._wal is not None:
-                    # duplicates are journaled too: replay routes them
-                    # through the same dedup guard, so the rebuilt
-                    # state cannot depend on when dedup happened
-                    self._wal_append(self._dur.encode_recv_record(
-                        self._now(), body[start:r.pos]))
-                node.receive(message)
-            self._maybe_snapshot()
+        for _ in range(r.uvarint()):
+            start = r.pos
+            # stateless: each body decodes on its own, so the slice
+            # journaled below replays without this connection
+            message = codec.decode_message_from(r)
+            self._admit(message, sender)
+            if self._wal is not None:
+                # duplicates are journaled too: replay routes them
+                # through the same dedup guard, so the rebuilt
+                # state cannot depend on when dedup happened
+                self._wal_append(self._dur.encode_recv_record(
+                    self._now(), body[start:r.pos]))
+            node.receive(message)
+        self._maybe_snapshot()
 
     async def _serve_client(self, reader, writer) -> None:
         self.stats["client_conns"] += 1

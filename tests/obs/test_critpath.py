@@ -199,3 +199,60 @@ class TestScenarioConservation:
             report = analyze_critical_paths(run_scenario(protocol, scenario))
             if protocol == "optp":
                 assert report.unnecessary_blocked == 0.0, scenario
+
+
+class TestEdgesThatNameNoWrite:
+    """A dependency edge is a ``(component, required)`` progress key, a
+    write id only for the vector protocols: the sequencer waits on
+    stamps (the first is stamp 0, which is no legal ``WriteId``) and
+    partial replication on held-write counts.  Attribution runs on the
+    key as it is; a chain follows it only to a write the process really
+    held back."""
+
+    def test_stamp_zero_edge_is_attributed_not_resolved(self):
+        s = span(1, WriteId(2, 1),
+                 [WaitInterval(start=1.0, dep=(0, 0), end=None)],
+                 apply_time=3.0)
+        report = analyze_critical_paths(fake_result([s]), audits={})
+        assert [(a.dep, a.duration) for a in report.attributions] \
+            == [((0, 0), 2.0)]
+        assert [c.spans for c in report.chains] == [(s,)]
+
+    def _assert_sound(self, result):
+        report = analyze_critical_paths(result)
+        delayed = [s for s in result.spans
+                   if s.waits and s.apply_time is not None]
+        assert delayed, "the run must exercise buffering"
+        assert math.fsum(a.duration for a in report.attributions) \
+            == math.fsum(s.buffer_duration for s in delayed)
+        assert report.delayed_applies == len(delayed)
+        released = {(s.process, s.wid) for s in delayed}
+        for chain in report.chains:
+            for held, releaser in zip(chain.spans, chain.spans[1:]):
+                assert releaser.wid == WriteId(*held.released_by)
+                assert (chain.process, releaser.wid) in released
+        return report
+
+    def test_sequencer_run(self):
+        from tests.integration.test_flat_obs_parity import _seeded
+
+        result, _ = _seeded("sequencer", 2)
+        report = self._assert_sound(result)
+        # the run does wait on stamp 0, which used to raise
+        assert any(a.dep[1] == 0 for a in report.attributions)
+
+    def test_partial_replication_run(self):
+        from repro.protocols.partial import ReplicationMap, partial_factory
+        from repro.sim import SeededLatency
+        from repro.workloads.generators import random_partial_schedule
+        from tests.integration.test_scheduler_differential import _cfg
+
+        cfg = _cfg(5, n=4)
+        rmap = ReplicationMap.round_robin(
+            [f"x{i}" for i in range(cfg.n_variables)], cfg.n_processes, 3)
+        result = run_schedule(
+            partial_factory(rmap), cfg.n_processes,
+            random_partial_schedule(cfg, rmap),
+            latency=SeededLatency(5, dist="exponential", mean=2.5),
+            obs=Obs.recording())
+        self._assert_sound(result)
