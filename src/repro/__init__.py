@@ -26,56 +26,26 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.paperfigs` -- regenerators for every table and figure.
 """
 
-from repro.analysis import (
-    CheckReport,
-    assert_run_ok,
-    check_run,
-    comparison_table,
-    x_anbkh,
-    x_co_safe,
-)
-from repro.core import OptPProtocol, VectorClock
-from repro.model import (
-    BOTTOM,
-    History,
-    HistoryBuilder,
-    WriteCausalityGraph,
-    WriteId,
-    example_h1,
-    is_causally_consistent,
-)
-from repro.protocols import (
-    ANBKHProtocol,
-    JimenezTokenProtocol,
-    PROTOCOLS,
-    Protocol,
-    WSReceiverProtocol,
-)
-from repro.runtime import AsyncCluster, CausalKV, run_programs_async
-from repro.sim import (
-    ConstantLatency,
-    ExponentialLatency,
-    MatrixLatency,
-    RunResult,
-    ScriptedLatency,
-    SeededLatency,
-    SimCluster,
-    UniformLatency,
-    run_programs,
-    run_schedule,
-)
-from repro.workloads import (
-    Program,
-    ReadOp,
-    ReadStep,
-    Schedule,
-    ScheduledOp,
-    WaitReadStep,
-    WorkloadConfig,
-    WriteOp,
-    WriteStep,
-    random_schedule,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.analysis": ("CheckReport", "assert_run_ok", "check_run",
+                       "comparison_table", "x_anbkh", "x_co_safe"),
+    "repro.core": ("OptPProtocol", "VectorClock"),
+    "repro.model": ("BOTTOM", "History", "HistoryBuilder",
+                    "WriteCausalityGraph", "WriteId", "example_h1",
+                    "is_causally_consistent"),
+    "repro.protocols": ("ANBKHProtocol", "JimenezTokenProtocol",
+                        "PROTOCOLS", "Protocol", "WSReceiverProtocol"),
+    "repro.runtime": ("AsyncCluster", "CausalKV", "run_programs_async"),
+    "repro.sim": ("ConstantLatency", "ExponentialLatency", "MatrixLatency",
+                  "RunResult", "ScriptedLatency", "SeededLatency",
+                  "SimCluster", "UniformLatency", "run_programs",
+                  "run_schedule"),
+    "repro.workloads": ("Program", "ReadOp", "ReadStep", "Schedule",
+                        "ScheduledOp", "WaitReadStep", "WorkloadConfig",
+                        "WriteOp", "WriteStep", "random_schedule"),
+})
 
 __version__ = "1.0.0"
 

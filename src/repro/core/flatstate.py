@@ -26,9 +26,10 @@ See docs/performance.md ("Flat-array protocol state").
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["DENSE_THRESHOLD", "ProgressMirror", "wide_row"]
 
@@ -63,6 +64,8 @@ def wide_row(msg, row: Sequence[int]):
              if required > 0]
     dense = None
     if len(items) > DENSE_THRESHOLD:
+        import numpy as np
+
         dense = np.asarray(row, dtype=np.int64)
         dense.setflags(write=False)
     cached = (row, items, dense)
@@ -77,6 +80,8 @@ class ProgressMirror:
     __slots__ = ("_progress", "_vec")
 
     def __init__(self, progress: List[int]):
+        import numpy as np
+
         self._progress = progress
         self._vec = np.array(progress, dtype=np.int64)
 
@@ -87,7 +92,7 @@ class ProgressMirror:
         progress = self._progress
         vec = self._vec
         missing: List[Tuple[int, int]] = []
-        for c in np.flatnonzero(dense > vec).tolist():
+        for c in (dense > vec).nonzero()[0].tolist():
             have = progress[c]
             required = row[c]
             if have >= required:

@@ -28,9 +28,10 @@ Two representations are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # Plain-list hot-path helpers
@@ -168,6 +169,8 @@ class VectorClock:
 
 
 def _as_matrix(vectors: Iterable[Sequence[int]]) -> np.ndarray:
+    import numpy as np
+
     mat = np.asarray(list(vectors), dtype=np.int64)
     if mat.ndim == 1:
         # zero vectors -> shape (0,); normalize to (0, 0)
@@ -204,6 +207,8 @@ def batch_precedes_matrix(
     (``tests/core/test_vectorclock.py`` pins the equality).  Pass an
     explicit ``chunk`` to force a block size either way.
     """
+    import numpy as np
+
     mat = _as_matrix(vectors)
     k = mat.shape[0]
     if k == 0:
@@ -231,6 +236,8 @@ def batch_concurrent_matrix(vectors: Iterable[Sequence[int]]) -> np.ndarray:
     The diagonal is False by convention (an operation is not concurrent
     with itself), matching :meth:`CausalOrder.concurrent`.
     """
+    import numpy as np
+
     p = batch_precedes_matrix(vectors)
     k = p.shape[0]
     c = ~p & ~p.T

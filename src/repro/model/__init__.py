@@ -15,38 +15,22 @@ reasons about, independently of any protocol or network:
   proof and reproduced as Figure 7.
 """
 
-from repro.model.operations import (
-    BOTTOM,
-    Bottom,
-    Operation,
-    OpKind,
-    Read,
-    Write,
-    WriteId,
-)
-from repro.model.history import (
-    CausalOrder,
-    History,
-    HistoryBuilder,
-    LocalHistory,
-    example_h1,
-)
-from repro.model.legality import (
-    LegalityReport,
-    LegalityViolation,
-    check_causal_consistency,
-    is_causally_consistent,
-    is_legal_read,
-)
-from repro.model.causality_graph import (
-    WriteCausalityGraph,
-    immediate_predecessors,
-)
-from repro.model.serialization import (
-    find_causal_serialization,
-    is_causal_ahamad,
-    verify_serialization,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.model.operations": ("BOTTOM", "Bottom", "Operation", "OpKind",
+                               "Read", "Write", "WriteId"),
+    "repro.model.history": ("CausalOrder", "History", "HistoryBuilder",
+                            "LocalHistory", "example_h1"),
+    "repro.model.legality": ("LegalityReport", "LegalityViolation",
+                             "check_causal_consistency",
+                             "is_causally_consistent", "is_legal_read"),
+    "repro.model.causality_graph": ("WriteCausalityGraph",
+                                    "immediate_predecessors"),
+    "repro.model.serialization": ("find_causal_serialization",
+                                  "is_causal_ahamad",
+                                  "verify_serialization"),
+})
 
 __all__ = [
     "BOTTOM",

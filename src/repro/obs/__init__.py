@@ -22,40 +22,22 @@ Quick use::
     result.metrics      # registry snapshot (JSON-ready)
 """
 
-from repro.obs.benchcmp import (
-    BenchComparison,
-    compare_benchmarks,
-    load_baseline,
-    update_baseline,
-)
-from repro.obs.critpath import (
-    Attribution,
-    CritPathReport,
-    DelayChain,
-    analyze_critical_paths,
-)
-from repro.obs.export import (
-    chrome_trace,
-    summarize_metrics,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.journal import (
-    FlightRecorder,
-    JournalEvent,
-    JournalSink,
-    events_from_jsonl,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.progress import ProgressSink
-from repro.obs.spans import (
-    InMemorySink,
-    MessageSpan,
-    NullSink,
-    NULL_OBS,
-    Obs,
-    WaitInterval,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.benchcmp": ("BenchComparison", "compare_benchmarks",
+                           "load_baseline", "update_baseline"),
+    "repro.obs.critpath": ("Attribution", "CritPathReport", "DelayChain",
+                           "analyze_critical_paths"),
+    "repro.obs.export": ("chrome_trace", "summarize_metrics",
+                         "validate_chrome_trace", "write_chrome_trace"),
+    "repro.obs.journal": ("FlightRecorder", "JournalEvent", "JournalSink",
+                          "events_from_jsonl"),
+    "repro.obs.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "repro.obs.progress": ("ProgressSink",),
+    "repro.obs.spans": ("InMemorySink", "MessageSpan", "NullSink", "NULL_OBS",
+                        "Obs", "WaitInterval"),
+})
 
 __all__ = [
     "Attribution",

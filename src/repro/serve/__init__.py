@@ -14,13 +14,18 @@ through the paper's conformance oracles
 See ``docs/serving.md`` for the wire format and operational guide.
 """
 
-from repro.serve.client import AsyncSessionClient, SessionClient
-from repro.serve.codec import CodecError, encoded_size
-from repro.serve.harness import ServedCluster, serve_and_load, serve_chaos
-from repro.serve.loadgen import LoadgenConfig, run_worker, summarize_workers
-from repro.serve.merge import MergeError, merge_node_logs
-from repro.serve.server import SERVABLE_PROTOCOLS, ReplicaServer
-from repro.serve.shard import ClusterSpec, shard_of
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.serve.client": ("AsyncSessionClient", "SessionClient"),
+    "repro.serve.codec": ("CodecError", "encoded_size"),
+    "repro.serve.harness": ("ServedCluster", "serve_and_load", "serve_chaos"),
+    "repro.serve.loadgen": ("LoadgenConfig", "run_worker",
+                            "summarize_workers"),
+    "repro.serve.merge": ("MergeError", "merge_node_logs"),
+    "repro.serve.server": ("SERVABLE_PROTOCOLS", "ReplicaServer"),
+    "repro.serve.shard": ("ClusterSpec", "shard_of"),
+})
 
 __all__ = [
     "AsyncSessionClient",

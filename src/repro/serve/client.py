@@ -29,6 +29,7 @@ running loop (the load generator does).
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.serve import codec
@@ -39,7 +40,6 @@ from repro.serve.codec import (
     ROLE_CLIENT,
     CodecError,
     VarWriter,
-    read_frame,
     write_frame,
 )
 from repro.serve.shard import ClusterSpec, parse_endpoint
@@ -47,82 +47,81 @@ from repro.serve.shard import ClusterSpec, parse_endpoint
 __all__ = ["AsyncSessionClient", "SessionClient"]
 
 
-class _GroupConn:
-    """One pipelined connection into one replica group."""
+class _GroupConn(asyncio.BufferedProtocol):
+    """One pipelined connection into one replica group.
+
+    RESPONSE frames are parsed out of one reused receive buffer as they
+    arrive, and each resolves the oldest request in flight: the server
+    answers in request order, so no request id is needed."""
 
     def __init__(self, group: int, replica: int) -> None:
         self.group = group
         self.replica = replica
-        self.reader = None
-        self.writer = None
+        self.transport: Optional[asyncio.Transport] = None
+        self.frames = codec.FrameBuffer()
         #: response futures in request order (frame-level pipelining).
-        self.inflight: "asyncio.Queue[asyncio.Future]" = None  # type: ignore
-        self.reader_task: Optional[asyncio.Task] = None
+        self.inflight: "deque[asyncio.Future]" = deque()
 
     async def connect(self, endpoint: str) -> None:
+        loop = asyncio.get_running_loop()
         scheme, addr = parse_endpoint(endpoint)
         if scheme == "unix":
-            self.reader, self.writer = await asyncio.open_unix_connection(addr)
+            await loop.create_unix_connection(lambda: self, addr)
         else:
-            self.reader, self.writer = await asyncio.open_connection(*addr)
+            await loop.create_connection(lambda: self, *addr)
         hello = VarWriter()
         hello.u8(FRAME_HELLO)
         hello.u8(ROLE_CLIENT)
         hello.uvarint(0)
-        write_frame(self.writer, hello.getvalue())
-        self.inflight = asyncio.Queue()
-        self.reader_task = asyncio.ensure_future(self._read_loop())
+        write_frame(self.transport, hello.getvalue())
 
-    async def _read_loop(self) -> None:
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.frames.writable()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        frames = self.frames
+        frames.wrote(nbytes)
         try:
-            while True:
-                body = await read_frame(self.reader)
-                if body is None:
-                    break
-                fut = self.inflight.get_nowait()
+            while (body := frames.next_frame()) is not None:
+                response = codec.decode_response(body)
+                if not self.inflight:
+                    raise CodecError("a RESPONSE with no request in flight")
+                fut = self.inflight.popleft()
                 if not fut.done():
-                    fut.set_result(codec.decode_response(body))
-        except (CodecError, ConnectionError, asyncio.QueueEmpty) as exc:
+                    fut.set_result(response)
+        except CodecError as exc:
             self._fail(exc)
-            return
+            self.transport.abort()
+
+    def connection_lost(self, exc) -> None:
         self._fail(ConnectionError("server closed the connection"))
 
     def _fail(self, exc: Exception) -> None:
-        while True:
-            try:
-                fut = self.inflight.get_nowait()
-            except asyncio.QueueEmpty:
-                return
+        inflight = self.inflight
+        while inflight:
+            fut = inflight.popleft()
             if not fut.done():
                 fut.set_exception(exc)
 
     async def request(self, session: Tuple[int, ...],
-                     ops: List[Tuple[int, Any, Any]]):
+                      ops: List[Tuple[int, Any, Any]]):
+        if self.transport.is_closing():
+            raise ConnectionError("connection closed")
         fut = asyncio.get_running_loop().create_future()
-        self.inflight.put_nowait(fut)
-        write_frame(self.writer, codec.encode_request(session, ops))
-        await self.writer.drain()
+        self.inflight.append(fut)
+        write_frame(self.transport, codec.encode_request(session, ops))
         return await fut
 
     async def close(self) -> None:
-        if self.reader_task is not None:
-            self.reader_task.cancel()
-            try:
-                await self.reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-        if self.writer is not None:
-            self.writer.close()
+        self.transport.close()
 
     def abort(self) -> None:
         """Tear the transport down without goodbye (tests: mid-session
         client death)."""
-        if self.reader_task is not None:
-            self.reader_task.cancel()
-        if self.writer is not None and self.writer.transport is not None:
-            self.writer.transport.abort()
-        # the reader task dies by cancellation, so it will never fail
-        # the in-flight futures itself
+        self.transport.abort()
         self._fail(ConnectionError("session aborted"))
 
 

@@ -39,7 +39,6 @@ from repro.serve.codec import (
     read_frame,
     write_frame,
 )
-from repro.serve.conformance import verify_live_trace
 from repro.serve.loadgen import LoadgenConfig, run_worker, summarize_workers
 from repro.serve.merge import load_node_log, merge_node_logs
 from repro.serve.server import STOP_QUERY, STOP_SHUTDOWN
@@ -320,6 +319,8 @@ class ServedCluster:
         """Merge each group's recorded logs and replay all oracles."""
         if not self.record:
             raise RuntimeError("deployment was not recording; nothing to verify")
+        # the checker (numpy, networkx) is imported by the run that uses it
+        from repro.serve.conformance import verify_live_trace
         from repro.sim.serialize import trace_to_jsonl
 
         groups = []

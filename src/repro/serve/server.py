@@ -16,20 +16,19 @@ behind real sockets:
   encoded **once**, to its canonical body
   (:func:`~repro.serve.codec.encode_message`): every peer link, the
   retransmission buffer and the snapshot hold those same bytes, and a
-  receiver journals the slice of the frame it decoded.  Accepted
-  connections are framed out of one reused buffer by an
-  :class:`asyncio.BufferedProtocol`, and a peer's batches are decoded,
-  admitted, journaled and applied right there, synchronously.
-- **client plane**: pipelined REQUEST/RESPONSE frames, served by one
-  coroutine per connection (handed the connection after HELLO).  A
-  request carries the client session vector; writes execute
-  immediately, reads first await local dominance of that vector
-  (read-your-writes + monotonic reads, Section "session guarantees" of
-  docs/serving.md) and responses return the server's applied vector
-  for the client to fold into its session.
+  receiver journals the slice of the frame it decoded.
+- **client plane**: pipelined REQUEST/RESPONSE frames.  A request
+  carries the client session vector; writes execute immediately, reads
+  first need local dominance of that vector (read-your-writes +
+  monotonic reads, Section "session guarantees" of docs/serving.md)
+  and responses return the server's applied vector for the client to
+  fold into its session.
 - **admin plane**: quiesce polling and two-phase shutdown, so a parent
   can drain the deployment before asking nodes to dump their event
   logs (which keeps the Theorem-5 liveness check meaningful).
+
+Every accepted connection is an :class:`asyncio.BufferedProtocol` that
+serves each frame synchronously as it arrives (:class:`_Inbound`).
 
 Everything protocol-visible reuses the existing substrate unchanged:
 buffering goes through the same counting scheduler the simulator and
@@ -216,27 +215,33 @@ class _PeerLink:
 
 
 class _Inbound(asyncio.BufferedProtocol):
-    """One accepted connection, framed out of a reused receive buffer.
+    """One accepted connection, served frame by frame out of a reused
+    receive buffer inside ``buffer_updated``: HELLO picks the handler of
+    every later frame (peer MSG_BATCH, client REQUEST or admin STOP).
 
-    The first frame is HELLO.  A peer's connection then stays here for
-    good: every MSG_BATCH is decoded, admitted, journaled and applied
-    inside ``buffer_updated`` -- no reader object, no task to wake, no
-    copy per ``recv``.  A client's or an admin's connection is handed,
-    with whatever it already sent, to a stream pair and the plane's
-    coroutine (a read's session wait is an ``await``), exactly as
-    ``asyncio.start_server`` would have built them.
+    A request whose read finds its session vector ahead of ``applied``
+    *parks*: the connection stops reading, its later frames wait
+    unparsed in ``frames``, and :meth:`ReplicaServer._unpark` finishes it
+    after the peer frame that dominates the vector.  A full write buffer
+    (a client not reading its answers) stops reading the same way.
 
     A :class:`CodecError` closes this connection only and is counted in
-    ``client_aborts``, as is an EOF in the middle of a frame.
+    ``client_aborts``, as is a connection lost with an error, mid-frame
+    or with a request parked.
     """
 
-    __slots__ = ("server", "transport", "frames", "peer")
+    __slots__ = ("server", "transport", "frames", "on_frame", "peer",
+                 "parked", "paused")
 
     def __init__(self, server: "ReplicaServer") -> None:
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
         self.frames = codec.FrameBuffer()
-        self.peer: Optional[int] = None   # set by a peer's HELLO
+        self.on_frame = self._hello        # HELLO picks the next handler
+        self.peer: Optional[int] = None    # set by a peer's HELLO
+        #: (session, ops, index of the waiting read, results so far)
+        self.parked: Optional[tuple] = None
+        self.paused = False                # the write buffer is full
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -246,25 +251,55 @@ class _Inbound(asyncio.BufferedProtocol):
         return self.frames.writable()
 
     def buffer_updated(self, nbytes: int) -> None:
+        self.frames.wrote(nbytes)
+        self._serve_frames()
+
+    def _serve_frames(self) -> None:
         frames = self.frames
-        frames.wrote(nbytes)
+        transport = self.transport
         try:
-            # a handed-over connection is no longer read here
-            while (self.transport is not None
+            while (self.parked is None and not self.paused
+                   and not transport.is_closing()
                    and (body := frames.next_frame()) is not None):
-                if self.peer is None:
-                    self._hello(body)
-                else:
-                    self.server._receive_batch(self.peer, body)
+                self.on_frame(body)
         except CodecError:
             frames.take_rest()
             self.server.stats["client_aborts"] += 1
-            self.transport.close()
+            transport.close()
+
+    def _go_on(self) -> None:
+        """Serve the frames that waited, then read again unless held."""
+        self._serve_frames()
+        if self.parked is None and not self.paused:
+            self.transport.resume_reading()
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._go_on()
+
+    def park(self, state: tuple) -> None:
+        self.parked = state
+        self.server._parked.append(self)
+        self.transport.pause_reading()
+
+    def resume(self) -> None:
+        session, ops, at, results = self.parked
+        self.parked = None
+        self.server._serve_request(self, session, ops, at, results)
+        self._go_on()
 
     def connection_lost(self, exc) -> None:
-        if self.frames.take_rest():
-            self.server.stats["client_aborts"] += 1   # closed mid-frame
-        self.server._inbound.remove(self)
+        srv = self.server
+        if self.parked is not None:
+            srv._parked.remove(self)
+        if self.frames.take_rest() or exc is not None or self.parked:
+            srv.stats["client_aborts"] += 1
+        srv._inbound.remove(self)
+        self.on_frame = self.parked = None  # on_frame: break the cycle
 
     def _hello(self, body: bytes) -> None:
         srv = self.server
@@ -278,6 +313,7 @@ class _Inbound(asyncio.BufferedProtocol):
                 raise CodecError(
                     f"HELLO from peer {sender}: not a group peer")
             self.peer = sender
+            self.on_frame = self._batch
             # WELCOME tells the dialing peer how many of its writes we
             # have applied, so it retransmits exactly the suffix we are
             # missing.
@@ -286,25 +322,43 @@ class _Inbound(asyncio.BufferedProtocol):
             w.uvarint(srv.applied[sender])
             write_frame(self.transport, w.getvalue())
         elif role == ROLE_CLIENT:
-            self._hand_over(srv._serve_client)
+            srv.stats["client_conns"] += 1
+            self.on_frame = self._request
         elif role == ROLE_ADMIN:
-            self._hand_over(srv._serve_admin)
+            self.on_frame = self._admin
         else:
             raise CodecError(f"unknown role {role}")
 
-    def _hand_over(self, serve) -> None:
+    def _batch(self, body: bytes) -> None:
         srv = self.server
-        transport, self.transport = self.transport, None
-        srv._inbound.remove(self)
-        reader = asyncio.StreamReader(loop=srv._loop)
-        streams = asyncio.StreamReaderProtocol(
-            reader, lambda r, w: srv._serve_stream(serve, r, w),
-            loop=srv._loop)
-        transport.set_protocol(streams)
-        streams.connection_made(transport)   # starts the coroutine
-        rest = self.frames.take_rest()
-        if rest:
-            reader.feed_data(rest)
+        srv._receive_batch(self.peer, body)
+        if srv._parked:
+            srv._unpark()
+
+    def _request(self, body: bytes) -> None:
+        srv = self.server
+        session, ops = codec.decode_request(body)
+        if len(session) != srv.n:
+            raise CodecError(f"session vector has {len(session)} "
+                             f"components, group size is {srv.n}")
+        srv.stats["requests"] += 1
+        srv._serve_request(self, session, ops, 0, [])
+
+    def _admin(self, body: bytes) -> None:
+        srv = self.server
+        r = VarReader(body)
+        if r.u8() != FRAME_STOP:
+            raise CodecError("expected STOP on admin plane")
+        mode = r.u8()
+        if mode not in (STOP_QUERY, STOP_SHUTDOWN):
+            raise CodecError(f"unknown STOP mode {mode}")
+        srv._flush_links()
+        if mode == STOP_SHUTDOWN:
+            srv._dump()
+        write_frame(self.transport, srv._stopped_frame())
+        if mode == STOP_SHUTDOWN:
+            srv._stop.set()
+            self.transport.close()
 
 
 class ReplicaServer:
@@ -386,14 +440,12 @@ class ReplicaServer:
             for dest in range(self.n) if dest != node_id
         }
         self._peer_tasks: List[asyncio.Task] = []
-        self._waiters: List[asyncio.Future] = []
+        self._parked: List[_Inbound] = []   # in the order they parked
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop = asyncio.Event()
-        #: accepted connections still framed here (peers, and anyone
-        #: who has not said HELLO yet); the rest are ``_conn_tasks``
+        #: every accepted connection
         self._inbound: List[_Inbound] = []
-        self._conn_tasks: List[asyncio.Task] = []
         self.stats: Dict[str, int] = {
             "writes": 0, "reads": 0, "read_waits": 0, "requests": 0,
             "peer_batches": 0, "peer_msgs": 0, "peer_bytes": 0,
@@ -426,14 +478,6 @@ class ReplicaServer:
 
     def _count_remote_apply(self, msg) -> None:
         self.applied[msg.sender] += 1
-        if self._waiters:
-            self._wake_waiters()
-
-    def _wake_waiters(self) -> None:
-        waiters, self._waiters = self._waiters, []
-        for fut in waiters:
-            if not fut.done():
-                fut.set_result(None)
 
     def _dominates(self, session: Sequence[int]) -> bool:
         applied = self.applied
@@ -442,11 +486,19 @@ class ReplicaServer:
                 return False
         return True
 
-    async def _await_session(self, session: Tuple[int, ...]) -> None:
-        while not self._dominates(session):
-            fut = self._loop.create_future()
-            self._waiters.append(fut)
-            await fut
+    def _unpark(self) -> None:
+        """Finish, in park order, every parked request whose session
+        vector ``applied`` now dominates -- after a whole peer frame,
+        never inside ``Node.receive``, so the node is between ops."""
+        parked = self._parked
+        i = 0
+        while i < len(parked):
+            conn = parked[i]
+            if self._dominates(conn.parked[0]):
+                del parked[i]
+                conn.resume()
+            else:
+                i += 1
 
     # -- durability ---------------------------------------------------------
 
@@ -695,9 +747,6 @@ class ReplicaServer:
             self._server.close()
         for conn in list(self._inbound):
             conn.transport.close()
-        for task in self._conn_tasks:
-            task.cancel()
-        await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
         if self._wal is not None:
@@ -705,28 +754,6 @@ class ReplicaServer:
             self._wal.close()
 
     # -- connection handling ------------------------------------------------
-
-    async def _serve_stream(self, serve, reader, writer) -> None:
-        """Run one client- or admin-plane coroutine over the stream pair
-        :class:`_Inbound` handed over after HELLO."""
-        task = asyncio.current_task()
-        self._conn_tasks.append(task)
-        try:
-            await serve(reader, writer)
-        except (CodecError, ConnectionError):
-            # a torn or misbehaving connection must never take the
-            # replica down; sessions on other connections are unharmed
-            self.stats["client_aborts"] += 1
-        except asyncio.CancelledError:
-            # teardown cancels connection tasks; the stream protocol's
-            # done-callback would re-raise this as an event-loop error
-            pass
-        finally:
-            try:
-                writer.close()
-            except RuntimeError:
-                pass
-            self._conn_tasks.remove(task)
 
     def _admit(self, message, peer: int) -> None:
         """Validate one peer update at the door, before the journal.
@@ -775,79 +802,49 @@ class ReplicaServer:
             node.receive(message)
         self._maybe_snapshot()
 
-    async def _serve_client(self, reader, writer) -> None:
-        self.stats["client_conns"] += 1
+    def _serve_request(self, conn: _Inbound, session: Tuple[int, ...],
+                       ops: List[Tuple[int, Any, Any]], at: int,
+                       results: List[Tuple[int, Any]]) -> None:
+        """Run ``ops[at:]`` of one client request and answer it -- or
+        park it on ``conn`` at a read whose session vector ``applied``
+        does not dominate yet, for :meth:`_unpark` to run the rest."""
         node = self.node
         obs_on = self._obs.enabled
-        while True:
-            body = await read_frame(reader)
-            if body is None:
-                return
-            session, ops = codec.decode_request(body)
-            if len(session) != self.n:
-                raise CodecError(
-                    f"session vector has {len(session)} components, "
-                    f"group size is {self.n}"
-                )
-            self.stats["requests"] += 1
-            results: List[Tuple[int, Any]] = []
-            for kind, variable, value in ops:
-                if kind == OP_WRITE:
-                    if self._wal is not None:
-                        self._wal_append(self._dur.encode_write_record(
-                            self._now(), variable, value))
-                    wid = node.do_write(variable, value)
-                    self.applied[self.node_id] = wid.seq
-                    self.stats["writes"] += 1
-                    if obs_on:
-                        self._m_writes.inc()
-                    results.append((OP_WRITE, wid.seq))
-                else:
-                    if not self._dominates(session):
-                        self.stats["read_waits"] += 1
-                        if obs_on:
-                            self._m_waits.inc()
-                        await self._await_session(session)
-                    if self._wal is not None:
-                        # reads are journaled because OptP's Figure 5
-                        # line 1 folds LastWriteOn into Write_co -- a
-                        # read changes the causal past of later writes
-                        self._wal_append(self._dur.encode_read_record(
-                            self._now(), variable))
-                    results.append((OP_READ, node.do_read(variable)))
-                    self.stats["reads"] += 1
-                    if obs_on:
-                        self._m_reads.inc()
-            if self._wal is not None:
-                # group commit: the response acknowledges these ops
-                self._wal.sync()
-            write_frame(writer,
-                        codec.encode_response(tuple(self.applied), results))
-            await writer.drain()
-            self._maybe_snapshot()
-
-    async def _serve_admin(self, reader, writer) -> None:
-        while True:
-            body = await read_frame(reader)
-            if body is None:
-                return
-            r = VarReader(body)
-            if r.u8() != FRAME_STOP:
-                raise CodecError("expected STOP on admin plane")
-            mode = r.u8()
-            if mode == STOP_QUERY:
-                self._flush_links()
-                write_frame(writer, self._stopped_frame())
-                await writer.drain()
-            elif mode == STOP_SHUTDOWN:
-                self._flush_links()
-                self._dump()
-                write_frame(writer, self._stopped_frame())
-                await writer.drain()
-                self._stop.set()
-                return
+        for i in range(at, len(ops)):
+            kind, variable, value = ops[i]
+            if kind == OP_WRITE:
+                if self._wal is not None:
+                    self._wal_append(self._dur.encode_write_record(
+                        self._now(), variable, value))
+                wid = node.do_write(variable, value)
+                self.applied[self.node_id] = wid.seq
+                self.stats["writes"] += 1
+                if obs_on:
+                    self._m_writes.inc()
+                results.append((OP_WRITE, wid.seq))
             else:
-                raise CodecError(f"unknown STOP mode {mode}")
+                if not self._dominates(session):
+                    self.stats["read_waits"] += 1
+                    if obs_on:
+                        self._m_waits.inc()
+                    conn.park((session, ops, i, results))
+                    return
+                if self._wal is not None:
+                    # reads are journaled because OptP's Figure 5
+                    # line 1 folds LastWriteOn into Write_co -- a
+                    # read changes the causal past of later writes
+                    self._wal_append(self._dur.encode_read_record(
+                        self._now(), variable))
+                results.append((OP_READ, node.do_read(variable)))
+                self.stats["reads"] += 1
+                if obs_on:
+                    self._m_reads.inc()
+        if self._wal is not None:
+            # group commit: the response acknowledges these ops
+            self._wal.sync()
+        write_frame(conn.transport,
+                    codec.encode_response(tuple(self.applied), results))
+        self._maybe_snapshot()
 
     # -- admin helpers ------------------------------------------------------
 

@@ -15,32 +15,23 @@ Quick use::
     print(result.summary())
 """
 
-from repro.sim.cluster import SimCluster, run_programs, run_schedule
-from repro.sim.engine import Engine, EngineLimitError
-from repro.sim.latency import (
-    ConstantLatency,
-    ExponentialLatency,
-    LatencyModel,
-    MatrixLatency,
-    ScriptedLatency,
-    SeededLatency,
-    UniformLatency,
-)
-from repro.sim.network import Network, estimate_size
-from repro.sim.node import Node
-from repro.sim.result import RunResult
-from repro.sim.scheduler import (
-    CountingScheduler,
-    DeliveryScheduler,
-    RescanScheduler,
-)
-from repro.sim.serialize import (
-    run_metrics_from_dict,
-    run_metrics_to_dict,
-    trace_from_jsonl,
-    trace_to_jsonl,
-)
-from repro.sim.trace import EventKind, Trace, TraceEvent
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.sim.cluster": ("SimCluster", "run_programs", "run_schedule"),
+    "repro.sim.engine": ("Engine", "EngineLimitError"),
+    "repro.sim.latency": ("ConstantLatency", "ExponentialLatency",
+                          "LatencyModel", "MatrixLatency", "ScriptedLatency",
+                          "SeededLatency", "UniformLatency"),
+    "repro.sim.network": ("Network", "estimate_size"),
+    "repro.sim.node": ("Node",),
+    "repro.sim.result": ("RunResult",),
+    "repro.sim.scheduler": ("CountingScheduler", "DeliveryScheduler",
+                            "RescanScheduler"),
+    "repro.sim.serialize": ("run_metrics_from_dict", "run_metrics_to_dict",
+                            "trace_from_jsonl", "trace_to_jsonl"),
+    "repro.sim.trace": ("EventKind", "Trace", "TraceEvent"),
+})
 
 __all__ = [
     "ConstantLatency",

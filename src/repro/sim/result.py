@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple
 
-from repro.model.history import History
 from repro.model.operations import WriteId
 from repro.obs.spans import MessageSpan
 from repro.sim.trace import EventKind, Trace
+
+if TYPE_CHECKING:
+    from repro.model.history import History
 
 
 @dataclass

@@ -27,10 +27,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Hashable, Iterator, List,
+                    Optional, Tuple)
 
-from repro.model.history import History, LocalHistory
 from repro.model.operations import BOTTOM, Read, Write, WriteId
+
+if TYPE_CHECKING:
+    from repro.model.history import History
 
 
 class EventKind(enum.Enum):
@@ -278,6 +281,8 @@ class Trace:
         :func:`repro.model.legality.check_causal_consistency` checks the
         run end-to-end.
         """
+        from repro.model.history import History, LocalHistory  # networkx
+
         self._sync()
         locals_: List[LocalHistory] = []
         for i in range(self.n_processes):

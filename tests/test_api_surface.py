@@ -74,6 +74,72 @@ class TestReadinessSurface:
         assert not hasattr(Node, "_apply_flat")
 
 
+class TestServingSurface:
+    """One framing path per connection, on both ends (docs/serving.md,
+    "Wire format"): no stream hand-over, no per-connection task, and a
+    session wait is a parked request, not an ``await``."""
+
+    GONE = ("_hand_over", "_serve_stream", "_conn_tasks", "_await_session",
+            "_serve_client", "_serve_admin", "_waiters", "_wake_waiters")
+
+    def test_no_stream_hand_over_and_no_session_await(self):
+        import asyncio
+        import inspect
+        from pathlib import Path
+
+        from repro.serve import client, server
+        from repro.serve.shard import ClusterSpec
+
+        replica = server.ReplicaServer(
+            ClusterSpec.local_uds(Path("unused"), "optp", 1, 3), 0, 0)
+        for name in self.GONE:
+            assert not hasattr(replica, name), name
+            assert not hasattr(server._Inbound, name), name
+        conn = client._GroupConn(0, 0)
+        for name in ("_read_loop", "reader_task", "reader", "writer"):
+            assert not hasattr(conn, name), name
+        assert issubclass(server._Inbound, asyncio.BufferedProtocol)
+        assert issubclass(client._GroupConn, asyncio.BufferedProtocol)
+        source = inspect.getsource(server)
+        assert "StreamReaderProtocol" not in source
+        assert source.count("read_frame(") == 1    # the dialer's WELCOME
+
+
+class TestImportCost:
+    """Every replica process imports the serving path; the checker,
+    numpy and networkx load only where they are used."""
+
+    HEAVY = ("numpy", "networkx", "repro.analysis", "repro.mck")
+
+    def test_the_serving_path_imports_nothing_heavy(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = ("import sys, repro.serve.worker, repro.serve.harness; "
+                f"print([m for m in {self.HEAVY!r} if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+    def test_package_names_still_resolve(self):
+        from repro import check_run, run_schedule
+        from repro.model import History, WriteId
+        from repro.serve import ReplicaServer, ServedCluster
+
+        assert callable(run_schedule) and callable(check_run)
+        assert History.__module__ == "repro.model.history"
+        assert WriteId.__module__ == "repro.model.operations"
+        assert ReplicaServer.__module__ == "repro.serve.server"
+        assert ServedCluster.__module__ == "repro.serve.harness"
+
+
 class TestMessageTypes:
     def test_update_str(self):
         m = UpdateMessage(sender=0, wid=WriteId(0, 1), variable="x", value=7)
