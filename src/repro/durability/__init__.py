@@ -21,6 +21,8 @@ from repro.durability.recovery import (
 )
 from repro.durability.snapshot import restore_node, snapshot_node
 from repro.durability.wal import (
+    KIND_BATCH,
+    KIND_OPS,
     KIND_READ,
     KIND_RECV,
     KIND_WRITE,
@@ -30,6 +32,8 @@ from repro.durability.wal import (
     WalWriter,
     decode_record,
     decode_snapshot,
+    encode_batch_record,
+    encode_ops_record,
     encode_read_record,
     encode_recv_record,
     encode_snapshot,
@@ -42,6 +46,8 @@ from repro.durability.wal import (
 
 __all__ = [
     "DurableLog",
+    "KIND_BATCH",
+    "KIND_OPS",
     "KIND_READ",
     "KIND_RECV",
     "KIND_WRITE",
@@ -53,6 +59,8 @@ __all__ = [
     "apply_record",
     "decode_record",
     "decode_snapshot",
+    "encode_batch_record",
+    "encode_ops_record",
     "encode_read_record",
     "encode_recv_record",
     "encode_snapshot",

@@ -24,12 +24,15 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.base import Outgoing, Protocol
 from repro.durability.snapshot import restore_node
 from repro.durability.wal import (
+    KIND_BATCH,
+    KIND_OPS,
     KIND_READ,
     KIND_RECV,
     KIND_WRITE,
     decode_record,
 )
 from repro.obs.spans import NULL_OBS
+from repro.serve.codec import OP_WRITE
 from repro.sim.node import Node
 from repro.sim.trace import NullTrace
 
@@ -88,7 +91,16 @@ def apply_record(node: Node, rec: Tuple[Any, ...]) -> None:
     return went to a client long ago.
     """
     kind = rec[0]
-    if kind == KIND_WRITE:
+    if kind == KIND_BATCH:
+        for message in rec[2]:
+            node.receive(message)
+    elif kind == KIND_OPS:
+        for op, variable, value in rec[2]:
+            if op == OP_WRITE:
+                node.do_write(variable, value)
+            else:
+                node.do_read(variable)
+    elif kind == KIND_WRITE:
         node.do_write(rec[2], rec[3])
     elif kind == KIND_READ:
         node.do_read(rec[2])

@@ -2,13 +2,20 @@
 
 Two layers, deliberately separated:
 
-**Record bodies** are the logical unit: one externally-visible input to
-a replica -- a client write, a client read (OptP reads *mutate*
-``Write_co`` via the ``LastWriteOn`` merge of Figure 5 line 1, so they
-must be journaled too), or a protocol message received from a peer.
-Bodies reuse the serving codec's value vocabulary
-(:mod:`repro.serve.codec`) so everything a protocol can put on the wire
-can also be replayed from disk, byte-for-byte.
+**Record bodies** are the logical unit: the frame that carried a
+replica's externally-visible inputs -- client writes, client reads
+(OptP reads *mutate* ``Write_co`` via the ``LastWriteOn`` merge of
+Figure 5 line 1, so they must be journaled too) and protocol messages
+received from peers.  A served replica writes one :data:`KIND_BATCH`
+record per peer MSG_BATCH frame and one :data:`KIND_OPS` record per run
+of a client REQUEST frame (a request parked at a waiting read runs, and
+is journaled, in two pieces); both hold the frame body as it arrived and
+replay it through the serving codec's own decoders
+(:func:`~repro.serve.codec.decode_batch`,
+:func:`~repro.serve.codec.decode_request`), so everything a protocol
+can put on the wire can also be replayed from disk, byte-for-byte.  The
+one-input kinds (:data:`KIND_WRITE`, :data:`KIND_READ`,
+:data:`KIND_RECV`) are what earlier builds wrote; they stay readable.
 
 **Disk framing** wraps each body as::
 
@@ -43,15 +50,20 @@ from typing import Any, Hashable, List, Optional, Tuple
 
 from repro.serve.codec import (
     MAX_DEPTH,
+    MAX_FRAME,
     CodecError,
     VarReader,
     VarWriter,
+    decode_batch,
     decode_message_from,
+    decode_request,
     decode_value,
     encode_value,
 )
 
 __all__ = [
+    "KIND_BATCH",
+    "KIND_OPS",
     "KIND_READ",
     "KIND_RECV",
     "KIND_WRITE",
@@ -61,6 +73,8 @@ __all__ = [
     "WalWriter",
     "decode_record",
     "decode_snapshot",
+    "encode_batch_record",
+    "encode_ops_record",
     "encode_read_record",
     "encode_recv_record",
     "encode_snapshot",
@@ -83,12 +97,16 @@ class WalError(ValueError):
 KIND_WRITE = 1  #: client write: ``(t, variable, value)``; value None = fresh
 KIND_READ = 2   #: client read: ``(t, variable)``
 KIND_RECV = 3   #: peer message receipt: ``(t, canonical message body)``
+KIND_OPS = 4    #: a run of a client request: ``(t, at, stop, REQUEST body)``
+KIND_BATCH = 5  #: a peer frame: ``(t, MSG_BATCH body)``
 
 _FRAME = struct.Struct(">II")
 
-#: Upper bound on a single framed record; matches the serving plane's
-#: frame ceiling so a WAL record can always travel as a wire frame.
-MAX_RECORD = 16 << 20
+#: Upper bound on a single framed record: a whole wire frame plus the
+#: most a record puts in front of it (kind, tagged float time and two
+#: op indices: 18 bytes).  A record the server can write is never read
+#: back as a torn tail.
+MAX_RECORD = MAX_FRAME + 64
 
 
 def encode_write_record(t: float, variable: Hashable, value: Any) -> bytes:
@@ -123,11 +141,37 @@ def encode_recv_record(t: float, message_body: bytes) -> bytes:
     return w.getvalue()
 
 
+def encode_ops_record(t: float, at: int, stop: int,
+                      request_body: bytes) -> bytes:
+    """Body for the run of ops ``at .. stop-1`` of one client REQUEST,
+    journaled before the first of them executes.  ``request_body`` is
+    the frame body as it arrived; it is not encoded again."""
+    w = VarWriter()
+    w.u8(KIND_OPS)
+    encode_value(w, t)
+    w.uvarint(at)
+    w.uvarint(stop)
+    w.raw(request_body)
+    return w.getvalue()
+
+
+def encode_batch_record(t: float, batch_body: bytes) -> bytes:
+    """Body for one peer MSG_BATCH frame, every update of it received at
+    ``t``; ``batch_body`` is the frame body as it arrived."""
+    w = VarWriter()
+    w.u8(KIND_BATCH)
+    encode_value(w, t)
+    w.raw(batch_body)
+    return w.getvalue()
+
+
 def decode_record(body: bytes) -> Tuple[Any, ...]:
     """Decode one record body.
 
     Returns ``(KIND_WRITE, t, variable, value)``,
-    ``(KIND_READ, t, variable)`` or ``(KIND_RECV, t, message)``.
+    ``(KIND_READ, t, variable)``, ``(KIND_RECV, t, message)``,
+    ``(KIND_OPS, t, ops)`` with the run's ``(op kind, variable, value)``
+    triples, or ``(KIND_BATCH, t, messages)``.
     Raises :class:`WalError` on anything else -- a framed record that
     fails here is corruption *inside* the checksummed region, which the
     torn-tail tolerance deliberately does not excuse.
@@ -136,6 +180,16 @@ def decode_record(body: bytes) -> Tuple[Any, ...]:
         r = VarReader(body)
         kind = r.u8()
         t = decode_value(r)
+        if kind == KIND_OPS:
+            at = r.uvarint()
+            stop = r.uvarint()
+            _, ops = decode_request(body[r.pos:])
+            if not at < stop <= len(ops):
+                raise WalError(f"run {at}..{stop} outside a request of "
+                               f"{len(ops)} ops")
+            return (KIND_OPS, t, ops[at:stop])
+        if kind == KIND_BATCH:
+            return (KIND_BATCH, t, decode_batch(body[r.pos:]))
         if kind == KIND_WRITE:
             variable = decode_value(r)
             value = decode_value(r)

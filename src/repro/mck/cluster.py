@@ -413,17 +413,18 @@ class ControlledCluster:
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown op {op!r}")
         if self._durable is not None:
-            # Journal the *scripted* value: value=None replays as the
-            # same deterministic fresh_value the original produced.
-            from repro.durability.wal import (
-                encode_read_record, encode_write_record,
-            )
-            t = float(self._now)
+            # Journal what a served replica does: a one-op REQUEST run.
+            # The *scripted* value: value=None replays as the same
+            # deterministic fresh_value the original produced.
+            from repro.durability.wal import encode_ops_record
+            from repro.serve.codec import OP_READ, OP_WRITE, encode_request
             if isinstance(op, WriteOp):
-                body = encode_write_record(t, op.variable, op.value)
+                request = (OP_WRITE, op.variable, op.value)
             else:
-                body = encode_read_record(t, op.variable)
-            self._durable[p].append(body, node)
+                request = (OP_READ, op.variable, None)
+            body = encode_request((0,) * self.n_processes, [request])
+            self._durable[p].append(
+                encode_ops_record(float(self._now), 0, 1, body), node)
 
     def _exec_deliver(self, mid: str) -> None:
         entry = self._pool.pop(mid)
@@ -435,11 +436,11 @@ class ControlledCluster:
             ))
         self.nodes[entry.dest].receive(entry.message)
         if self._durable is not None:
-            from repro.durability.wal import encode_recv_record
-            from repro.serve.codec import encode_message
+            from repro.durability.wal import encode_batch_record
+            from repro.serve.codec import encode_batch, encode_message
             self._durable[entry.dest].append(
-                encode_recv_record(float(self._now),
-                                   encode_message(entry.message)),
+                encode_batch_record(float(self._now), encode_batch(
+                    [encode_message(entry.message)])),
                 self.nodes[entry.dest],
             )
 

@@ -22,7 +22,8 @@ Wire format (``docs/serving.md`` has the full tables):
 - **Update bodies**: an update has one encoding, the *canonical* one
   of :func:`encode_message` -- self-contained, so the same bytes serve
   as the peer-plane body, the retransmission buffer entry, the
-  snapshot's ``sent`` entry and the receiver's WAL payload.  The
+  snapshot's ``sent`` entry and, inside the MSG_BATCH frame that
+  carried it (:func:`encode_batch`), the receiver's WAL payload.  The
   variable is spelled out in every body; :class:`InternEncoder` /
   :class:`InternDecoder` implement the per-stream table form of the
   same grammar (a name costs one varint after its first use) for
@@ -65,9 +66,11 @@ __all__ = [
     "OP_WRITE",
     "VarReader",
     "VarWriter",
+    "decode_batch",
     "decode_message",
     "decode_request",
     "decode_response",
+    "encode_batch",
     "encode_message",
     "encode_request",
     "encode_response",
@@ -540,6 +543,29 @@ def decode_message(data: bytes) -> Message:
     if not r.done():
         raise CodecError("trailing bytes after message")
     return message
+
+
+def encode_batch(bodies: List[bytes]) -> bytes:
+    """Body of one MSG_BATCH frame: canonical message ``bodies``, as
+    they are, behind the frame type and their count."""
+    header = bytearray((FRAME_MSG_BATCH,))
+    write_uvarint(header, len(bodies))
+    return b"".join([header, *bodies])
+
+
+def decode_batch(data: bytes) -> List[Message]:
+    """The messages of one MSG_BATCH frame, each decoded statelessly.
+
+    A frame is journaled whole and decoded again at every restart, so
+    bytes after the last declared message are refused here, not skipped.
+    """
+    r = VarReader(data)
+    if r.u8() != FRAME_MSG_BATCH:
+        raise CodecError("expected MSG_BATCH on peer plane")
+    messages = [decode_message_from(r) for _ in range(r.uvarint())]
+    if not r.done():
+        raise CodecError("trailing bytes after the last message of a batch")
+    return messages
 
 
 def encoded_size(message: Message) -> Optional[int]:

@@ -16,7 +16,7 @@ behind real sockets:
   encoded **once**, to its canonical body
   (:func:`~repro.serve.codec.encode_message`): every peer link, the
   retransmission buffer and the snapshot hold those same bytes, and a
-  receiver journals the slice of the frame it decoded.
+  receiver journals the frame they arrived in.
 - **client plane**: pipelined REQUEST/RESPONSE frames.  A request
   carries the client session vector; writes execute immediately, reads
   first need local dominance of that vector (read-your-writes +
@@ -40,10 +40,14 @@ recording), and the recorded log replays through every checker via
 With ``wal_dir`` set the replica is *durable* (crash-recovery model,
 ``docs/fault-tolerance.md``): every client write, client read (OptP
 reads mutate ``Write_co``, Figure 5 line 1) and peer receipt is
-journaled to a CRC-framed write-ahead log before it executes, the log
-is fsynced before any effect externalizes (peer flush or client
-response -- group commit), and the log is periodically folded into an
-atomic snapshot.  A restarted replica rebuilds its exact pre-crash
+journaled to a CRC-framed write-ahead log as the frame that carried it
+-- one record per peer MSG_BATCH, one per run of a client REQUEST --
+before any op of that frame executes, the log is fsynced before any
+effect externalizes (peer flush or client response -- group commit),
+and the log is periodically folded into an atomic snapshot.  The node
+clock is read once per frame, so every event of a frame carries the
+time its record does, live and replayed alike.  A restarted replica
+rebuilds its exact pre-crash
 state by snapshot restore + WAL replay, re-announces its progress to
 peers via :data:`~repro.serve.codec.FRAME_PEER_WELCOME`, and receives
 the update suffix it missed; peer links are supervised and redial on
@@ -63,7 +67,6 @@ from repro.obs.spans import NULL_OBS, Obs
 from repro.serve import codec
 from repro.serve.codec import (
     FRAME_HELLO,
-    FRAME_MSG_BATCH,
     FRAME_PEER_WELCOME,
     FRAME_STOP,
     FRAME_STOPPED,
@@ -171,10 +174,7 @@ class _PeerLink:
         # reissue a write-id a peer has already applied.
         if srv._wal is not None:
             srv._wal.sync()
-        header = VarWriter()
-        header.u8(FRAME_MSG_BATCH)
-        header.uvarint(len(self.bodies))
-        payload = b"".join([header.getvalue(), *self.bodies])
+        payload = codec.encode_batch(self.bodies)
         write_frame(self.writer, payload)
         self.flushed_at = srv._loop.time()
         srv.stats["peer_batches"] += 1
@@ -239,7 +239,8 @@ class _Inbound(asyncio.BufferedProtocol):
         self.frames = codec.FrameBuffer()
         self.on_frame = self._hello        # HELLO picks the next handler
         self.peer: Optional[int] = None    # set by a peer's HELLO
-        #: (session, ops, index of the waiting read, results so far)
+        #: (session, ops, index of the waiting read, results so far,
+        #: the REQUEST body the resumed run journals)
         self.parked: Optional[tuple] = None
         self.paused = False                # the write buffer is full
 
@@ -287,9 +288,9 @@ class _Inbound(asyncio.BufferedProtocol):
         self.transport.pause_reading()
 
     def resume(self) -> None:
-        session, ops, at, results = self.parked
+        session, ops, at, results, body = self.parked
         self.parked = None
-        self.server._serve_request(self, session, ops, at, results)
+        self.server._serve_request(self, session, ops, at, results, body)
         self._go_on()
 
     def connection_lost(self, exc) -> None:
@@ -342,7 +343,7 @@ class _Inbound(asyncio.BufferedProtocol):
             raise CodecError(f"session vector has {len(session)} "
                              f"components, group size is {srv.n}")
         srv.stats["requests"] += 1
-        srv._serve_request(self, session, ops, 0, [])
+        srv._serve_request(self, session, ops, 0, [], body)
 
     def _admin(self, body: bytes) -> None:
         srv = self.server
@@ -428,10 +429,12 @@ class ReplicaServer:
         #: ``_sent[K:]`` -- and the snapshot stores the list as it is.
         self._sent: List[bytes] = []
         self._replaying = False
-        self._replay_now = 0.0
+        #: the time every event of the frame being served carries (the
+        #: clock is read once per frame); None between frames
+        self._pinned: Optional[float] = None
         self._wal = None
-        self._wal_total = 0
-        self._snap_covered = 0
+        self._wal_total = 0         # records in the WAL file
+        self._unsnapped = 0         # inputs journaled since the snapshot
         self._snap_path: Optional[Path] = None
         self._dur = None
         self._links: Dict[int, _PeerLink] = {}
@@ -472,9 +475,16 @@ class ReplicaServer:
     # -- clock / progress ---------------------------------------------------
 
     def _now(self) -> float:
-        if self._replaying:
-            return self._replay_now
-        return monotonic() - self._t0
+        t = self._pinned
+        if t is None:
+            return monotonic() - self._t0
+        return t
+
+    def _pin(self) -> float:
+        """Read the clock for a whole frame: its record and every event
+        of it carry this time until the caller resets ``_pinned``."""
+        self._pinned = t = self._now()
+        return t
 
     def _count_remote_apply(self, msg) -> None:
         self.applied[msg.sender] += 1
@@ -535,7 +545,6 @@ class ReplicaServer:
             # record behind an unreadable prefix
             os.truncate(wal_path, res.valid_bytes)
         self._wal_total = len(res.bodies)
-        self._snap_covered = self._wal_total
         self._wal = dur.WalWriter(wal_path, fsync_every=self.fsync_every)
 
     def _replay(self, dur, raw_snap: Optional[bytes], res) -> None:
@@ -544,7 +553,8 @@ class ReplicaServer:
         receipts advance ``applied`` via the normal apply hook, while
         ``_replaying`` suppresses re-externalization in
         :meth:`_dispatch` (broadcasts still append to ``_sent``, which
-        is how the retransmission buffer is rebuilt)."""
+        is how the retransmission buffer is rebuilt).  Each record's
+        events carry the record's time, as they did live."""
         skip = 0
         last_t = 0.0
         self._replaying = True
@@ -556,11 +566,9 @@ class ReplicaServer:
                 self._sent = doc["sent"]
                 skip = int(doc["wal_records"])
                 last_t = float(doc["t"])
-                self._replay_now = last_t
             for body in res.bodies[skip:]:
                 rec = dur.decode_record(body)
-                last_t = rec[1]
-                self._replay_now = rec[1]
+                last_t = self._pinned = rec[1]
                 dur.apply_record(self.node, rec)
             self.applied[self.node_id] = self.node.protocol.writes_issued
         except dur.RecoveryError:
@@ -572,28 +580,31 @@ class ReplicaServer:
                 wal_tail_bytes=res.tail_bytes, detail=repr(exc)) from exc
         finally:
             self._replaying = False
+            self._pinned = None
         # resume the timebase where the journal left off so the
         # replica's post-recovery timestamps stay monotone
         self._t0 = monotonic() - last_t
 
-    def _wal_append(self, body: bytes) -> None:
+    def _wal_append(self, body: bytes, inputs: int = 1) -> None:
+        """Journal one record holding ``inputs`` ops or receipts."""
         self._wal.append(body)
         self._wal_total += 1
+        self._unsnapped += inputs
         self.stats["wal_records"] += 1
         if self._obs.enabled:
             self._m_wal.inc()
 
     def _maybe_snapshot(self) -> None:
-        """Fold the WAL into a fresh snapshot when due.
+        """Fold the WAL into a fresh snapshot once ``snapshot_every``
+        inputs (ops and receipts, not records) have been journaled.
 
-        Callers invoke this only *between* operations -- a WAL record
-        is appended before its op executes, so mid-operation the node
-        lags the log by one record and a snapshot taken there would
-        silently drop that op on recovery.
+        Callers invoke this only *between* frames -- a WAL record is
+        appended before any op of its frame executes, so mid-frame the
+        node lags the log and a snapshot taken there would silently
+        drop the rest of the frame on recovery.
         """
         if (self._wal is None or self.record or not self.snapshot_every
-                or self._wal_total - self._snap_covered
-                < self.snapshot_every):
+                or self._unsnapped < self.snapshot_every):
             return
         dur = self._dur
         doc = {
@@ -605,7 +616,7 @@ class ReplicaServer:
         }
         self._wal.sync()
         dur.write_framed_file(self._snap_path, dur.encode_snapshot(doc))
-        self._snap_covered = self._wal_total
+        self._unsnapped = 0
         self.stats["snapshots"] += 1
 
     # -- protocol plumbing --------------------------------------------------
@@ -779,66 +790,98 @@ class ReplicaServer:
                 f"requirement of {self.n} integer components")
 
     def _receive_batch(self, sender: int, body: bytes) -> None:
-        """One frame off ``sender``'s connection, start to finish: no
-        ``await`` separates an update's journal record from its receipt,
+        """One frame off ``sender``'s connection, start to finish: every
+        update is decoded and admitted before the frame is journaled, the
+        one record precedes every receipt, no ``await`` separates them,
         and the snapshot check runs between frames."""
         self.stats["frames_in"] += 1
-        r = VarReader(body)
-        if r.u8() != FRAME_MSG_BATCH:
-            raise CodecError("expected MSG_BATCH on peer plane")
-        node = self.node
-        for _ in range(r.uvarint()):
-            start = r.pos
-            # stateless: each body decodes on its own, so the slice
-            # journaled below replays without this connection
-            message = codec.decode_message_from(r)
+        # stateless: each body decodes on its own, so the frame
+        # journaled below replays without this connection
+        messages = codec.decode_batch(body)
+        for message in messages:
             self._admit(message, sender)
-            if self._wal is not None:
-                # duplicates are journaled too: replay routes them
-                # through the same dedup guard, so the rebuilt
-                # state cannot depend on when dedup happened
-                self._wal_append(self._dur.encode_recv_record(
-                    self._now(), body[start:r.pos]))
-            node.receive(message)
+        if messages:
+            t = self._pin()
+            try:
+                if self._wal is not None:
+                    # duplicates are journaled too: replay routes them
+                    # through the same dedup guard, so the rebuilt state
+                    # cannot depend on when dedup happened
+                    self._wal_append(self._dur.encode_batch_record(t, body),
+                                     len(messages))
+                receive = self.node.receive
+                for message in messages:
+                    receive(message)
+            finally:
+                self._pinned = None
         self._maybe_snapshot()
+
+    def _run_end(self, session: Tuple[int, ...],
+                 ops: List[Tuple[int, Any, Any]], at: int) -> int:
+        """Where the run of ``ops`` from ``at`` stops: the first read
+        whose session vector ``applied`` will not dominate when its turn
+        comes, or ``len(ops)``.  Within a run only this replica's own
+        component moves, by one per write."""
+        applied = self.applied
+        me = self.node_id
+        owed = 0                    # own writes the session is ahead by
+        for j, wanted in enumerate(session):
+            if applied[j] < wanted:
+                if j != me:         # a peer's write: more than any
+                    owed = len(ops)     # run of ops can make up
+                    break
+                owed = wanted - applied[j]
+        for i in range(at, len(ops)):
+            if ops[i][0] == OP_WRITE:
+                owed -= 1
+            elif owed > 0:
+                return i
+        return len(ops)
 
     def _serve_request(self, conn: _Inbound, session: Tuple[int, ...],
                        ops: List[Tuple[int, Any, Any]], at: int,
-                       results: List[Tuple[int, Any]]) -> None:
-        """Run ``ops[at:]`` of one client request and answer it -- or
-        park it on ``conn`` at a read whose session vector ``applied``
-        does not dominate yet, for :meth:`_unpark` to run the rest."""
-        node = self.node
+                       results: List[Tuple[int, Any]], body: bytes) -> None:
+        """Run ``ops[at:]`` of the client REQUEST ``body`` and answer it
+        -- or, at a read whose session vector ``applied`` does not
+        dominate yet, park it on ``conn`` for :meth:`_unpark` to run the
+        rest as a second run."""
+        stop = self._run_end(session, ops, at)
         obs_on = self._obs.enabled
-        for i in range(at, len(ops)):
-            kind, variable, value = ops[i]
-            if kind == OP_WRITE:
+        if stop > at:
+            node = self.node
+            t = self._pin()
+            try:
                 if self._wal is not None:
-                    self._wal_append(self._dur.encode_write_record(
-                        self._now(), variable, value))
-                wid = node.do_write(variable, value)
-                self.applied[self.node_id] = wid.seq
-                self.stats["writes"] += 1
-                if obs_on:
-                    self._m_writes.inc()
-                results.append((OP_WRITE, wid.seq))
-            else:
-                if not self._dominates(session):
-                    self.stats["read_waits"] += 1
-                    if obs_on:
-                        self._m_waits.inc()
-                    conn.park((session, ops, i, results))
-                    return
-                if self._wal is not None:
-                    # reads are journaled because OptP's Figure 5
-                    # line 1 folds LastWriteOn into Write_co -- a
-                    # read changes the causal past of later writes
-                    self._wal_append(self._dur.encode_read_record(
-                        self._now(), variable))
-                results.append((OP_READ, node.do_read(variable)))
-                self.stats["reads"] += 1
-                if obs_on:
-                    self._m_reads.inc()
+                    # the whole run, before its first op: a write may
+                    # cap-flush a peer link (sync + send) inside
+                    # do_write.  Reads are in it because OptP's Figure 5
+                    # line 1 folds LastWriteOn into Write_co -- a read
+                    # changes the causal past of later writes
+                    self._wal_append(
+                        self._dur.encode_ops_record(t, at, stop, body),
+                        stop - at)
+                for i in range(at, stop):
+                    kind, variable, value = ops[i]
+                    if kind == OP_WRITE:
+                        wid = node.do_write(variable, value)
+                        self.applied[self.node_id] = wid.seq
+                        self.stats["writes"] += 1
+                        if obs_on:
+                            self._m_writes.inc()
+                        results.append((OP_WRITE, wid.seq))
+                    else:
+                        results.append((OP_READ, node.do_read(variable)))
+                        self.stats["reads"] += 1
+                        if obs_on:
+                            self._m_reads.inc()
+            finally:
+                self._pinned = None
+        if stop < len(ops):
+            self.stats["read_waits"] += 1
+            if obs_on:
+                self._m_waits.inc()
+            conn.park((session, ops, stop, results, body))
+            return
         if self._wal is not None:
             # group commit: the response acknowledges these ops
             self._wal.sync()

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from repro.core.base import ControlMessage, UpdateMessage
 from repro.durability import (
+    KIND_BATCH,
+    KIND_OPS,
     KIND_READ,
     KIND_RECV,
     KIND_WRITE,
@@ -23,17 +25,28 @@ from repro.durability import (
     WalWriter,
     decode_record,
     decode_snapshot,
+    encode_batch_record,
+    encode_ops_record,
     encode_read_record,
     encode_recv_record,
     encode_snapshot,
     encode_write_record,
+    MAX_RECORD,
     frame_record,
     read_framed_file,
     read_wal,
     write_framed_file,
 )
 from repro.model.operations import WriteId
-from repro.serve.codec import MAX_DEPTH, encode_message
+from repro.serve.codec import (
+    MAX_DEPTH,
+    MAX_FRAME,
+    OP_READ,
+    OP_WRITE,
+    encode_batch,
+    encode_message,
+    encode_request,
+)
 
 # -- the value universe the WAL may carry ------------------------------------
 
@@ -78,11 +91,22 @@ messages = st.one_of(
     ),
 )
 
+ops_lists = st.lists(st.one_of(
+    st.tuples(st.just(OP_WRITE), st.text(min_size=1, max_size=12), values),
+    st.tuples(st.just(OP_READ), st.text(min_size=1, max_size=12),
+              st.none())), min_size=1, max_size=5)
+
 records = st.one_of(
     st.builds(encode_write_record, times, st.text(min_size=1, max_size=12),
               values),
     st.builds(encode_read_record, times, st.text(min_size=1, max_size=12)),
     st.builds(encode_recv_record, times, messages.map(encode_message)),
+    st.builds(lambda t, ops: encode_ops_record(t, 0, len(ops),
+                                               encode_request((0, 0), ops)),
+              times, ops_lists),
+    st.builds(encode_batch_record, times,
+              st.lists(messages.map(encode_message), min_size=1,
+                       max_size=3).map(encode_batch)),
 )
 
 
@@ -110,6 +134,50 @@ class TestRecordRoundtrip:
         assert back_t == t
         assert back_msg == message
         assert type(back_msg) is type(message)
+
+    @given(t=times, ops=ops_lists, data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_ops_record_holds_the_request_and_replays_its_run(self, t, ops,
+                                                              data):
+        at = data.draw(st.integers(0, len(ops) - 1))
+        stop = data.draw(st.integers(at + 1, len(ops)))
+        request = encode_request((3, 0, 1), ops)
+        record = encode_ops_record(t, at, stop, request)
+        assert record.endswith(request)  # the frame, not a re-encoding
+        assert decode_record(record) == (KIND_OPS, t, ops[at:stop])
+
+    @given(t=times, batch=st.lists(messages, min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_record_holds_the_frame(self, t, batch):
+        frame = encode_batch([encode_message(m) for m in batch])
+        record = encode_batch_record(t, frame)
+        assert record.endswith(frame)
+        assert decode_record(record) == (KIND_BATCH, t, batch)
+
+    @pytest.mark.parametrize("record", [
+        encode_ops_record(0.0, 1, 1, encode_request((0,), [(OP_READ, "x",
+                                                              None)])),
+        encode_ops_record(0.0, 0, 2, encode_request((0,), [(OP_READ, "x",
+                                                              None)])),
+        encode_batch_record(0.0, encode_batch([]) + b"\x00"),
+    ], ids=["empty-run", "run-past-the-request", "batch-trailing-byte"])
+    def test_a_record_no_server_writes_is_a_wal_error(self, record):
+        with pytest.raises(WalError):
+            decode_record(record)
+
+    def test_a_record_around_a_whole_frame_fits(self, tmp_path):
+        """The largest record the server writes -- a run of a MAX_FRAME
+        request -- frames, and reads back as a record, not a torn tail."""
+        head = encode_request((0, 0, 0), [(OP_WRITE, "k", "")])
+        value = "v" * (MAX_FRAME - len(head) - 3)  # its length: 4 bytes
+        request = encode_request((0, 0, 0), [(OP_WRITE, "k", value)])
+        assert len(request) == MAX_FRAME
+        record = encode_ops_record(1e6, 2**28 - 1, 2**28, request)
+        assert len(record) <= MAX_RECORD
+        path = tmp_path / "big.wal"
+        path.write_bytes(frame_record(record) + frame_record(b"\x02"))
+        result = read_wal(path)
+        assert result.bodies == [record, b"\x02"] and not result.truncated
 
     @given(st.binary(max_size=80))
     @settings(max_examples=200, deadline=None)

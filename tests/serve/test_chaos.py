@@ -117,6 +117,33 @@ class TestInProcessRecovery:
         assert node == expected["node"]
         server._wal.close()
 
+    def test_recovers_files_written_by_frame_journaling(self, tmp_path):
+        """A snapshot + WAL written with one record per inbound frame
+        (``fixtures/pr30/make_fixture.py``: peer batches, a request split
+        by a park into two runs, the snapshot taken while it was parked
+        and an update was buffered) recover to the state pinned when the
+        files were made."""
+        from repro import durability as dur
+
+        fixture = Path(__file__).parents[1] / "durability/fixtures/pr30"
+        (tmp_path / "wal").mkdir()
+        for name in ("node-g0n0.wal", "node-g0n0.snap"):
+            shutil.copy(fixture / name, tmp_path / "wal" / name)
+        records = [dur.decode_record(body) for body in
+                   dur.read_wal(fixture / "node-g0n0.wal").bodies]
+        runs = [rec[2] for rec in records if rec[0] == dur.KIND_OPS]
+        assert {rec[0] for rec in records} == {dur.KIND_OPS, dur.KIND_BATCH}
+        assert [(0, "p1k1", None), (1, "a", "a1")] in runs  # the resumed run
+        expected = dur.decode_snapshot(
+            (fixture / "expected.bin").read_bytes())
+
+        server = self._server(tmp_path, group_size=3, snapshot_every=7)
+        assert server.stats["recovered"] == 1
+        assert server.applied == expected["applied"] == [3, 4, 2]
+        assert server._sent == expected["sent"]
+        assert dur.snapshot_node(server.node) == expected["node"]
+        server._wal.close()
+
     def test_fresh_wal_dir_means_no_recovery(self, tmp_path):
         server = self._server(tmp_path)
         assert server.stats["recovered"] == 0

@@ -2,22 +2,27 @@
 journaled, executed and answered inside ``buffer_updated``, and a read
 ahead of ``applied`` parks its connection instead of awaiting.
 
-Three kinds of test.  Parked requests on the fake transport and journal
+Four kinds of test.  Parked requests on the fake transport and journal
 of ``test_peer_receive.py``, no sockets: what has run when a request
 parks, the order requests pipelined behind it are answered in, and where
-the resumed one is answered from.  The client library's framing, on a
+the resumed one is answered from.  On the same transport over a real
+WAL: whatever frame stream a replica accepted, a second replica on its
+directory recovers the same state.  The client library's framing, on a
 fake transport.  And client-plane adversaries on live sockets against a
 listening replica: each costs its own connection and nothing else.
 """
 
 import asyncio
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import durability as dur
+from repro.durability import snapshot_node
 from repro.serve import codec
 from repro.serve.client import AsyncSessionClient, _GroupConn
 from repro.serve.codec import (
@@ -40,6 +45,7 @@ from tests.serve.test_peer_receive import (
     _SMALL_BUFFER,
     FakeTransport,
     deliver,
+    durable_replica,
     hello,
     peer_bodies,
     pour,
@@ -65,25 +71,31 @@ def cut(stream: bytes, cuts) -> list:
     return [stream[a:b] for a, b in zip(edges, edges[1:])]
 
 
-class Rig:
-    """Replica 0 of a 3-group on fake transports and a fake journal, with
-    one connection from peer 1, whose updates write ``k0``, ``k1``, ...
-    (value ``"vvv"``)."""
+def responses(conn) -> list:
+    """Every RESPONSE written to ``conn``, decoded."""
+    out = []
+    for data in conn.transport.written:
+        assert int.from_bytes(data[:4], "big") == len(data) - 4
+        out.append(codec.decode_response(data[4:]))
+    return out
 
-    def __init__(self):
-        self.server, self.journal = replica()
+
+class Wires:
+    """Connections to one replica on fake transports: bytes reach a
+    connection while it reads, and wait, in order, while it does not."""
+
+    def __init__(self, server):
+        self.server = server
         self.log = []               # writes of every transport, in order
         self.unread = {}            # bytes sent that no ``recv`` took yet
-        self.peer = self.connect(ROLE_PEER, 1)
-        self.updates = peer_bodies([3] * 4)
-        self.client = self.connect(ROLE_CLIENT)
-        self.log.clear()            # the peer's WELCOME
 
-    def connect(self, role, identity=0) -> _Inbound:
+    def connect(self, role=None, identity=0) -> _Inbound:
+        """A new connection; it says HELLO as ``role`` unless None."""
         conn = _Inbound(self.server)
         conn.frames = FrameBuffer(_SMALL_BUFFER)
         conn.connection_made(FakeTransport(self.log))
-        deliver(conn, frame(hello(role, identity)))
+        if role is not None:
+            deliver(conn, frame(hello(role, identity)))
         return conn
 
     def send(self, conn, *chunks) -> None:
@@ -100,26 +112,46 @@ class Rig:
                 queue.insert(0, chunk[n:])
             conn.buffer_updated(n)
 
-    def peer_frame(self, *indices) -> None:
-        deliver(self.peer, frame(bytes([codec.FRAME_MSG_BATCH, len(indices)])
-                                 + b"".join(self.updates[i]
-                                            for i in indices)))
+    def catch_up(self) -> None:
+        """Deliver what waited on connections that read again."""
         for conn in list(self.unread):
             self.send(conn)
 
+
+class Rig(Wires):
+    """Replica 0 of a 3-group on fake transports and a fake journal, with
+    one connection from peer 1, whose updates write ``k0``, ``k1``, ...
+    (value ``"vvv"``)."""
+
+    def __init__(self):
+        server, self.journal = replica()
+        super().__init__(server)
+        self.peer = self.connect(ROLE_PEER, 1)
+        self.updates = peer_bodies([3] * 4)
+        self.client = self.connect(ROLE_CLIENT)
+        self.log.clear()            # the peer's WELCOME
+
+    def peer_frame(self, *indices) -> None:
+        deliver(self.peer, frame(codec.encode_batch(
+            [self.updates[i] for i in indices])))
+        self.catch_up()
+
     def responses(self, conn=None) -> list:
-        conn = conn or self.client
+        return responses(conn or self.client)
+
+    def records(self) -> list:
+        """The journal, one ``(kind, what it replays)`` per record: the
+        ops of a request run, or the write ids of a peer frame."""
         out = []
-        for data in conn.transport.written:
-            assert int.from_bytes(data[:4], "big") == len(data) - 4
-            out.append(codec.decode_response(data[4:]))
+        for body in self.journal.records:
+            kind, _, items = dur.decode_record(body)
+            if kind == BATCH:
+                items = [(m.wid.process, m.wid.seq) for m in items]
+            out.append((kind, items))
         return out
 
-    def kinds(self) -> list:
-        return [dur.decode_record(r)[0] for r in self.journal.records]
 
-
-WRITE, READ, RECV = dur.KIND_WRITE, dur.KIND_READ, dur.KIND_RECV
+OPS, BATCH = dur.KIND_OPS, dur.KIND_BATCH
 
 
 class TestParkedRequests:
@@ -130,11 +162,14 @@ class TestParkedRequests:
         assert conn.parked is not None and rig.server._parked == [conn]
         assert not conn.transport.reading
         assert conn.transport.written == []
-        assert rig.kinds() == [WRITE]              # the write ran, journaled
+        # the write ran, journaled as the request's first run
+        assert rig.records() == [(OPS, [W("a", 1)])]
         assert rig.server.applied == [1, 0, 0]
         assert rig.server.stats["read_waits"] == 1
         rig.peer_frame(0)
-        assert rig.kinds() == [WRITE, RECV, READ, WRITE]
+        # the resumed run is a second record of the same request
+        assert rig.records() == [(OPS, [W("a", 1)]), (BATCH, [(1, 1)]),
+                                 (OPS, [R("k0"), W("b", 2)])]
         assert rig.responses() == [
             ((2, 1, 0), [(OP_WRITE, 1), (OP_READ, "vvv"), (OP_WRITE, 2)])]
         assert conn.parked is None and rig.server._parked == []
@@ -151,7 +186,7 @@ class TestParkedRequests:
                   + request((0, 2, 0), R("k1")))
         rig.send(rig.client, *cut(stream, [c for c in cuts
                                            if c < len(stream)]))
-        assert rig.responses() == [] and rig.kinds() == []
+        assert rig.responses() == [] and rig.records() == []
         rig.peer_frame(0)
         assert rig.responses() == [
             ((0, 1, 0), [(OP_READ, "vvv")]),
@@ -160,7 +195,9 @@ class TestParkedRequests:
         ]
         rig.peer_frame(1)
         assert rig.responses()[3:] == [((1, 2, 0), [(OP_READ, "vvv")])]
-        assert rig.kinds() == [RECV, READ, WRITE, READ, READ, RECV, READ]
+        assert rig.records() == [
+            (BATCH, [(1, 1)]), (OPS, [R("k0")]), (OPS, [W("x", "after")]),
+            (OPS, [R("x"), R("k0")]), (BATCH, [(1, 2)]), (OPS, [R("k1")])]
         assert rig.server.stats["read_waits"] == 2
         assert rig.server._parked == [] and rig.client.transport.reading
         assert rig.client.frames.start == rig.client.frames.end == 0
@@ -218,8 +255,120 @@ class TestParkedRequests:
         rig.peer_frame(0)
         assert conn.transport.written == []
         assert rig.server.stats["writes"] == 0     # the pipelined write
-        assert rig.kinds() == [RECV]
+        assert rig.records() == [(BATCH, [(1, 1)])]
         assert rig.server.node.buffered_count == 0
+
+
+_VARIABLES = ["a", "b", "k0", "k1"]
+
+_ops = st.lists(st.one_of(
+    st.builds(W, st.sampled_from(_VARIABLES),
+              st.one_of(st.integers(0, 9), st.none())),
+    st.builds(R, st.sampled_from(_VARIABLES))), min_size=1, max_size=3)
+
+
+@st.composite
+def served_streams(draw):
+    """What peer 1 and two clients send a replica, each connection's
+    bytes cut anywhere, and the order the pieces arrive in.  Session
+    vectors run ahead of the replica, so requests park and resume."""
+    updates = peer_bodies([3] * 6)
+    peer = [frame(hello(ROLE_PEER, 1))]
+    for size in draw(st.lists(st.integers(1, 2), max_size=3)):
+        peer.append(frame(codec.encode_batch(updates[:size])))
+        updates = updates[size:]
+    streams = [b"".join(peer)]
+    for _ in range(2):
+        sent = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4),
+                                       _ops), max_size=3))
+        streams.append(frame(hello(ROLE_CLIENT)) + b"".join(
+            request((own, need, 0), *ops) for own, need, ops in sent))
+    pieces = [cut(data, draw(st.lists(st.integers(1, len(data) - 1),
+                                      max_size=6)))
+              for data in streams]
+    order = draw(st.permutations(
+        [c for c, chunks in enumerate(pieces) for _ in chunks]))
+    return pieces, order
+
+
+class TestRecoveryFromFrames:
+    """What a durable replica journaled -- one record per peer frame and
+    per request run -- rebuilds it: a second replica on the same WAL
+    directory recovers the same state."""
+
+    @staticmethod
+    def serve(server, pieces, order) -> list:
+        wires = Wires(server)
+        conns = [wires.connect() for _ in pieces]
+        queues = [list(chunks) for chunks in pieces]
+        for c in order:
+            wires.send(conns[c], queues[c].pop(0))
+            wires.catch_up()
+        return conns
+
+    @staticmethod
+    def recovers(server, wal_dir, **options):
+        server._wal.close()
+        again = durable_replica(wal_dir, **options)
+        again._wal.close()
+        assert again.stats["recovered"] == 1
+        assert again.applied == server.applied
+        assert snapshot_node(again.node) == snapshot_node(server.node)
+        assert again._sent == server._sent
+        return again
+
+    @settings(max_examples=40, deadline=None)
+    @given(served_streams(), st.sampled_from([0, 1, 3]))
+    def test_any_accepted_stream_recovers_to_the_same_state(
+            self, case, snapshot_every):
+        pieces, order = case
+        with tempfile.TemporaryDirectory() as tmp:
+            server = durable_replica(Path(tmp), snapshot_every=snapshot_every)
+            conns = self.serve(server, pieces, order)
+            assert server.stats["client_aborts"] == 0
+            assert not any(conn.transport.closed for conn in conns)
+            if server.stats["wal_records"]:
+                self.recovers(server, Path(tmp),
+                              snapshot_every=snapshot_every)
+
+    def test_a_max_frame_request_journals_and_recovers(self, tmp_path):
+        head = codec.encode_request((0, 0, 0), [W("big", "")])
+        value = "v" * (MAX_FRAME - len(head) - 3)  # its length: 4 bytes
+        body = codec.encode_request((0, 0, 0), [W("big", value)])
+        assert len(body) == MAX_FRAME
+        server = durable_replica(tmp_path)
+        wires = Wires(server)
+        conn = wires.connect(ROLE_CLIENT)
+        wires.send(conn, frame(body))
+        assert responses(conn) == [((1, 0, 0), [(OP_WRITE, 1)])]
+        assert server.stats["wal_records"] == 1
+        again = self.recovers(server, tmp_path)
+        assert again.node.do_read("big") == value
+
+    def test_snapshots_come_as_often_as_one_record_per_input_made_them(
+            self, tmp_path):
+        """``snapshot_every`` counts ops and receipts, not records: the
+        stream below took 3 snapshots when every input was a record of
+        its own, and takes 3 now (counting its 7 records would take 2)."""
+        server = durable_replica(tmp_path, snapshot_every=3)
+        wires = Wires(server)
+        peer = wires.connect(ROLE_PEER, 1)
+        client = wires.connect(ROLE_CLIENT)
+        updates = peer_bodies([3] * 6)
+        wires.send(client, request((0, 0, 0), W("a", 1), W("b", 2), R("a"),
+                                   W("c", 3)))
+        wires.send(peer, frame(codec.encode_batch(updates[:2])))
+        wires.send(client, request((0, 3, 0), W("d", 4), R("k2")))  # parks
+        wires.send(peer, frame(codec.encode_batch(updates[2:5])))
+        wires.catch_up()
+        wires.send(client, request((4, 5, 0), R("k0")))
+        wires.send(peer, frame(codec.encode_batch(updates[5:])))
+        assert [r[1] for r in responses(client)] == [
+            [(OP_WRITE, 1), (OP_WRITE, 2), (OP_READ, 1), (OP_WRITE, 3)],
+            [(OP_WRITE, 4), (OP_READ, "vvv")], [(OP_READ, "vvv")]]
+        assert server.stats["wal_records"] == 7
+        assert server.stats["snapshots"] == 3
+        self.recovers(server, tmp_path, snapshot_every=3)
 
 
 class _AbortableTransport(FakeTransport):

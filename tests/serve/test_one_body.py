@@ -35,7 +35,7 @@ from repro.sim.trace import NullTrace
 from tests.serve.test_session import Group, run
 
 #: bytes of a WAL record before its payload: kind + a tagged float time
-_RECV_HEADER = 1 + 1 + 8
+_BATCH_HEADER = 1 + 1 + 8
 #: every wait below is bounded: a regression fails, it does not hang
 _PATIENCE = 10.0
 
@@ -64,9 +64,11 @@ def split_batch(payload: bytes) -> list:
     return bodies
 
 
-def recv_payloads(wal_path) -> list:
-    return [body[_RECV_HEADER:] for body in dur.read_wal(wal_path).bodies
-            if body[0] == dur.KIND_RECV]
+def journaled_frames(wal_path) -> list:
+    """The peer frames a replica journaled, each as the MSG_BATCH body
+    it arrived as."""
+    return [body[_BATCH_HEADER:] for body in dur.read_wal(wal_path).bodies
+            if body[0] == dur.KIND_BATCH]
 
 
 class TestOneBody:
@@ -123,18 +125,23 @@ class TestOneBody:
             assert (message.variable, message.value) == (variable, value)
             assert codec.encode_message(message) == body
         # (a) each peer link sent exactly those slices, in order
-        on_wire = {1: [], 2: []}
+        frames_to = {1: [], 2: []}
         for writer, payload in sent_frames:
             if writer in by_link and payload[0] == FRAME_MSG_BATCH:
-                on_wire[by_link[writer]] += split_batch(payload)
+                frames_to[by_link[writer]].append(payload)
+        on_wire = {dest: [body for payload in frames
+                          for body in split_batch(payload)]
+                   for dest, frames in frames_to.items()}
         assert on_wire == {1: sent, 2: sent}
         # (c) the snapshot stores them as they are
         doc = dur.decode_snapshot(dur.read_framed_file(wal / "node-g0n0.snap"))
         assert len(doc["sent"]) >= 3
         assert doc["sent"] == sent[:len(doc["sent"])]
-        # (d) and each receiver journaled the bytes it was sent
+        # (d) and each receiver journaled the bytes it was sent: every
+        # frame, whole, one record each
         for peer in (1, 2):
-            assert recv_payloads(wal / f"node-g0n{peer}.wal") == sent
+            assert journaled_frames(wal / f"node-g0n{peer}.wal") \
+                == frames_to[peer]
 
     def test_resync_resends_the_stored_suffix(self, tmp_path):
         """A peer that acknowledges K writes in its WELCOME is sent
@@ -248,7 +255,7 @@ class TestStatelessPeerPlane:
                 assert await closed_by_server(reader)
                 server = peer.server
                 assert server.stats["client_aborts"] == 1
-                assert server.stats["wal_records"] == 300
+                assert server.stats["wal_records"] == 3     # one per frame
                 assert server.applied == [0, 300]
 
         run(go())
@@ -268,12 +275,12 @@ class TestStatelessPeerPlane:
                 # the other connection never noticed
                 write_frame(good, peer.batch([first, second]))
                 await peer.applied(2)
-                assert server.stats["wal_records"] == 2
+                assert server.stats["wal_records"] == 1      # the frame
                 assert server.stats["client_aborts"] == 1
             # and what was journaled replays with no connection at all
-            wal = dur.read_wal(tmp_path / "wal" / "node-g0n0.wal")
-            assert [body[_RECV_HEADER:] for body in wal.bodies] \
-                == [first, second]
+            path = tmp_path / "wal" / "node-g0n0.wal"
+            assert journaled_frames(path) == [peer.batch([first, second])]
+            wal = dur.read_wal(path)
             node = dur.rebuild_node(PROTOCOLS["optp"], 0, 2, None,
                                     wal.bodies, dedup=True)
             assert node.do_read("name-1") == 1
@@ -363,17 +370,25 @@ class TestMalformedPeerUpdates:
 
         run(go())
 
-    def test_update_after_good_ones_keeps_what_was_applied(self, tmp_path):
-        """A batch is journaled and applied update by update: the
-        malformed one stops the connection where it stands."""
+    def test_a_bad_update_rejects_its_whole_frame(self, tmp_path):
+        """A batch is journaled as one record, so it is admitted whole or
+        not at all: an update that fails the door after good ones leaves
+        nothing of its frame journaled or applied."""
         async def go():
             async with FakePeer(tmp_path, group_size=3) as peer:
+                server = peer.server
                 reader, writer = await peer.dial()
                 first, second = peer.updates(2)
                 poison = codec.encode_message(_update(write_co=None))
                 write_frame(writer, peer.batch([first, poison, second]))
                 assert await closed_by_server(reader)
-                assert peer.server.applied == [0, 1, 0]
-                assert peer.server.stats["wal_records"] == 1
+                assert server.applied == [0, 0, 0]
+                assert server.stats["wal_records"] == 0
+                assert server.node.buffered_count == 0
+                # the good updates, resent on a fresh link, all apply
+                _, good = await peer.dial()
+                write_frame(good, peer.batch([first, second]))
+                await peer.applied(2)
+                assert server.stats["wal_records"] == 1
 
         run(go())

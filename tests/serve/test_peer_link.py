@@ -4,15 +4,19 @@ no sockets, no sleeps, every instant chosen by the test.
 A quiet link flushes at the end of the tick that enqueued; a link that
 flushed inside ``batch_window`` waits out the rest of it; the caps flush
 on the spot; and on every path the WAL is synced before a byte is
-written (group commit).
+written (group commit), even when the cap flush goes off in the middle
+of a request whose record is appended before its first op.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
+from repro import durability as dur
 from repro.core.base import UpdateMessage
 from repro.model.operations import WriteId
 from repro.serve import codec
-from repro.serve.codec import FRAME_MSG_BATCH
+from repro.serve.codec import FRAME_MSG_BATCH, OP_WRITE
 from repro.serve.server import ReplicaServer, _PeerLink
 from repro.serve.shard import ClusterSpec
 
@@ -93,6 +97,9 @@ class FakeWriter:
 class FakeWal:
     def __init__(self, log):
         self.log = log
+
+    def append(self, body):
+        self.log.append(("append", body))
 
     def sync(self):
         self.log.append(("sync",))
@@ -245,6 +252,29 @@ class TestGroupCommit:
         assert rig.frames() == [[a], [b], [c, d], [e]]
         assert rig.flushes() == {"idle": 1, "window": 1, "cap": 1}
         assert rig.stats["peer_batches"] == 4
+
+    def test_a_cap_flush_inside_a_run_finds_the_run_journaled(
+            self, tmp_path):
+        """A request's writes are one record, appended before the first
+        of them runs: the cap flush ``do_write`` sets off in the middle
+        of the run syncs that record before a byte of it leaves."""
+        rig = Rig(tmp_path, batch_max_msgs=2)
+        rig.server._dur = dur
+        rig.server._links[1] = rig.link
+        ops = [(OP_WRITE, f"k{i}", f"v{i}") for i in range(3)]
+        body = codec.encode_request((0, 0), ops)
+        answers = []
+        client = SimpleNamespace(transport=FakeWriter(answers))
+        rig.server._serve_request(client, (0, 0), ops, 0, [], body)
+        # journal, sync, the cap flush of writes 1-2; then group commit
+        # before the answer (write 3 waits for the window to close)
+        assert [event[0] for event in rig.log] == [
+            "append", "sync", "write", "sync"]
+        assert dur.decode_record(rig.log[0][1])[::2] == (dur.KIND_OPS, ops)
+        assert rig.log[0][1].endswith(body)
+        assert rig.flushes()["cap"] == 1
+        assert [len(frame) for frame in rig.frames()] == [2]
+        assert [event[0] for event in answers] == ["write"]
 
 
 class TestClose:

@@ -98,15 +98,21 @@ class FakeTransport:
 
 
 class Journal:
-    """Stands in for the WAL: records what ``_wal_append`` is given."""
+    """Stands in for the WAL: records the bodies ``_wal_append`` is
+    given, and how many inputs they hold in all."""
 
     def __init__(self, server):
         self.records = []
+        self.inputs = 0
         server._wal = self
         server._dur = dur
-        server._wal_append = self.records.append
+        server._wal_append = self.append
         server._now = lambda: 7.0      # records carry the receipt time
         server.snapshot_every = 0
+
+    def append(self, body, inputs=1):
+        self.records.append(body)
+        self.inputs += inputs
 
     def sync(self):
         pass
@@ -116,6 +122,14 @@ def replica():
     server = ReplicaServer(
         ClusterSpec.local_uds(Path("unused"), "optp", 1, 3), 0, 0)
     return server, Journal(server)
+
+
+def durable_replica(wal_dir: Path, **options) -> ReplicaServer:
+    """Replica 0 of a 3-group with a real WAL in ``wal_dir``: built on a
+    directory that holds one, it recovers from it."""
+    return ReplicaServer(
+        ClusterSpec.local_uds(Path("unused"), "optp", 1, 3), 0, 0,
+        wal_dir=wal_dir, **options)
 
 
 def pour(chunk: bytes, writable, wrote) -> None:
@@ -160,7 +174,10 @@ class TestAnyChunking:
         whole, whole_journal = replica()
         for payload in payloads:
             whole._receive_batch(1, payload)
-        assert whole.applied[1] == len(whole_journal.records) > 0
+        # one record per frame, holding the frame as it arrived
+        assert whole_journal.records == [
+            dur.encode_batch_record(7.0, payload) for payload in payloads]
+        assert whole.applied[1] == whole_journal.inputs > 0
 
         server, journal = replica()
         conn = _Inbound(server)
@@ -246,8 +263,15 @@ async def _second_hello(peer, reader, writer):
     assert await closed_by_server(reader)
 
 
+async def _trailing_byte(peer, reader, writer):
+    """A good update and one byte more: journaled whole, the frame would
+    fail to decode at every restart."""
+    write_frame(writer, peer.batch(peer.updates(1)) + b"\x00")
+    assert await closed_by_server(reader)
+
+
 ADVERSARIES = [_oversized_length, _eof_mid_frame, _not_a_batch,
-               _fails_admit, _second_hello]
+               _fails_admit, _second_hello, _trailing_byte]
 
 
 class TestLiveAdversaries:
