@@ -34,12 +34,10 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.serve import codec
 from repro.serve.codec import (
-    FRAME_HELLO,
     OP_READ,
     OP_WRITE,
     ROLE_CLIENT,
     CodecError,
-    VarWriter,
     write_frame,
 )
 from repro.serve.shard import ClusterSpec, parse_endpoint
@@ -69,11 +67,7 @@ class _GroupConn(asyncio.BufferedProtocol):
             await loop.create_unix_connection(lambda: self, addr)
         else:
             await loop.create_connection(lambda: self, *addr)
-        hello = VarWriter()
-        hello.u8(FRAME_HELLO)
-        hello.u8(ROLE_CLIENT)
-        hello.uvarint(0)
-        write_frame(self.transport, hello.getvalue())
+        write_frame(self.transport, codec.encode_hello(ROLE_CLIENT))
 
     def connection_made(self, transport) -> None:
         self.transport = transport

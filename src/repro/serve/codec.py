@@ -71,6 +71,7 @@ __all__ = [
     "decode_request",
     "decode_response",
     "encode_batch",
+    "encode_hello",
     "encode_message",
     "encode_request",
     "encode_response",
@@ -86,7 +87,7 @@ class CodecError(ValueError):
 
 # -- frame types ------------------------------------------------------------
 
-FRAME_HELLO = 0x01      #: role + sender id, first frame on every connection
+FRAME_HELLO = 0x01      #: role + sender id (+ a peer's ack), first frame
 FRAME_MSG_BATCH = 0x02  #: peer->peer: n protocol messages (micro-batch)
 FRAME_REQUEST = 0x03    #: client->server: session vector + n ops
 FRAME_RESPONSE = 0x04   #: server->client: progress vector + n results
@@ -543,6 +544,18 @@ def decode_message(data: bytes) -> Message:
     if not r.done():
         raise CodecError("trailing bytes after message")
     return message
+
+
+def encode_hello(role: int, sender: int = 0, acked: int = 0) -> bytes:
+    """Body of the HELLO that opens a connection; a peer's also says how
+    many of the receiver's writes it has applied (``acked``)."""
+    w = VarWriter()
+    w.u8(FRAME_HELLO)
+    w.u8(role)
+    w.uvarint(sender)
+    if role == ROLE_PEER:
+        w.uvarint(acked)
+    return w.getvalue()
 
 
 def encode_batch(bodies: List[bytes]) -> bytes:

@@ -29,7 +29,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.serve import codec
 from repro.serve.codec import (
-    FRAME_HELLO,
     FRAME_STOP,
     FRAME_STOPPED,
     ROLE_ADMIN,
@@ -61,11 +60,7 @@ async def _admin_call(endpoint: str, mode: int) -> Dict[str, Any]:
     else:
         reader, writer = await asyncio.open_connection(*addr)
     try:
-        hello = VarWriter()
-        hello.u8(FRAME_HELLO)
-        hello.u8(ROLE_ADMIN)
-        hello.uvarint(0)
-        write_frame(writer, hello.getvalue())
+        write_frame(writer, codec.encode_hello(ROLE_ADMIN))
         stop = VarWriter()
         stop.u8(FRAME_STOP)
         stop.u8(mode)

@@ -4,10 +4,10 @@ A :class:`ReplicaServer` hosts exactly the simulator's substrate -- a
 :class:`repro.sim.node.Node` wrapping one registry protocol instance --
 behind real sockets:
 
-- **peer plane**: one outgoing connection per group peer carrying
-  :data:`~repro.serve.codec.FRAME_MSG_BATCH` frames.  Protocol
-  broadcasts are *micro-batched* by a self-clocked link: an update is
-  appended to the per-peer buffer, and a link that has been quiet for
+- **peer plane**: one connection per pair of group peers, dialed by the
+  higher id, carries :data:`~repro.serve.codec.FRAME_MSG_BATCH` frames
+  both ways.  Broadcasts are *micro-batched* by a self-clocked link: an
+  update is appended to the per-peer buffer, and a link quiet for
   ``batch_window`` ships at the end of the current event-loop tick
   (after the WAL sync and the client's response; no timer), while a
   link that flushed inside the window waits out the remainder of it --
@@ -27,14 +27,14 @@ behind real sockets:
   can drain the deployment before asking nodes to dump their event
   logs (which keeps the Theorem-5 liveness check meaningful).
 
-Every accepted connection is an :class:`asyncio.BufferedProtocol` that
-serves each frame synchronously as it arrives (:class:`_Inbound`).
+Every connection, accepted or dialed, is a :class:`asyncio.BufferedProtocol`
+that serves each frame synchronously as it arrives (:class:`_Inbound`).
 
 Everything protocol-visible reuses the existing substrate unchanged:
 buffering goes through the same counting scheduler the simulator and
-the model checker run, events land
-in a real :class:`~repro.sim.trace.Trace` (or a no-op trace when not
-recording), and the recorded log replays through every checker via
+the model checker run, events land in a real
+:class:`~repro.sim.trace.Trace` (or a no-op trace when not recording),
+and the recorded log replays through every checker via
 :mod:`repro.serve.merge` / :mod:`repro.serve.conformance`.
 
 With ``wal_dir`` set the replica is *durable* (crash-recovery model,
@@ -47,11 +47,10 @@ effect externalizes (peer flush or client response -- group commit),
 and the log is periodically folded into an atomic snapshot.  The node
 clock is read once per frame, so every event of a frame carries the
 time its record does, live and replayed alike.  A restarted replica
-rebuilds its exact pre-crash
-state by snapshot restore + WAL replay, re-announces its progress to
-peers via :data:`~repro.serve.codec.FRAME_PEER_WELCOME`, and receives
-the update suffix it missed; peer links are supervised and redial on
-EOF, so the surviving replicas resync a recovered one the same way.
+rebuilds its exact pre-crash state by snapshot restore + WAL replay,
+tells each peer in the handshake (HELLO to a lower id, WELCOME to a
+higher one) how many of its writes it holds, and is sent the suffix it
+missed; the higher id of a pair redials, and both ends resync alike.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ from repro.serve.codec import (
     CodecError,
     VarReader,
     VarWriter,
-    read_frame,
+    read_frame,  # noqa: F401 -- unused, but bench/tracing.py wraps it here
     write_frame,
 )
 from repro.serve.merge import dump_node_log
@@ -100,7 +99,6 @@ STOP_QUERY = 0     #: report queue depth + applied vector, keep serving
 STOP_SHUTDOWN = 1  #: flush, dump, acknowledge, exit
 
 _PEER_CONNECT_TIMEOUT = 15.0
-_DRAIN_HIGH_WATER = 1 << 20
 
 
 class _ServedNode(Node):
@@ -119,7 +117,7 @@ class _ServedNode(Node):
 
 
 class _PeerLink:
-    """Outgoing half-connection to one peer, flushed by its own clock.
+    """The send policy of one peer connection, over its transport.
 
     A link that has been quiet for ``batch_window`` ships what it holds
     at the end of the event-loop tick that enqueued it (``call_soon``:
@@ -131,18 +129,17 @@ class _PeerLink:
     forced by the admin plane is in ``peer_batches`` only).
     """
 
-    __slots__ = ("dest", "writer", "bodies", "pending_bytes",
-                 "flush_handle", "flushed_at", "draining", "server")
+    __slots__ = ("dest", "transport", "bodies", "pending_bytes",
+                 "flush_handle", "flushed_at", "server")
 
-    def __init__(self, server: "ReplicaServer", dest: int, writer) -> None:
+    def __init__(self, server: "ReplicaServer", dest: int, transport) -> None:
         self.server = server
         self.dest = dest
-        self.writer = writer
+        self.transport = transport
         self.bodies: List[bytes] = []
         self.pending_bytes = 0
         self.flush_handle: Optional[asyncio.Handle] = None
         self.flushed_at = float("-inf")
-        self.draining = False
 
     def enqueue(self, body: bytes) -> None:
         """Queue one canonical message body."""
@@ -175,7 +172,7 @@ class _PeerLink:
         if srv._wal is not None:
             srv._wal.sync()
         payload = codec.encode_batch(self.bodies)
-        write_frame(self.writer, payload)
+        write_frame(self.transport, payload)
         self.flushed_at = srv._loop.time()
         srv.stats["peer_batches"] += 1
         srv.stats["peer_msgs"] += len(self.bodies)
@@ -187,20 +184,6 @@ class _PeerLink:
             srv._m_batch_msgs.inc(len(self.bodies))
         self.bodies.clear()
         self.pending_bytes = 0
-        transport = self.writer.transport
-        if (transport is not None
-                and transport.get_write_buffer_size() > _DRAIN_HIGH_WATER
-                and not self.draining):
-            self.draining = True
-            asyncio.ensure_future(self._drain())
-
-    async def _drain(self) -> None:
-        try:
-            await self.writer.drain()
-        except ConnectionError:
-            pass
-        finally:
-            self.draining = False
 
     def close(self) -> None:
         if self.flush_handle is not None:
@@ -208,22 +191,22 @@ class _PeerLink:
             self.flush_handle = None
         self.bodies.clear()  # a flush that comes late finds nothing
         self.pending_bytes = 0
-        try:
-            self.writer.close()
-        except RuntimeError:  # loop already closing
-            pass
+        self.transport.close()
 
 
 class _Inbound(asyncio.BufferedProtocol):
-    """One accepted connection, served frame by frame out of a reused
-    receive buffer inside ``buffer_updated``: HELLO picks the handler of
-    every later frame (peer MSG_BATCH, client REQUEST or admin STOP).
+    """One connection, served frame by frame out of a reused receive
+    buffer inside ``buffer_updated``: an accepted one's HELLO picks the
+    handler of every later frame (peer MSG_BATCH, client REQUEST or admin
+    STOP); one dialed to the lower-id peer ``dial`` says HELLO itself and
+    waits for WELCOME.  Both ends of a peer link are this class.
 
     A request whose read finds its session vector ahead of ``applied``
     *parks*: the connection stops reading, its later frames wait
     unparsed in ``frames``, and :meth:`ReplicaServer._unpark` finishes it
     after the peer frame that dominates the vector.  A full write buffer
-    (a client not reading its answers) stops reading the same way.
+    (a client not reading its answers) stops reading the same way; a
+    peer's never does: two replicas could each wait for the other.
 
     A :class:`CodecError` closes this connection only and is counted in
     ``client_aborts``, as is a connection lost with an error, mid-frame
@@ -231,22 +214,29 @@ class _Inbound(asyncio.BufferedProtocol):
     """
 
     __slots__ = ("server", "transport", "frames", "on_frame", "peer",
-                 "parked", "paused")
+                 "parked", "paused", "lost")
 
-    def __init__(self, server: "ReplicaServer") -> None:
+    def __init__(self, server: "ReplicaServer",
+                 dial: Optional[int] = None) -> None:
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
         self.frames = codec.FrameBuffer()
-        self.on_frame = self._hello        # HELLO picks the next handler
-        self.peer: Optional[int] = None    # set by a peer's HELLO
+        self.on_frame = self._hello if dial is None else self._welcome
+        self.peer: Optional[int] = dial    # or set by a peer's HELLO
         #: (session, ops, index of the waiting read, results so far,
         #: the REQUEST body the resumed run journals)
         self.parked: Optional[tuple] = None
         self.paused = False                # the write buffer is full
+        #: set once a dialed connection is lost (``_redial`` waits on it)
+        self.lost = None if dial is None else asyncio.Event()
 
     def connection_made(self, transport) -> None:
         self.transport = transport
-        self.server._inbound.append(self)
+        srv = self.server
+        srv._inbound.append(self)
+        if self.lost is not None:          # dialed: HELLO, with our ack
+            write_frame(transport, codec.encode_hello(
+                ROLE_PEER, srv.node_id, srv.applied[self.peer]))
 
     def get_buffer(self, sizehint: int) -> memoryview:
         return self.frames.writable()
@@ -275,8 +265,9 @@ class _Inbound(asyncio.BufferedProtocol):
             self.transport.resume_reading()
 
     def pause_writing(self) -> None:
-        self.paused = True
-        self.transport.pause_reading()
+        if self.peer is None:
+            self.paused = True
+            self.transport.pause_reading()
 
     def resume_writing(self) -> None:
         self.paused = False
@@ -300,6 +291,9 @@ class _Inbound(asyncio.BufferedProtocol):
         if self.frames.take_rest() or exc is not None or self.parked:
             srv.stats["client_aborts"] += 1
         srv._inbound.remove(self)
+        srv._unlink(self)
+        if self.lost is not None:
+            self.lost.set()
         self.on_frame = self.parked = None  # on_frame: break the cycle
 
     def _hello(self, body: bytes) -> None:
@@ -309,19 +303,26 @@ class _Inbound(asyncio.BufferedProtocol):
             raise CodecError("expected HELLO")
         role = r.u8()
         sender = r.uvarint()
+        acked = r.uvarint() if role == ROLE_PEER else 0
+        if not r.done():
+            raise CodecError("trailing bytes after HELLO")
         if role == ROLE_PEER:
-            if not 0 <= sender < srv.n or sender == srv.node_id:
+            # the higher id of a pair dials: a lower one should not
+            if not srv.node_id < sender < srv.n:
                 raise CodecError(
-                    f"HELLO from peer {sender}: not a group peer")
+                    f"HELLO from peer {sender}: not a higher group peer")
+            old = srv._links.get(sender)
+            if old is not None:
+                # a redial beat the old connection's EOF: what that one
+                # still carried is outside the ack below, so resent
+                old.close()
             self.peer = sender
             self.on_frame = self._batch
-            # WELCOME tells the dialing peer how many of its writes we
-            # have applied, so it retransmits exactly the suffix we are
-            # missing.
             w = VarWriter()
             w.u8(FRAME_PEER_WELCOME)
             w.uvarint(srv.applied[sender])
             write_frame(self.transport, w.getvalue())
+            srv._link(self, acked)
         elif role == ROLE_CLIENT:
             srv.stats["client_conns"] += 1
             self.on_frame = self._request
@@ -329,6 +330,17 @@ class _Inbound(asyncio.BufferedProtocol):
             self.on_frame = self._admin
         else:
             raise CodecError(f"unknown role {role}")
+
+    def _welcome(self, body: bytes) -> None:
+        r = VarReader(body)
+        if r.u8() != FRAME_PEER_WELCOME:
+            raise CodecError("expected PEER_WELCOME")
+        acked = r.uvarint()
+        if not r.done():
+            raise CodecError("trailing bytes after PEER_WELCOME")
+        self.on_frame = self._batch
+        self.server._link(self, acked)
+        self.server.stats["peer_dials"] += 1
 
     def _batch(self, body: bytes) -> None:
         srv = self.server
@@ -442,12 +454,12 @@ class ReplicaServer:
             dest: asyncio.Event()
             for dest in range(self.n) if dest != node_id
         }
-        self._peer_tasks: List[asyncio.Task] = []
+        self._redials: List[asyncio.Task] = []
         self._parked: List[_Inbound] = []   # in the order they parked
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop = asyncio.Event()
-        #: every accepted connection
+        #: every open connection, accepted or dialed
         self._inbound: List[_Inbound] = []
         self.stats: Dict[str, int] = {
             "writes": 0, "reads": 0, "read_waits": 0, "requests": 0,
@@ -649,7 +661,7 @@ class ReplicaServer:
         peer link is up -- a client arriving after the ready file
         exists can never catch the replica without its broadcast
         links.  (Every replica listens before dialing, so gating ready
-        on the dials cannot deadlock.)
+        on the links cannot deadlock.)
         """
         self._loop = asyncio.get_running_loop()
         await self._listen()
@@ -677,9 +689,8 @@ class ReplicaServer:
                 lambda: _Inbound(self), host=host, port=port)
 
     async def _connect_peers(self) -> None:
-        for dest in sorted(self._link_up):
-            self._peer_tasks.append(
-                self._loop.create_task(self._peer_supervisor(dest)))
+        for dest in range(self.node_id):
+            self._redials.append(self._loop.create_task(self._redial(dest)))
         deadline = monotonic() + _PEER_CONNECT_TIMEOUT
         for dest in sorted(self._link_up):
             try:
@@ -692,65 +703,48 @@ class ReplicaServer:
                     f"unreachable within {_PEER_CONNECT_TIMEOUT}s"
                 ) from None
 
-    async def _peer_supervisor(self, dest: int) -> None:
-        """Own the outgoing link to ``dest``: dial (with retry), resync
-        against the peer's WELCOME ack, then watch for EOF and redial.
-
-        Registration and suffix retransmission happen with no ``await``
-        between them: a broadcast dispatched while the WELCOME was in
-        flight missed the not-yet-registered link but was appended to
-        ``_sent``, so the acked suffix covers it exactly once.
-        """
+    async def _redial(self, dest: int) -> None:
+        """Keep one connection to the lower-id peer ``dest``: dial, and
+        dial again a pause after the connection is lost."""
         scheme, addr = parse_endpoint(self.spec.endpoint(self.group, dest))
-        while not self._stop.is_set():
-            writer = None
+        loop = self._loop
+        while True:
             try:
                 if scheme == "unix":
-                    reader, writer = await asyncio.open_unix_connection(addr)
+                    _, conn = await loop.create_unix_connection(
+                        lambda: _Inbound(self, dial=dest), addr)
                 else:
-                    reader, writer = await asyncio.open_connection(*addr)
-                hello = VarWriter()
-                hello.u8(FRAME_HELLO)
-                hello.u8(ROLE_PEER)
-                hello.uvarint(self.node_id)
-                write_frame(writer, hello.getvalue())
-                body = await read_frame(reader)
-                if body is None:
-                    raise ConnectionError("peer closed before WELCOME")
-                r = VarReader(body)
-                if r.u8() != FRAME_PEER_WELCOME:
-                    raise CodecError("expected PEER_WELCOME")
-                acked = r.uvarint()
-                link = _PeerLink(self, dest, writer)
-                self._links[dest] = link
-                for body in self._sent[acked:]:
-                    link.enqueue(body)
-                self._link_up[dest].set()
-                self.stats["peer_dials"] += 1
-                while True:  # nothing follows WELCOME; EOF = peer died
-                    chunk = await reader.read(4096)
-                    if not chunk:
-                        break
-            except (CodecError, ConnectionError, OSError):
-                pass
-            finally:
-                current = self._links.get(dest)
-                if current is not None and current.writer is writer:
-                    self._link_up[dest].clear()
-                    del self._links[dest]
-                    current.close()
-                elif writer is not None:
-                    try:
-                        writer.close()
-                    except RuntimeError:
-                        pass
-            if not self._stop.is_set():
-                await asyncio.sleep(0.05)
+                    _, conn = await loop.create_connection(
+                        lambda: _Inbound(self, dial=dest), *addr)
+            except OSError:
+                pass                    # not listening (yet, or again)
+            else:
+                await conn.lost.wait()
+            await asyncio.sleep(0.05)
+
+    def _link(self, conn: _Inbound, acked: int) -> None:
+        """Make ``conn`` the link to its peer and queue ``_sent[acked:]``.
+        No ``await`` separates the two: a broadcast dispatched during the
+        handshake missed the link but is in ``_sent``, so the acked
+        suffix covers it exactly once."""
+        dest = conn.peer
+        link = self._links[dest] = _PeerLink(self, dest, conn.transport)
+        for body in self._sent[acked:]:
+            link.enqueue(body)
+        self._link_up[dest].set()
+
+    def _unlink(self, conn: _Inbound) -> None:
+        """Drop a lost connection's link, unless a redial replaced it."""
+        link = self._links.get(conn.peer)
+        if link is not None and link.transport is conn.transport:
+            del self._links[conn.peer]
+            self._link_up[conn.peer].clear()
+            link.close()
 
     async def _teardown(self) -> None:
-        for task in self._peer_tasks:
+        for task in self._redials:
             task.cancel()
-        await asyncio.gather(*self._peer_tasks, return_exceptions=True)
+        await asyncio.gather(*self._redials, return_exceptions=True)
         for dest in sorted(self._links):
             self._links[dest].close()
         self._links.clear()

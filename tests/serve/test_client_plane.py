@@ -2,8 +2,9 @@
 journaled, executed and answered inside ``buffer_updated``, and a read
 ahead of ``applied`` parks its connection instead of awaiting.
 
-Four kinds of test.  Parked requests on the fake transport and journal
-of ``test_peer_receive.py``, no sockets: what has run when a request
+Four kinds of test.  Parked requests on the fake loop and transport of
+``fakes.py`` and the fake journal of ``test_peer_receive.py``, no
+sockets: what has run when a request
 parks, the order requests pipelined behind it are answered in, and where
 the resumed one is answered from.  On the same transport over a real
 WAL: whatever frame stream a replica accepted, a second replica on its
@@ -40,15 +41,13 @@ from repro.serve.codec import (
 from repro.serve.server import _Inbound
 from repro.serve.shard import parse_endpoint
 
+from tests.serve.fakes import FakeTransport, deliver, pour
 from tests.serve.test_one_body import FakePeer, closed_by_server, eventually
 from tests.serve.test_peer_receive import (
     _SMALL_BUFFER,
-    FakeTransport,
-    deliver,
     durable_replica,
     hello,
     peer_bodies,
-    pour,
     replica,
 )
 from tests.serve.test_session import run
@@ -119,9 +118,10 @@ class Wires:
 
 
 class Rig(Wires):
-    """Replica 0 of a 3-group on fake transports and a fake journal, with
-    one connection from peer 1, whose updates write ``k0``, ``k1``, ...
-    (value ``"vvv"``)."""
+    """Replica 0 of a 3-group on a fake loop, fake transports and a fake
+    journal, with one connection from peer 1, whose updates write
+    ``k0``, ``k1``, ... (value ``"vvv"``).  The replica's own writes wait
+    on the loop for the peer link, which no test here ticks."""
 
     def __init__(self):
         server, self.journal = replica()

@@ -6,11 +6,12 @@ merge the logs, replay the oracles.  Kept short (rate-limited,
 sub-second) because it boots real OS processes.
 """
 
+import asyncio
 import json
 
 import pytest
 
-from repro.serve.harness import serve_and_load
+from repro.serve.harness import ServedCluster, _admin_call, serve_and_load
 from repro.serve.loadgen import LoadgenConfig, summarize_workers
 
 
@@ -42,6 +43,29 @@ class TestServeAndLoad:
     def test_unservable_protocol_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="serv"):
             serve_and_load("sequencer", rundir=tmp_path, duration=0.1)
+
+
+class TestPeerLinks:
+    def test_one_dial_per_replica_pair(self, tmp_path):
+        """The higher id of each pair dials the lower one: a 3-replica
+        boot makes 3 peer connections, and a restarted replica is dialed
+        again by the one above it and dials the one below."""
+        cluster = ServedCluster.start("optp", group_size=3, rundir=tmp_path,
+                                      wal_dir=tmp_path / "wal")
+
+        def dials():
+            async def query():
+                return [await _admin_call(cluster.spec.endpoint(0, i), 0)
+                        for i in range(3)]
+            return [s["stats"]["peer_dials"] for s in asyncio.run(query())]
+
+        try:
+            assert dials() == [0, 1, 2]
+            cluster.kill_node(0, 1)
+            cluster.restart_node(0, 1)
+            assert dials() == [0, 1, 3]
+        finally:
+            cluster.kill()
 
 
 class TestSummarizeWorkers:

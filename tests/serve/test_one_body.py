@@ -24,14 +24,16 @@ from repro.serve.codec import (
     FRAME_PEER_WELCOME,
     ROLE_PEER,
     VarReader,
+    frame,
     read_frame,
     write_frame,
 )
-from repro.serve.server import ReplicaServer
+from repro.serve.server import ReplicaServer, _Inbound
 from repro.serve.shard import ClusterSpec, parse_endpoint
 from repro.sim.node import Node
 from repro.sim.trace import NullTrace
 
+from tests.serve.fakes import Duplex, FakeLoop, FakeTransport, deliver
 from tests.serve.test_session import Group, run
 
 #: bytes of a WAL record before its payload: kind + a tagged float time
@@ -48,7 +50,10 @@ async def eventually(condition) -> None:
 
 
 async def closed_by_server(reader) -> bool:
-    return await asyncio.wait_for(reader.read(), _PATIENCE) == b""
+    """Whether the replica closes the connection; what it wrote before
+    (a peer link's resync) is skipped."""
+    await asyncio.wait_for(reader.read(), _PATIENCE)
+    return reader.at_eof()
 
 
 def split_batch(payload: bytes) -> list:
@@ -74,11 +79,11 @@ def journaled_frames(wal_path) -> list:
 class TestOneBody:
     def test_links_buffer_snapshot_and_wal_hold_the_same_bytes(
             self, tmp_path, monkeypatch):
-        sent_frames = []     # (writer, payload) of every frame server 0 wrote
+        sent_frames = []     # (transport, payload) of every frame written
 
-        def spy(writer, body):
-            sent_frames.append((writer, body))
-            write_frame(writer, body)
+        def spy(transport, body):
+            sent_frames.append((transport, body))
+            write_frame(transport, body)
 
         monkeypatch.setattr(server_mod, "write_frame", spy)
         encodes = []         # every message encoded, by any of the replicas
@@ -106,7 +111,7 @@ class TestOneBody:
                 await client.close()
                 await eventually(lambda: all(
                     s.applied[0] == len(writes) for s in group.servers))
-                by_link = {link.writer: dest
+                by_link = {link.transport: dest
                            for dest, link in origin._links.items()}
                 return origin, by_link
 
@@ -126,9 +131,9 @@ class TestOneBody:
             assert codec.encode_message(message) == body
         # (a) each peer link sent exactly those slices, in order
         frames_to = {1: [], 2: []}
-        for writer, payload in sent_frames:
-            if writer in by_link and payload[0] == FRAME_MSG_BATCH:
-                frames_to[by_link[writer]].append(payload)
+        for transport, payload in sent_frames:
+            if transport in by_link and payload[0] == FRAME_MSG_BATCH:
+                frames_to[by_link[transport]].append(payload)
         on_wire = {dest: [body for payload in frames
                           for body in split_batch(payload)]
                    for dest, frames in frames_to.items()}
@@ -143,62 +148,81 @@ class TestOneBody:
             assert journaled_frames(wal / f"node-g0n{peer}.wal") \
                 == frames_to[peer]
 
-    def test_resync_resends_the_stored_suffix(self, tmp_path):
-        """A peer that acknowledges K writes in its WELCOME is sent
-        ``_sent[K:]``, byte for byte, with nothing encoded again."""
+    def test_resync_resends_the_stored_suffix(self, tmp_path, monkeypatch):
+        """Each end of one peer connection says in the handshake how many
+        of the other's writes it holds -- the dialer in HELLO, the
+        acceptor in WELCOME -- and is sent the rest of the other's
+        ``_sent``, byte for byte, with nothing encoded again."""
         spec = ClusterSpec.local_uds(tmp_path, "optp", 1, 2)
-        origin = ReplicaServer(spec, 0, 0, rundir=tmp_path)
+        low, high = (ReplicaServer(spec, 0, i) for i in range(2))
         for i in range(5):
-            origin.node.do_write("x", f"v{i}")       # no link yet: only _sent
-        received = []
+            low.node.do_write("x", f"v{i}")          # no link yet: only _sent
+        for i in range(3):
+            high.node.do_write("y", f"w{i}")
+        high._receive_batch(0, codec.encode_batch(low._sent[:2]))
+        low._receive_batch(1, codec.encode_batch(high._sent[:1]))
+        encodes = []
+        monkeypatch.setattr(codec, "encode_message_into",
+                            lambda *args: encodes.append(args))
 
-        async def stale_peer(reader, writer):
-            assert (await read_frame(reader))[0] == FRAME_HELLO
-            welcome = codec.VarWriter()
-            welcome.u8(FRAME_PEER_WELCOME)
-            welcome.uvarint(2)                       # "I applied two of yours"
-            write_frame(writer, welcome.getvalue())
-            received.extend(split_batch(await read_frame(reader)))
-            writer.close()
+        wire = Duplex(high, low, FakeLoop())
+        wire.pump()
 
-        async def go():
-            origin._loop = asyncio.get_running_loop()
-            _, path = parse_endpoint(spec.endpoint(0, 1))
-            listener = await asyncio.start_unix_server(stale_peer, path=path)
-            supervisor = asyncio.ensure_future(origin._peer_supervisor(1))
-            await eventually(lambda: len(received) == 3)
-            origin._stop.set()
-            await asyncio.wait_for(supervisor, _PATIENCE)
-            listener.close()
-            await listener.wait_closed()
+        def sent_on(conn):
+            handshake, *batches = conn.transport.written
+            return handshake[4:], [split_batch(data[4:]) for data in batches]
 
-        run(go())
-        assert received == origin._sent[2:]
+        # the dialer: HELLO "I hold 2 of yours", then, as one frame, the
+        # suffix the WELCOME asks for; the acceptor: the mirror image
+        assert sent_on(wire.dialed) == (peer_hello(1, 2), [high._sent[1:]])
+        assert sent_on(wire.accepted) == (
+            bytes([FRAME_PEER_WELCOME, 1]), [low._sent[2:]])
+        assert encodes == []
+        assert low.applied[1] == 3 and high.applied[0] == 5
+        assert low.node.buffered_count == high.node.buffered_count == 0
+
+
+def peer_hello(identity: int, acked: int = 0) -> bytes:
+    """A peer's HELLO: who it is, and how many of the receiver's writes
+    it holds."""
+    w = codec.VarWriter()
+    w.u8(FRAME_HELLO)
+    w.u8(ROLE_PEER)
+    w.uvarint(identity)
+    w.uvarint(acked)
+    return w.getvalue()
 
 
 class FakePeer:
-    """Process 1 of a group (of 2 unless said), driven by hand: its real
-    OptP updates, and raw access to the bytes it puts on a peer
-    connection to replica 0."""
+    """The other processes of a group (of 2 unless said), driven by hand:
+    their real OptP updates, and raw access to the bytes they put on a
+    peer connection to the served ``replica`` (0 unless said)."""
 
-    def __init__(self, tmp_path, group_size=2):
+    def __init__(self, tmp_path, group_size=2, replica=0):
         self.spec = ClusterSpec.local_uds(tmp_path, "optp", 1, group_size)
-        self.server = ReplicaServer(self.spec, 0, 0, rundir=tmp_path,
+        self.replica = replica
+        self.server = ReplicaServer(self.spec, 0, replica, rundir=tmp_path,
                                     wal_dir=tmp_path / "wal")
-        self._sent = []
-        self._node = Node(
-            PROTOCOLS["optp"](1, group_size), NullTrace(group_size),
-            clock=lambda: 0.0,
-            dispatch=lambda _, outs: self._sent.extend(
-                codec.encode_message(o.message) for o in outs))
+        #: each process's canonical bodies, in issue order
+        self.sent = {p: [] for p in range(group_size)}
+        self._sent = self.sent[1]
+        self._nodes = {
+            p: Node(PROTOCOLS["optp"](p, group_size), NullTrace(group_size),
+                    clock=lambda: 0.0,
+                    dispatch=lambda _, outs, sent=self.sent[p]: sent.extend(
+                        codec.encode_message(o.message) for o in outs))
+            for p in range(group_size)}
 
-    def updates(self, count: int) -> list:
-        """Canonical bodies of its next ``count`` writes, one fresh
-        variable name each."""
-        start = len(self._sent)
+    def updates(self, count: int, process: int = 1) -> list:
+        """Canonical bodies of ``process``'s next ``count`` writes, one
+        fresh variable name each (``name-i``, ``p<process>-name-i``
+        beyond process 1)."""
+        sent = self.sent[process]
+        prefix = "" if process == 1 else f"p{process}-"
+        start = len(sent)
         for i in range(start, start + count):
-            self._node.do_write(f"name-{i}", i)
-        return self._sent[start:]
+            self._nodes[process].do_write(f"{prefix}name-{i}", i)
+        return sent[start:]
 
     async def __aenter__(self):
         self.server._loop = asyncio.get_running_loop()
@@ -208,19 +232,19 @@ class FakePeer:
     async def __aexit__(self, *exc):
         await self.server._teardown()
 
-    async def hello(self, identity: int):
-        """Open a peer connection claiming to be ``identity``."""
-        _, path = parse_endpoint(self.spec.endpoint(0, 0))
+    async def connect(self, hello: bytes):
+        """Open a connection to the replica and say ``hello`` on it."""
+        _, path = parse_endpoint(self.spec.endpoint(0, self.replica))
         reader, writer = await asyncio.open_unix_connection(path)
-        hello = codec.VarWriter()
-        hello.u8(FRAME_HELLO)
-        hello.u8(ROLE_PEER)
-        hello.uvarint(identity)
-        write_frame(writer, hello.getvalue())
+        write_frame(writer, hello)
         return reader, writer
 
-    async def dial(self):
-        reader, writer = await self.hello(1)
+    async def hello(self, identity: int):
+        """Open a peer connection claiming to be ``identity``."""
+        return await self.connect(peer_hello(identity))
+
+    async def dial(self, identity: int = 1):
+        reader, writer = await self.hello(identity)
         assert (await read_frame(reader))[0] == FRAME_PEER_WELCOME
         return reader, writer
 
@@ -228,8 +252,8 @@ class FakePeer:
     def batch(bodies) -> bytes:
         return bytes([FRAME_MSG_BATCH, len(bodies)]) + b"".join(bodies)
 
-    async def applied(self, count: int) -> None:
-        await eventually(lambda: self.server.applied[1] == count)
+    async def applied(self, count: int, process: int = 1) -> None:
+        await eventually(lambda: self.server.applied[process] == count)
 
 
 def referencing_update(seq: int) -> bytes:
@@ -262,16 +286,16 @@ class TestStatelessPeerPlane:
 
     def test_table_reference_drops_only_that_connection(self, tmp_path):
         async def go():
-            async with FakePeer(tmp_path) as peer:
+            async with FakePeer(tmp_path, group_size=3) as peer:
                 server = peer.server
                 _, good = await peer.dial()
-                bad_reader, bad = await peer.dial()
+                bad_reader, bad = await peer.dial(2)
                 first, second = peer.updates(2)
                 write_frame(bad, peer.batch([referencing_update(1)]))
                 assert await closed_by_server(bad_reader)
                 assert server.stats["client_aborts"] == 1
                 assert server.stats["wal_records"] == 0      # nothing journaled
-                assert server.applied == [0, 0]
+                assert server.applied == [0, 0, 0]
                 # the other connection never noticed
                 write_frame(good, peer.batch([first, second]))
                 await peer.applied(2)
@@ -281,7 +305,7 @@ class TestStatelessPeerPlane:
             path = tmp_path / "wal" / "node-g0n0.wal"
             assert journaled_frames(path) == [peer.batch([first, second])]
             wal = dur.read_wal(path)
-            node = dur.rebuild_node(PROTOCOLS["optp"], 0, 2, None,
+            node = dur.rebuild_node(PROTOCOLS["optp"], 0, 3, None,
                                     wal.bodies, dedup=True)
             assert node.do_read("name-1") == 1
 
@@ -313,6 +337,18 @@ MALFORMED = [
     ("write id of another process", _update(wid=WriteId(2, 1))),
     ("a control message",
      ControlMessage(sender=1, kind="token", payload={})),
+]
+
+
+#: (why, the replica dialed, the HELLO it is sent): each is refused
+#: before any WELCOME, in a 3-group
+REFUSED_HELLOS = [
+    ("beyond-the-group", 0, peer_hello(3)),
+    ("the-receiver-itself", 0, peer_hello(0)),
+    ("huge", 0, peer_hello(1 << 40)),
+    ("lower-than-the-receiver", 1, peer_hello(0)),   # it should be dialed
+    ("trailing-byte", 0, peer_hello(1) + b"\x00"),
+    ("no-ack", 0, peer_hello(1)[:-1]),               # an older build's
 ]
 
 
@@ -355,18 +391,73 @@ class TestMalformedPeerUpdates:
 
         run(go())
 
-    @pytest.mark.parametrize("identity", [3, 0, 1 << 40],
-                             ids=["beyond-the-group", "the-receiver-itself",
-                                  "huge"])
-    def test_hello_from_no_group_peer(self, tmp_path, identity):
+    @pytest.mark.parametrize("replica, hello",
+                             [case[1:] for case in REFUSED_HELLOS],
+                             ids=[case[0] for case in REFUSED_HELLOS])
+    def test_hello_from_no_group_peer(self, tmp_path, replica, hello):
         async def go():
-            async with FakePeer(tmp_path, group_size=3) as peer:
-                reader, _ = await peer.hello(identity)
-                assert await closed_by_server(reader)   # no WELCOME
+            async with FakePeer(tmp_path, group_size=3,
+                                replica=replica) as peer:
+                reader, _ = await peer.connect(hello)
+                # closed, and nothing written first: no WELCOME
+                assert await asyncio.wait_for(reader.read(),
+                                              _PATIENCE) == b""
                 assert peer.server.stats["client_aborts"] == 1
-                _, good = await peer.dial()
-                write_frame(good, peer.batch(peer.updates(1)))
+                _, good = await peer.dial(2)
+                write_frame(good, peer.batch(peer.updates(1, process=2)))
+                await peer.applied(1, process=2)
+
+        run(go())
+
+    def test_welcome_with_trailing_bytes(self, tmp_path):
+        """The dialing end refuses a WELCOME with bytes after its ack,
+        as the accepting end refuses such a HELLO."""
+        server = ReplicaServer(
+            ClusterSpec.local_uds(tmp_path, "optp", 1, 2), 0, 1)
+        server._loop = FakeLoop()
+        conn = _Inbound(server, dial=0)
+        conn.connection_made(FakeTransport())
+        deliver(conn, frame(bytes([FRAME_PEER_WELCOME, 0, 0])))
+        assert conn.transport.closed
+        assert server.stats["client_aborts"] == 1
+        assert server._links == {} and server.stats["peer_dials"] == 0
+
+    def test_a_redial_replaces_the_link(self, tmp_path):
+        """Peer 1 dials again before replica 0 has seen its old
+        connection go, as a restart faster than the EOF would: the old
+        connection is closed first and the WELCOME counts only what was
+        applied, so what the old one still carried is sent again, and
+        what arrives twice is dropped by dedup."""
+        async def go():
+            async with FakePeer(tmp_path) as peer:
+                server = peer.server
+                client = AsyncSessionClient(peer.spec, replica=0)
+                await client.put("mine", 1)
+                old_reader, old = await peer.dial()
+                first, second, third = peer.updates(3)
+                write_frame(old, peer.batch([first]))
+                data = frame(peer.batch([second, third]))
+                old.write(data[:-3])                 # never completed
+                await old.drain()
                 await peer.applied(1)
+                reader, new = await peer.hello(1)
+                assert await read_frame(reader) == bytes(
+                    [FRAME_PEER_WELCOME, 1])
+                assert await closed_by_server(old_reader)
+                # the replica's own write, resent on the new link
+                assert split_batch(await read_frame(reader)) == server._sent
+                write_frame(new, peer.batch([second, third]))
+                write_frame(new, peer.batch([first, second, third]))
+                await eventually(lambda: server.stats["frames_in"] == 3)
+                assert server.applied == [1, 3]
+                assert server.node.buffered_count == 0
+                assert list(server._links) == [1]
+                assert not server._links[1].transport.is_closing()
+                assert await client.get("name-2") == 2
+                await client.close()
+            again = ReplicaServer(peer.spec, 0, 0, rundir=tmp_path,
+                                  wal_dir=tmp_path / "wal")
+            assert again.applied == [1, 3]
 
         run(go())
 

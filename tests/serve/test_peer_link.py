@@ -1,11 +1,12 @@
-"""The send policy of one peer link, on a fake loop, clock and writer:
+"""The send policy of one peer link, on a fake loop, clock and transport:
 no sockets, no sleeps, every instant chosen by the test.
 
 A quiet link flushes at the end of the tick that enqueued; a link that
 flushed inside ``batch_window`` waits out the rest of it; the caps flush
 on the spot; and on every path the WAL is synced before a byte is
 written (group commit), even when the cap flush goes off in the middle
-of a request whose record is appended before its first op.
+of a request whose record is appended before its first op.  And the
+link's connection: two replicas' ends of it, wired back to back.
 """
 
 from types import SimpleNamespace
@@ -20,78 +21,10 @@ from repro.serve.codec import FRAME_MSG_BATCH, OP_WRITE
 from repro.serve.server import ReplicaServer, _PeerLink
 from repro.serve.shard import ClusterSpec
 
+from tests.serve.fakes import Duplex, FakeLoop, FakeTransport
 from tests.serve.test_one_body import split_batch
 
 WINDOW = 0.0005
-
-
-class FakeHandle:
-    def __init__(self, callback, args, when=None):
-        self.callback, self.args, self.when = callback, args, when
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-
-
-class FakeLoop:
-    """``call_soon`` runs at :meth:`tick`, ``call_later`` when
-    :meth:`advance` moves the clock past it."""
-
-    def __init__(self):
-        self.now = 100.0
-        self.soon = []
-        self.timers = []
-
-    def time(self):
-        return self.now
-
-    def call_soon(self, callback, *args):
-        self.soon.append(FakeHandle(callback, args))
-        return self.soon[-1]
-
-    def call_later(self, delay, callback, *args):
-        self.timers.append(FakeHandle(callback, args, self.now + delay))
-        return self.timers[-1]
-
-    def tick(self):
-        due, self.soon = self.soon, []
-        self._run(due)
-
-    def advance(self, seconds):
-        self.now += seconds
-        due = [h for h in self.timers if h.when <= self.now]
-        self.timers = [h for h in self.timers if h.when > self.now]
-        self._run(due)
-
-    @staticmethod
-    def _run(handles):
-        for handle in handles:
-            if not handle.cancelled:
-                handle.callback(*handle.args)
-
-    def pending(self):
-        return [h for h in self.soon + self.timers if not h.cancelled]
-
-
-class FakeTransport:
-    @staticmethod
-    def get_write_buffer_size():
-        return 0
-
-
-class FakeWriter:
-    transport = FakeTransport()
-
-    def __init__(self, log):
-        self.log = log
-        self.closed = False
-
-    def write(self, data):
-        self.log.append(("write", bytes(data)))
-
-    def close(self):
-        self.closed = True
 
 
 class FakeWal:
@@ -113,19 +46,18 @@ class Rig:
         self.loop = self.server._loop = FakeLoop()
         self.log = []
         self.server._wal = FakeWal(self.log)
-        self.writer = FakeWriter(self.log)
-        self.link = _PeerLink(self.server, 1, self.writer)
+        self.transport = FakeTransport(self.log)
+        self.link = _PeerLink(self.server, 1, self.transport)
         self.stats = self.server.stats
 
     def frames(self):
         """Message bodies of each frame written so far."""
         out = []
-        for event in self.log:
-            if event[0] == "write":
-                payload = event[1][4:]
-                assert int.from_bytes(event[1][:4], "big") == len(payload)
-                assert payload[0] == FRAME_MSG_BATCH
-                out.append(split_batch(payload))
+        for data in self.transport.written:
+            payload = data[4:]
+            assert int.from_bytes(data[:4], "big") == len(payload)
+            assert payload[0] == FRAME_MSG_BATCH
+            out.append(split_batch(payload))
         return out
 
     def flushes(self):
@@ -164,7 +96,7 @@ class TestQuietLink:
         rig.loop.tick()
         assert rig.frames() == [sent]
         assert (rig.stats["peer_batches"], rig.stats["peer_msgs"]) == (1, 5)
-        assert rig.stats["peer_bytes"] == len(rig.log[-1][1])
+        assert rig.stats["peer_bytes"] == len(rig.transport.written[-1])
 
     def test_quiet_again_once_the_window_has_passed(self, rig):
         first, second = bodies(2)
@@ -264,7 +196,7 @@ class TestGroupCommit:
         ops = [(OP_WRITE, f"k{i}", f"v{i}") for i in range(3)]
         body = codec.encode_request((0, 0), ops)
         answers = []
-        client = SimpleNamespace(transport=FakeWriter(answers))
+        client = SimpleNamespace(transport=FakeTransport(answers))
         rig.server._serve_request(client, (0, 0), ops, 0, [], body)
         # journal, sync, the cap flush of writes 1-2; then group commit
         # before the answer (write 3 waits for the window to close)
@@ -284,9 +216,67 @@ class TestClose:
         handle = rig.link.flush_handle
         rig.link.close()
         assert handle.cancelled and rig.link.flush_handle is None
-        assert rig.writer.closed
+        assert rig.transport.closed
         rig.link.flush("peer_flush_idle")          # a handle that got away
         rig.loop.tick()
         assert rig.log == []
         assert rig.stats["peer_batches"] == 0
         assert rig.flushes() == {"idle": 0, "window": 0, "cap": 0}
+
+
+def pair(tmp_path):
+    """Replicas 0 and 1 of a 2-group, each end of their one connection on
+    a fake transport, handshake done."""
+    spec = ClusterSpec.local_uds(tmp_path, "optp", 1, 2)
+    low, high = (ReplicaServer(spec, 0, i) for i in range(2))
+    wire = Duplex(high, low, FakeLoop())
+    wire.pump()
+    return low, high, wire
+
+
+class TestOneConnection:
+    def test_two_ends_link_up_and_carry_batches_both_ways(self, tmp_path):
+        low, high, wire = pair(tmp_path)
+        assert low._links[1].transport is wire.accepted.transport
+        assert high._links[0].transport is wire.dialed.transport
+        assert low._link_up[1].is_set() and high._link_up[0].is_set()
+        assert (low.stats["peer_dials"], high.stats["peer_dials"]) == (0, 1)
+        for i in range(3):
+            wire.loop.advance(WINDOW)              # each link is quiet
+            low.node.do_write("a", i)
+            high.node.do_write("b", i)
+            wire.pump()
+        assert low.applied[1] == high.applied[0] == 3
+        assert low.node.do_read("b") == high.node.do_read("a") == 2
+        for server in (low, high):
+            assert server.stats["peer_batches"] == 3
+            assert server.stats["frames_in"] == 3
+            assert server.stats["client_aborts"] == 0
+
+    def test_a_lost_connection_drops_the_link_on_both_ends(self, tmp_path):
+        low, high, wire = pair(tmp_path)
+        for end in (wire.dialed, wire.accepted):
+            end.transport.close()
+            end.connection_lost(None)
+        assert low._links == high._links == {}
+        assert not low._link_up[1].is_set()
+        assert not high._link_up[0].is_set()
+        assert wire.dialed.lost.is_set()           # the dialer redials
+        assert wire.accepted.lost is None
+
+    def test_a_peer_connection_reads_on_when_its_writes_back_up(
+            self, tmp_path):
+        """Two replicas whose write buffers are both full would each wait
+        for the other to read: a peer connection never stops reading."""
+        low, high, wire = pair(tmp_path)
+        for end in (wire.dialed, wire.accepted):
+            end.pause_writing()
+            assert end.transport.reading and not end.paused
+        low.node.do_write("a", 1)
+        high.node.do_write("b", 2)
+        wire.pump()
+        assert low.applied[1] == high.applied[0] == 1
+        for end in (wire.dialed, wire.accepted):
+            end.resume_writing()
+            assert end.transport.reading
+

@@ -41,10 +41,12 @@ from repro.serve.shard import ClusterSpec, parse_endpoint
 from repro.sim.node import Node
 from repro.sim.trace import NullTrace
 
+from tests.serve.fakes import FakeLoop, FakeTransport, deliver, pour
 from tests.serve.test_one_body import (
     FakePeer,
     closed_by_server,
     eventually,
+    peer_hello,
 )
 from tests.serve.test_session import run
 
@@ -54,6 +56,9 @@ _SMALL_BUFFER = 48
 
 
 def hello(role: int, identity: int = 0) -> bytes:
+    """A HELLO; a peer's says it holds none of the receiver's writes."""
+    if role == ROLE_PEER:
+        return peer_hello(identity)
     return bytes([FRAME_HELLO, role, identity])
 
 
@@ -68,33 +73,6 @@ def peer_bodies(value_sizes, group_size=3) -> list:
     for i, size in enumerate(value_sizes):
         node.do_write(f"k{i % 4}", "v" * size)
     return sent
-
-
-class FakeTransport:
-    """Records writes (also into ``log``, shared between transports, as
-    ``("write", transport)``) and whether it is being read."""
-
-    def __init__(self, log=None):
-        self.written = []
-        self.closed = False
-        self.reading = True
-        self.log = [] if log is None else log
-
-    def write(self, data):
-        self.written.append(bytes(data))
-        self.log.append(("write", self))
-
-    def close(self):
-        self.closed = True
-
-    def is_closing(self):
-        return self.closed
-
-    def pause_reading(self):
-        self.reading = False
-
-    def resume_reading(self):
-        self.reading = True
 
 
 class Journal:
@@ -119,33 +97,22 @@ class Journal:
 
 
 def replica():
+    """Replica 0 of a 3-group on a fake loop and journal: what it sends
+    its peers waits on the loop, which no test here ticks."""
     server = ReplicaServer(
         ClusterSpec.local_uds(Path("unused"), "optp", 1, 3), 0, 0)
+    server._loop = FakeLoop()
     return server, Journal(server)
 
 
 def durable_replica(wal_dir: Path, **options) -> ReplicaServer:
-    """Replica 0 of a 3-group with a real WAL in ``wal_dir``: built on a
-    directory that holds one, it recovers from it."""
-    return ReplicaServer(
+    """Replica 0 of a 3-group with a real WAL in ``wal_dir``, on a fake
+    loop: built on a directory that holds one, it recovers from it."""
+    server = ReplicaServer(
         ClusterSpec.local_uds(Path("unused"), "optp", 1, 3), 0, 0,
         wal_dir=wal_dir, **options)
-
-
-def pour(chunk: bytes, writable, wrote) -> None:
-    """What the transport does with one ``recv``: fill the buffer it is
-    offered (as much as fits) and say how much arrived."""
-    while chunk:
-        buf = writable()
-        assert len(buf) > 0
-        n = min(len(buf), len(chunk))
-        buf[:n] = chunk[:n]
-        wrote(n)
-        chunk = chunk[n:]
-
-
-def deliver(conn: _Inbound, chunk: bytes) -> None:
-    pour(chunk, lambda: conn.get_buffer(-1), conn.buffer_updated)
+    server._loop = FakeLoop()
+    return server
 
 
 @st.composite
@@ -230,10 +197,10 @@ class TestFrameBuffer:
 
 
 def _foreign_update() -> bytes:
-    """Well-formed, but peer 2's: fails ``_admit`` on peer 1's link."""
+    """Well-formed, but peer 1's: fails ``_admit`` on peer 2's link."""
     return codec.encode_message(UpdateMessage(
-        sender=2, wid=WriteId(2, 1), variable="k", value="v",
-        payload={"write_co": (0, 0, 1)}))
+        sender=1, wid=WriteId(1, 1), variable="k", value="v",
+        payload={"write_co": (0, 1, 0)}))
 
 
 async def _oversized_length(peer, reader, writer):
@@ -242,7 +209,7 @@ async def _oversized_length(peer, reader, writer):
 
 
 async def _eof_mid_frame(peer, reader, writer):
-    data = frame(peer.batch(peer.updates(2)))
+    data = frame(peer.batch(peer.updates(2, process=2)))
     writer.write(data[:len(data) // 2])
     await writer.drain()
     writer.close()
@@ -266,7 +233,7 @@ async def _second_hello(peer, reader, writer):
 async def _trailing_byte(peer, reader, writer):
     """A good update and one byte more: journaled whole, the frame would
     fail to decode at every restart."""
-    write_frame(writer, peer.batch(peer.updates(1)) + b"\x00")
+    write_frame(writer, peer.batch(peer.updates(1, process=2)) + b"\x00")
     assert await closed_by_server(reader)
 
 
@@ -277,7 +244,8 @@ ADVERSARIES = [_oversized_length, _eof_mid_frame, _not_a_batch,
 class TestLiveAdversaries:
     """ROADMAP item 2, peer plane: a hostile or broken peer connection
     is closed and counted; nothing it sent is journaled or buffered, and
-    every other connection is served as before."""
+    every other connection is served as before.  The attacker dials as
+    peer 2: a second HELLO as peer 1 would replace the good link."""
 
     @pytest.mark.parametrize("attack", ADVERSARIES,
                              ids=[a.__name__.strip("_") for a in ADVERSARIES])
@@ -288,7 +256,7 @@ class TestLiveAdversaries:
                 _, good = await peer.dial()
                 client = AsyncSessionClient(peer.spec, replica=0)
                 await client.put("mine", 1)
-                reader, writer = await peer.dial()
+                reader, writer = await peer.dial(2)
                 await attack(peer, reader, writer)
                 await eventually(
                     lambda: server.stats["client_aborts"] == 1)
@@ -316,9 +284,10 @@ class TestLiveAdversaries:
             async with FakePeer(tmp_path, group_size=3) as peer:
                 server = peer.server
                 _, good = await peer.dial()
-                _, stalled = await peer.dial()
-                first, second, third = peer.updates(3)
-                data = frame(peer.batch([first]))
+                _, stalled = await peer.dial(2)
+                first, second = peer.updates(2)
+                late, later = peer.updates(2, process=2)
+                data = frame(peer.batch([late]))
                 stalled.write(data[:len(data) - 3])
                 await stalled.drain()
                 client = AsyncSessionClient(peer.spec, replica=0)
@@ -329,12 +298,11 @@ class TestLiveAdversaries:
                 write_frame(good, peer.batch([first, second]))
                 await peer.applied(2)
                 assert server.stats["client_aborts"] == 0
-                # the rest of the frame arrives: a duplicate by now,
-                # journaled and dropped by the guard, never applied twice
+                # the rest of the frame arrives, and the link goes on
                 stalled.write(data[len(data) - 3:])
-                write_frame(stalled, peer.batch([third]))
-                await peer.applied(3)
-                assert await client.get("name-2") == 2
+                write_frame(stalled, peer.batch([later]))
+                await peer.applied(2, process=2)
+                assert await client.get("p2-name-1") == 1
                 await client.close()
                 assert server.stats["client_aborts"] == 0
                 assert server.node.buffered_count == 0

@@ -138,6 +138,28 @@ class TestSessionGuarantees:
         run(go())
 
 
+class TestPeerLinks:
+    def test_one_connection_per_replica_pair(self, tmp_path):
+        """Three replicas hold three peer connections, each end an
+        ``_Inbound`` that is its replica's link to the other."""
+        async def go():
+            async with Group(tmp_path) as group:
+                ends = [(server.node_id, conn.peer)
+                        for server in group.servers
+                        for conn in server._inbound if conn.peer is not None]
+                assert sorted(ends) == [(i, j) for i in range(3)
+                                        for j in range(3) if i != j]
+                for server in group.servers:
+                    assert {dest: link.transport
+                            for dest, link in server._links.items()} == {
+                        conn.peer: conn.transport
+                        for conn in server._inbound if conn.peer is not None}
+                assert [s.stats["peer_dials"] for s in group.servers] == [
+                    0, 1, 2]
+
+        run(go())
+
+
 class TestClientDeath:
     def test_server_survives_client_abort_mid_session(self, tmp_path):
         """Kill a client with pipelined requests in flight: the server

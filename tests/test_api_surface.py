@@ -76,11 +76,13 @@ class TestReadinessSurface:
 
 class TestServingSurface:
     """One framing path per connection, on both ends (docs/serving.md,
-    "Wire format"): no stream hand-over, no per-connection task, and a
-    session wait is a parked request, not an ``await``."""
+    "Wire format"): no stream hand-over, no per-connection task, a
+    session wait is a parked request, not an ``await``, and both ends of
+    a peer link are one :class:`_Inbound`, with no stream dialer."""
 
     GONE = ("_hand_over", "_serve_stream", "_conn_tasks", "_await_session",
-            "_serve_client", "_serve_admin", "_waiters", "_wake_waiters")
+            "_serve_client", "_serve_admin", "_waiters", "_wake_waiters",
+            "_peer_supervisor")
 
     def test_no_stream_hand_over_and_no_session_await(self):
         import asyncio
@@ -100,9 +102,14 @@ class TestServingSurface:
             assert not hasattr(conn, name), name
         assert issubclass(server._Inbound, asyncio.BufferedProtocol)
         assert issubclass(client._GroupConn, asyncio.BufferedProtocol)
+        for name in ("_drain", "draining", "writer"):
+            assert not hasattr(server._PeerLink, name), name
+        assert not hasattr(server, "_DRAIN_HIGH_WATER")
         source = inspect.getsource(server)
         assert "StreamReaderProtocol" not in source
-        assert source.count("read_frame(") == 1    # the dialer's WELCOME
+        assert source.count("read_frame(") == 0
+        # bench/tracing.py wraps ``server.read_frame`` by name
+        assert hasattr(server, "read_frame")
 
 
 class TestImportCost:
