@@ -41,7 +41,7 @@ from repro.model.operations import BOTTOM, WriteId
 BROADCAST = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UpdateMessage:
     """Propagation of one write operation (the paper's ``m(x_h, v, ...)``).
 
@@ -67,6 +67,20 @@ class UpdateMessage:
     row_cache: Any = field(default=None, init=False, compare=False,
                            repr=False)
 
+    # Every write builds one and every receipt decodes one: the
+    # generated ``__init__`` would pay a ``object.__setattr__`` call
+    # per field, this one writes the instance dict.  ``payload=None``
+    # means an empty payload.
+    def __init__(self, sender: int, wid: WriteId, variable: Hashable,
+                 value: Any, payload: Optional[Mapping[str, Any]] = None):
+        d = self.__dict__
+        d["sender"] = sender
+        d["wid"] = wid
+        d["variable"] = variable
+        d["value"] = value
+        d["payload"] = {} if payload is None else payload
+        d["row_cache"] = None
+
     def __str__(self) -> str:
         return f"m({self.variable}={self.value!r} from {self.wid})"
 
@@ -86,12 +100,17 @@ class ControlMessage:
 Message = Union[UpdateMessage, ControlMessage]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Outgoing:
     """A message and its destination (``BROADCAST`` or a process id)."""
 
     message: Message
     dest: int = BROADCAST
+
+    def __init__(self, message: Message, dest: int = BROADCAST):
+        d = self.__dict__
+        d["message"] = message
+        d["dest"] = dest
 
 
 class Disposition(enum.Enum):
@@ -105,7 +124,7 @@ class Disposition(enum.Enum):
     DISCARD = "discard"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WriteOutcome:
     """Result of a local write: its identity and the traffic it generates.
 
@@ -122,8 +141,15 @@ class WriteOutcome:
     outgoing: Tuple[Outgoing, ...] = ()
     local_apply: bool = True
 
+    def __init__(self, wid: WriteId, outgoing: Tuple[Outgoing, ...] = (),
+                 local_apply: bool = True):
+        d = self.__dict__
+        d["wid"] = wid
+        d["outgoing"] = outgoing
+        d["local_apply"] = local_apply
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class ReadOutcome:
     """Result of a local read: the value and the write it came from.
 
@@ -132,6 +158,11 @@ class ReadOutcome:
 
     value: Any
     read_from: Optional[WriteId]
+
+    def __init__(self, value: Any, read_from: Optional[WriteId]):
+        d = self.__dict__
+        d["value"] = value
+        d["read_from"] = read_from
 
 
 class Protocol(abc.ABC):

@@ -71,7 +71,10 @@ class OpKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True, order=True)
+_setattr = object.__setattr__   # past ``frozen``, as dataclasses do
+
+
+@dataclass(frozen=True, slots=True, order=True, init=False)
 class WriteId:
     """Globally unique identity of a write operation.
 
@@ -90,11 +93,16 @@ class WriteId:
     process: int
     seq: int
 
-    def __post_init__(self) -> None:
-        if self.process < 0:
-            raise ValueError(f"process must be >= 0, got {self.process}")
-        if self.seq < 1:
-            raise ValueError(f"seq is 1-based and must be >= 1, got {self.seq}")
+    # Validated and written inline: the generated ``__init__`` plus a
+    # ``__post_init__`` is two Python calls per id, and every write and
+    # every decoded update builds one.
+    def __init__(self, process: int, seq: int) -> None:
+        if process < 0:
+            raise ValueError(f"process must be >= 0, got {process}")
+        if seq < 1:
+            raise ValueError(f"seq is 1-based and must be >= 1, got {seq}")
+        _setattr(self, "process", process)
+        _setattr(self, "seq", seq)
 
     def __str__(self) -> str:
         return f"w[p{self.process}#{self.seq}]"

@@ -33,6 +33,18 @@ Wire format (``docs/serving.md`` has the full tables):
   nothing else on malformed bytes -- truncation, invalid UTF-8,
   unhashable dict keys, impossible write ids, and containers nested
   more than :data:`MAX_DEPTH` deep.
+- **One pass per hot body shape**: the bodies every served op crosses
+  -- an update (:func:`encode_message_into` /
+  :func:`decode_message_from`), a REQUEST (:func:`decode_request`) and
+  a RESPONSE (:func:`encode_response`) -- are each walked once by one
+  function, which reads one-byte varints (and writes any varint),
+  ``str`` names and values and ``_T_VEC`` vectors in place.  Everything
+  else -- a longer varint on decode, other values, the intern table,
+  the cold frames -- goes through the generic helpers
+  (:class:`VarReader`, :func:`write_uvarint`, :func:`encode_value`,
+  :func:`decode_value`).  The bytes are the same either way, which
+  ``tests/serve/test_codec.py`` checks against a reference encoder
+  built from the helpers alone.
 
 Nothing here performs I/O; framing against asyncio streams lives in
 :func:`read_frame` / :func:`write_frame` which only touch the stream
@@ -462,26 +474,84 @@ class InternDecoder:
 def encode_message_into(w: VarWriter, message: Message,
                         intern: Optional[InternEncoder] = None) -> None:
     """Append one message body; ``intern=None`` gives the canonical
-    (self-contained) form."""
+    (self-contained) form.
+
+    One pass over an update, with no helper call for what an update
+    nearly always holds: ids, counts, lengths and the sequence number
+    are written in place, and so are a ``str`` name or value and a
+    ``_T_VEC`` payload entry.  Anything else goes through
+    :func:`write_uvarint` / :func:`encode_value`, which write the same
+    bytes.
+    """
     buf = w.buf
     if isinstance(message, UpdateMessage):
+        sender = message.sender
+        wid = message.wid
+        process = wid.process
         buf.append(_M_UPDATE)
-        write_uvarint(buf, message.sender)
-        write_uvarint(buf, message.wid.process)
-        write_uvarint(buf, message.wid.seq)
-        if intern is None:
-            _write_variable(w, message.variable)
+        if 0 <= sender < 0x80 and 0 <= process < 0x80:
+            buf.append(sender)
+            buf.append(process)
         else:
-            intern.write(w, message.variable)
-        encode_value(w, message.value)
+            write_uvarint(buf, sender)
+            write_uvarint(buf, process)
+        seq = wid.seq                   # >= 1: a WriteId checks it
+        while seq > 0x7F:
+            buf.append((seq & 0x7F) | 0x80)
+            seq >>= 7
+        buf.append(seq)
+        variable = message.variable
+        if intern is not None:
+            intern.write(w, variable)
+        elif type(variable) is str:
+            data = variable.encode("utf-8")
+            buf.append(0)
+            if len(data) < 0x80:
+                buf.append(len(data))
+            else:
+                write_uvarint(buf, len(data))
+            buf += data
+        else:
+            buf.append(1)
+            encode_value(w, variable)
+        value = message.value
+        if type(value) is str:
+            data = value.encode("utf-8")
+            buf.append(_T_STR)
+            if len(data) < 0x80:
+                buf.append(len(data))
+            else:
+                write_uvarint(buf, len(data))
+            buf += data
+        else:
+            encode_value(w, value)
         payload = message.payload
-        write_uvarint(buf, len(payload))
+        if len(payload) < 0x80:
+            buf.append(len(payload))
+        else:
+            write_uvarint(buf, len(payload))
         for key, value in payload.items():
             if type(key) is not str:
                 raise CodecError(f"non-string payload key {key!r}")
             data = key.encode("utf-8")
-            write_uvarint(buf, len(data))
+            if len(data) < 0x80:
+                buf.append(len(data))
+            else:
+                write_uvarint(buf, len(data))
             buf += data
+            if type(value) is tuple and 0 < len(value) < 0x80:
+                for item in value:
+                    if type(item) is not int or item < 0:
+                        break
+                else:           # a vector clock: _T_VEC, in place
+                    buf.append(_T_VEC)
+                    buf.append(len(value))
+                    for item in value:
+                        while item > 0x7F:
+                            buf.append((item & 0x7F) | 0x80)
+                            item >>= 7
+                        buf.append(item)
+                    continue
             encode_value(w, value)
     elif isinstance(message, ControlMessage):
         buf.append(_M_CONTROL)
@@ -498,34 +568,124 @@ def decode_message_from(r: VarReader,
                         intern: Optional[InternDecoder] = None) -> Message:
     """Read one message body.  With ``intern=None`` the decode is
     stateless: the body must be self-contained, and a table reference
-    is a :class:`CodecError`."""
-    tag = r.u8()
-    if tag == _M_UPDATE:
-        sender = r.uvarint()
-        wid = read_wid(r)
-        if intern is None:
+    is a :class:`CodecError`.
+
+    One pass over an update, the mirror of :func:`encode_message_into`:
+    a varint that fits one byte, a ``str`` name or value and a
+    ``_T_VEC`` payload entry are read in place.  A longer varint, any
+    other name or value, and the intern table go through the
+    :class:`VarReader` helpers.
+    """
+    data = r.data
+    pos = r.pos
+    try:
+        tag = data[pos]
+        if tag != _M_UPDATE:
+            r.pos = pos + 1
+            if tag == _M_CONTROL:
+                return _decode_control(r)
+            raise CodecError(f"unknown message tag {tag}")
+        sender = data[pos + 1]
+        pos += 2
+        if sender > 0x7F:
+            r.pos = pos - 1
+            sender = r.uvarint()
+            pos = r.pos
+        process = data[pos]
+        pos += 1
+        if process > 0x7F:
+            r.pos = pos - 1
+            process = r.uvarint()
+            pos = r.pos
+        seq = data[pos]
+        pos += 1
+        if seq > 0x7F:
+            r.pos = pos - 1
+            seq = r.uvarint()
+            pos = r.pos
+        if seq < 1:
+            raise CodecError("write id sequence numbers are 1-based")
+        code = data[pos]
+        if intern is not None:
+            r.pos = pos
+            variable = intern.read(r)
+            pos = r.pos
+        elif code == 0 and data[pos + 1] < 0x80:
+            end = pos + 2 + data[pos + 1]
+            if end > len(data):
+                raise CodecError("truncated frame")
+            variable = str(data[pos + 2:end], "utf-8")
+            pos = end
+        else:
+            r.pos = pos
             code = r.uvarint()
             if code >= 2:
                 raise CodecError(
                     f"interned variable id {code - 2} in a stateless decode")
             variable = _read_variable(r, code)
+            pos = r.pos
+        if data[pos] == _T_STR and data[pos + 1] < 0x80:
+            end = pos + 2 + data[pos + 1]
+            if end > len(data):
+                raise CodecError("truncated frame")
+            value = str(data[pos + 2:end], "utf-8")
+            pos = end
         else:
-            variable = intern.read(r)
-        value = decode_value(r)
+            r.pos = pos
+            value = decode_value(r)
+            pos = r.pos
+        count = data[pos]
+        pos += 1
+        if count > 0x7F:
+            r.pos = pos - 1
+            count = r.uvarint()
+            pos = r.pos
         payload = {}
-        for _ in range(r.uvarint()):
-            key = r.text()
-            payload[key] = decode_value(r)
-        return UpdateMessage(sender=sender, wid=wid, variable=variable,
-                             value=value, payload=payload)
-    if tag == _M_CONTROL:
-        sender = r.uvarint()
-        kind = r.text()
-        payload = decode_value(r)
-        if type(payload) is not dict:
-            raise CodecError("control payload must decode to a dict")
-        return ControlMessage(sender=sender, kind=kind, payload=payload)
-    raise CodecError(f"unknown message tag {tag}")
+        for _ in range(count):
+            n = data[pos]
+            pos += 1
+            if n > 0x7F:
+                r.pos = pos - 1
+                n = r.uvarint()
+                pos = r.pos
+            end = pos + n
+            if end > len(data):
+                raise CodecError("truncated frame")
+            key = str(data[pos:end], "utf-8")
+            pos = end
+            if data[pos] != _T_VEC or data[pos + 1] > 0x7F:
+                r.pos = pos
+                payload[key] = decode_value(r)
+                pos = r.pos
+                continue
+            n = data[pos + 1]
+            pos += 2
+            vec = []
+            for _ in range(n):
+                item = data[pos]
+                pos += 1
+                if item > 0x7F:
+                    r.pos = pos - 1
+                    item = r.uvarint()
+                    pos = r.pos
+                vec.append(item)
+            payload[key] = tuple(vec)
+    except IndexError:
+        raise CodecError("truncated frame") from None
+    except UnicodeDecodeError:
+        raise CodecError("invalid UTF-8 in string") from None
+    r.pos = pos
+    return UpdateMessage(sender, WriteId(process, seq), variable, value,
+                         payload)
+
+
+def _decode_control(r: VarReader) -> ControlMessage:
+    sender = r.uvarint()
+    kind = r.text()
+    payload = decode_value(r)
+    if type(payload) is not dict:
+        raise CodecError("control payload must decode to a dict")
+    return ControlMessage(sender=sender, kind=kind, payload=payload)
 
 
 def encode_message(message: Message) -> bytes:
@@ -615,22 +775,56 @@ def encode_request(session: Tuple[int, ...],
 
 def decode_request(data: bytes) -> Tuple[Tuple[int, ...],
                                          List[Tuple[int, Any, Any]]]:
+    """One pass over a REQUEST body, with the in-place reads of
+    :func:`decode_message_from`: every op's kind, a one-byte count, and
+    a ``str`` variable or value."""
     r = VarReader(data)
-    if r.u8() != FRAME_REQUEST:
-        raise CodecError("not a REQUEST frame")
-    session = read_vec(r)
-    ops = []
-    for _ in range(r.uvarint()):
-        kind = r.u8()
-        variable = decode_value(r)
-        if type(variable) is not str:
-            _hashable(variable)
-        if kind == OP_WRITE:
-            ops.append((kind, variable, decode_value(r)))
-        elif kind == OP_READ:
-            ops.append((kind, variable, None))
-        else:
-            raise CodecError(f"unknown op kind {kind}")
+    try:
+        if data[0] != FRAME_REQUEST:
+            raise CodecError("not a REQUEST frame")
+        r.pos = 1
+        session = read_vec(r)
+        pos = r.pos
+        count = data[pos]
+        pos += 1
+        if count > 0x7F:
+            r.pos = pos - 1
+            count = r.uvarint()
+            pos = r.pos
+        ops = []
+        for _ in range(count):
+            kind = data[pos]
+            pos += 1
+            if data[pos] == _T_STR and data[pos + 1] < 0x80:
+                end = pos + 2 + data[pos + 1]
+                if end > len(data):
+                    raise CodecError("truncated frame")
+                variable = str(data[pos + 2:end], "utf-8")
+                pos = end
+            else:
+                r.pos = pos
+                variable = _hashable(decode_value(r))
+                pos = r.pos
+            if kind == OP_READ:
+                ops.append((kind, variable, None))
+                continue
+            if kind != OP_WRITE:
+                raise CodecError(f"unknown op kind {kind}")
+            if data[pos] == _T_STR and data[pos + 1] < 0x80:
+                end = pos + 2 + data[pos + 1]
+                if end > len(data):
+                    raise CodecError("truncated frame")
+                value = str(data[pos + 2:end], "utf-8")
+                pos = end
+            else:
+                r.pos = pos
+                value = decode_value(r)
+                pos = r.pos
+            ops.append((kind, variable, value))
+    except IndexError:
+        raise CodecError("truncated frame") from None
+    except UnicodeDecodeError:
+        raise CodecError("invalid UTF-8 in string") from None
     return session, ops
 
 
@@ -643,18 +837,33 @@ def encode_response(progress: Tuple[int, ...],
     ``(OP_READ, value)`` carries the read value.  ``progress`` is the
     server's applied vector *after* the batch -- the client folds it
     into its session vector (max per component).
+
+    One pass, with the in-place writes of :func:`encode_message_into`:
+    a one-byte write ack and a ``str`` read value.
     """
     w = VarWriter()
-    w.u8(FRAME_RESPONSE)
+    buf = w.buf
+    buf.append(FRAME_RESPONSE)
     write_vec(w, progress)
-    w.uvarint(len(results))
+    write_uvarint(buf, len(results))
     for kind, value in results:
-        w.u8(kind)
+        buf.append(kind)
         if kind == OP_WRITE:
-            w.uvarint(value)
+            if 0 <= value < 0x80:
+                buf.append(value)
+            else:
+                write_uvarint(buf, value)
+        elif type(value) is str:
+            data = value.encode("utf-8")
+            buf.append(_T_STR)
+            if len(data) < 0x80:
+                buf.append(len(data))
+            else:
+                write_uvarint(buf, len(data))
+            buf += data
         else:
             encode_value(w, value)
-    return w.getvalue()
+    return bytes(buf)
 
 
 def decode_response(data: bytes) -> Tuple[Tuple[int, ...],

@@ -22,7 +22,9 @@ behind real sockets:
   first need local dominance of that vector (read-your-writes +
   monotonic reads, Section "session guarantees" of docs/serving.md)
   and responses return the server's applied vector for the client to
-  fold into its session.
+  fold into its session.  ``applied`` is the protocol's own progress
+  vector (OptP's ``Apply``): one list, advanced by the protocol's write
+  and apply steps, never a copy kept beside it.
 - **admin plane**: quiesce polling and two-phase shutdown, so a parent
   can drain the deployment before asking nodes to dump their event
   logs (which keeps the Theorem-5 liveness check meaningful).
@@ -99,21 +101,6 @@ STOP_QUERY = 0     #: report queue depth + applied vector, keep serving
 STOP_SHUTDOWN = 1  #: flush, dump, acknowledge, exit
 
 _PEER_CONNECT_TIMEOUT = 15.0
-
-
-class _ServedNode(Node):
-    """A :class:`Node` that reports each remote apply's message, so the
-    server can maintain its applied vector (the session/progress
-    vector) without touching protocol internals."""
-
-    def __init__(self, *args, on_apply_msg=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._on_apply_msg = on_apply_msg
-
-    def _apply(self, msg):
-        super()._apply(msg)
-        if self._on_apply_msg is not None:
-            self._on_apply_msg(msg)
 
 
 class _PeerLink:
@@ -417,22 +404,24 @@ class ReplicaServer:
         self._t0 = monotonic()
         factory = _resolve_factory(spec.protocol)
         self.trace: Trace = Trace(self.n) if record else NullTrace(self.n)
-        self.node = _ServedNode(
+        self.node = Node(
             factory(node_id, self.n),
             self.trace,
             clock=self._now,
             dispatch=self._dispatch,
-            on_apply_msg=self._count_remote_apply,
             # Links redial on EOF and retransmit the unacked suffix;
             # the ack only covers *applied* updates, so a retransmitted
             # update may race its buffered twin -- the at-least-once
             # guard drops it before it can double-apply.
             dedup=True,
         )
-        #: applied[j] = writes issued by group-peer j applied locally;
-        #: grows monotonically, so ``tuple(applied)`` is the progress
-        #: vector clients fold into their session vectors.
-        self.applied: List[int] = [0] * self.n
+        #: applied[j] = writes issued by group-peer j applied locally,
+        #: own writes included: the protocol's own ``progress`` list
+        #: (OptP's ``Apply``, ANBKH's ``vc``), which only the protocol
+        #: writes and snapshot restore rewrites in place.  It grows
+        #: monotonically, so ``tuple(applied)`` is the progress vector
+        #: clients fold into their session vectors.
+        self.applied: List[int] = self.node.protocol.progress
         #: the types of a well-formed requirement row (see :meth:`_admit`)
         self._int_row = (int,) * self.n
         #: own broadcast updates in issue order, as canonical bodies:
@@ -498,9 +487,6 @@ class ReplicaServer:
         self._pinned = t = self._now()
         return t
 
-    def _count_remote_apply(self, msg) -> None:
-        self.applied[msg.sender] += 1
-
     def _dominates(self, session: Sequence[int]) -> bool:
         applied = self.applied
         for j, wanted in enumerate(session):
@@ -561,12 +547,16 @@ class ReplicaServer:
 
     def _replay(self, dur, raw_snap: Optional[bytes], res) -> None:
         """Rebuild pre-crash state through the *live* node: replayed
-        events land on the real trace (record mode) and replayed
-        receipts advance ``applied`` via the normal apply hook, while
-        ``_replaying`` suppresses re-externalization in
-        :meth:`_dispatch` (broadcasts still append to ``_sent``, which
-        is how the retransmission buffer is rebuilt).  Each record's
-        events carry the record's time, as they did live."""
+        events land on the real trace (record mode) and replayed writes
+        and receipts advance ``applied`` -- the protocol's progress --
+        as they did live, while ``_replaying`` suppresses
+        re-externalization in :meth:`_dispatch` (broadcasts still append
+        to ``_sent``, which is how the retransmission buffer is rebuilt).
+        Each record's events carry the record's time, as they did live.
+
+        The snapshot's ``applied`` is the progress vector it was taken
+        at: restoring the protocol must reproduce it, or the snapshot
+        is not one this replica wrote."""
         skip = 0
         last_t = 0.0
         self._replaying = True
@@ -574,7 +564,12 @@ class ReplicaServer:
             if raw_snap is not None:
                 doc = dur.decode_snapshot(raw_snap)
                 dur.restore_node(self.node, doc["node"])
-                self.applied = [int(x) for x in doc["applied"]]
+                if list(doc["applied"]) != self.applied:
+                    raise dur.RecoveryError(
+                        "snapshot applied vector disagrees with the "
+                        "restored protocol progress",
+                        detail=f"applied {list(doc['applied'])} != "
+                               f"progress {self.applied}")
                 self._sent = doc["sent"]
                 skip = int(doc["wal_records"])
                 last_t = float(doc["t"])
@@ -582,7 +577,6 @@ class ReplicaServer:
                 rec = dur.decode_record(body)
                 last_t = self._pinned = rec[1]
                 dur.apply_record(self.node, rec)
-            self.applied[self.node_id] = self.node.protocol.writes_issued
         except dur.RecoveryError:
             raise
         except Exception as exc:
@@ -858,7 +852,6 @@ class ReplicaServer:
                     kind, variable, value = ops[i]
                     if kind == OP_WRITE:
                         wid = node.do_write(variable, value)
-                        self.applied[self.node_id] = wid.seq
                         self.stats["writes"] += 1
                         if obs_on:
                             self._m_writes.inc()

@@ -127,28 +127,33 @@ class Node:
                 WriteId(self.process_id, self.protocol.writes_issued + 1)
             )
         outcome = self.protocol.write(variable, value)
-        now = self.clock()
-        self.trace.record(
-            now,
-            self.process_id,
-            EventKind.WRITE,
-            wid=outcome.wid,
-            variable=variable,
-            value=value,
-            state=self._state(),
-            registers_apply=outcome.local_apply,
-        )
-        if outcome.outgoing:
-            self.trace.record(
+        trace = self.trace
+        obs_on = self._obs.enabled
+        if trace.recording or obs_on:
+            now = self.clock()
+        if trace.recording:
+            trace.record(
                 now,
                 self.process_id,
-                EventKind.SEND,
+                EventKind.WRITE,
                 wid=outcome.wid,
                 variable=variable,
                 value=value,
+                state=self._state(),
+                registers_apply=outcome.local_apply,
             )
+            if outcome.outgoing:
+                trace.record(
+                    now,
+                    self.process_id,
+                    EventKind.SEND,
+                    wid=outcome.wid,
+                    variable=variable,
+                    value=value,
+                )
+        if outcome.outgoing:
             self.dispatch(self.process_id, outcome.outgoing)
-        if self._obs.enabled:
+        if obs_on:
             self._m_writes.inc()
             self._obs.registry.counter(
                 "node.writes_by_variable", variable=str(variable)).inc()
@@ -164,17 +169,21 @@ class Node:
         if self.crashed:
             return None
         outcome = self.protocol.read(variable)
-        now = self.clock()
-        self.trace.record(
-            now,
-            self.process_id,
-            EventKind.RETURN,
-            variable=variable,
-            value=outcome.value,
-            read_from=outcome.read_from,
-            state=self._state(),
-        )
-        if self._obs.enabled:
+        trace = self.trace
+        obs_on = self._obs.enabled
+        if trace.recording or obs_on:
+            now = self.clock()
+        if trace.recording:
+            trace.record(
+                now,
+                self.process_id,
+                EventKind.RETURN,
+                variable=variable,
+                value=outcome.value,
+                read_from=outcome.read_from,
+                state=self._state(),
+            )
+        if obs_on:
             self._m_reads.inc()
             self._obs.sink.on_read(now, self.process_id, variable,
                                    outcome.value)
@@ -203,19 +212,25 @@ class Node:
 
     def _receive_update(self, msg: UpdateMessage) -> None:
         if self.dedup:
-            if msg.wid in self._seen_updates:
+            # one hash of the id: a set that does not grow already had it
+            seen = self._seen_updates
+            size = len(seen)
+            seen.add(msg.wid)
+            if len(seen) == size:
                 self.duplicates_dropped += 1
                 if self._obs.enabled:
                     self._m_dups_dropped.inc()
                 return
-            self._seen_updates.add(msg.wid)
-        now = self.clock()
         trace = self.trace
+        recording = trace.recording
         obs_on = self._obs.enabled
+        if recording or obs_on:
+            now = self.clock()
         # state-less events go through the trace's compact path (no
         # per-event dataclass construction until a reader looks)
-        trace.record_compact(now, self.process_id, EventKind.RECEIPT,
-                             msg.wid, msg.variable, msg.value)
+        if recording:
+            trace.record_compact(now, self.process_id, EventKind.RECEIPT,
+                                 msg.wid, msg.variable, msg.value)
         if obs_on:
             self._m_receipts.inc()
             self._obs.sink.on_receipt(now, self.process_id, msg.wid,
@@ -228,8 +243,9 @@ class Node:
             # Definition 3: this write suffers a write delay here (the
             # offer parked it, and opened the span's wait interval
             # under the dependency it knows is blocking).
-            trace.record_compact(now, self.process_id, EventKind.BUFFER,
-                                 msg.wid, msg.variable)
+            if recording:
+                trace.record_compact(now, self.process_id, EventKind.BUFFER,
+                                     msg.wid, msg.variable)
             if obs_on:
                 self._m_buffers.inc()
         else:
@@ -237,21 +253,25 @@ class Node:
 
     def _apply(self, msg: UpdateMessage) -> None:
         self.protocol.apply_update(msg)
-        now = self.clock()
-        if self.record_state:
-            self.trace.record(
-                now,
-                self.process_id,
-                EventKind.APPLY,
-                wid=msg.wid,
-                variable=msg.variable,
-                value=msg.value,
-                state=self._state(),
-            )
-        else:
-            self.trace.record_compact(now, self.process_id, EventKind.APPLY,
-                                      msg.wid, msg.variable, msg.value)
-        if self._obs.enabled:
+        trace = self.trace
+        obs_on = self._obs.enabled
+        if trace.recording or obs_on:
+            now = self.clock()
+        if trace.recording:
+            if self.record_state:
+                trace.record(
+                    now,
+                    self.process_id,
+                    EventKind.APPLY,
+                    wid=msg.wid,
+                    variable=msg.variable,
+                    value=msg.value,
+                    state=self._state(),
+                )
+            else:
+                trace.record_compact(now, self.process_id, EventKind.APPLY,
+                                     msg.wid, msg.variable, msg.value)
+        if obs_on:
             self._m_applies.inc()
             self._obs.sink.on_apply(now, self.process_id, msg.wid)
         self.scheduler.notify_applied(msg)
@@ -260,32 +280,40 @@ class Node:
 
     def _discard(self, msg: UpdateMessage) -> None:
         self.protocol.discard_update(msg)
-        now = self.clock()
-        self.trace.record(
-            now,
-            self.process_id,
-            EventKind.DISCARD,
-            wid=msg.wid,
-            variable=msg.variable,
-        )
-        if self._obs.enabled:
+        trace = self.trace
+        obs_on = self._obs.enabled
+        if trace.recording or obs_on:
+            now = self.clock()
+        if trace.recording:
+            trace.record(
+                now,
+                self.process_id,
+                EventKind.DISCARD,
+                wid=msg.wid,
+                variable=msg.variable,
+            )
+        if obs_on:
             self._m_discards.inc()
             self._obs.sink.on_discard(now, self.process_id, msg.wid)
 
     def _record_oob_apply(self, wid: WriteId, variable: Hashable, value: Any) -> None:
         """Recorder callback for protocols that apply writes outside the
         update-message flow (token batches)."""
-        now = self.clock()
-        self.trace.record(
-            now,
-            self.process_id,
-            EventKind.APPLY,
-            wid=wid,
-            variable=variable,
-            value=value,
-            state=self._state(),
-        )
-        if self._obs.enabled:
+        trace = self.trace
+        obs_on = self._obs.enabled
+        if trace.recording or obs_on:
+            now = self.clock()
+        if trace.recording:
+            trace.record(
+                now,
+                self.process_id,
+                EventKind.APPLY,
+                wid=wid,
+                variable=variable,
+                value=value,
+                state=self._state(),
+            )
+        if obs_on:
             self._m_applies.inc()
             self._obs.sink.on_apply(now, self.process_id, wid)
         if self._on_remote_apply is not None:

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Dict, Hashable, Iterator, List,
-                    Optional, Tuple)
+from typing import (TYPE_CHECKING, Any, ClassVar, Dict, Hashable, Iterator,
+                    List, Optional, Tuple)
 
 from repro.model.operations import BOTTOM, Read, Write, WriteId
 
@@ -79,6 +79,10 @@ class TraceEvent:
 
 class Trace:
     """An append-only run trace with per-process and per-write indexes."""
+
+    #: Whether :meth:`record` keeps anything: a :class:`Node` builds no
+    #: event (and reads no clock for one) on a trace that does not.
+    recording: ClassVar[bool] = True
 
     def __init__(self, n_processes: int):
         self.n_processes = n_processes
@@ -328,12 +332,16 @@ class Trace:
 class NullTrace(Trace):
     """A trace that drops every event.
 
-    Satisfies the :class:`~repro.sim.node.Node` contract at zero cost;
-    the scheduler and protocol state are unaffected, only the event
-    log is absent.  Used by non-recording replica servers and by the
-    durability layer's recovery replay (where the pre-crash events are
-    already on the authoritative trace and must not be re-recorded).
+    Satisfies the :class:`~repro.sim.node.Node` contract at zero cost:
+    ``recording`` is False, so a node builds no event for it (and reads
+    no clock for one) and never calls it; the scheduler and protocol
+    state are unaffected, only the event log is absent.  Used by
+    non-recording replica servers and by the durability layer's recovery
+    replay (where the pre-crash events are already on the authoritative
+    trace and must not be re-recorded).
     """
+
+    recording: ClassVar[bool] = False
 
     def record(self, *args, **kwargs):  # type: ignore[override]
         return None

@@ -345,6 +345,27 @@ class TestRecoveryFromFrames:
         again = self.recovers(server, tmp_path)
         assert again.node.do_read("big") == value
 
+    def test_a_snapshot_whose_applied_disagrees_is_refused(self, tmp_path):
+        """``applied`` is the protocol's progress vector, so recovery
+        takes it from the restored protocol and holds the snapshot's
+        copy to it: a snapshot that disagrees was not written by this
+        replica's state, and recovery names both vectors."""
+        server = durable_replica(tmp_path, snapshot_every=2)
+        wires = Wires(server)
+        conn = wires.connect(ROLE_CLIENT)
+        wires.send(conn, request((0, 0, 0), W("a", 1), W("b", 2)))
+        assert server.stats["snapshots"] == 1
+        assert server.applied is server.node.protocol.progress
+        self.recovers(server, tmp_path)
+        snap = server._snap_path
+        doc = dur.decode_snapshot(dur.read_framed_file(snap))
+        assert list(doc["applied"]) == [2, 0, 0]
+        doc["applied"] = [2, 1, 0]
+        dur.write_framed_file(snap, dur.encode_snapshot(doc))
+        disagree = r"applied \[2, 1, 0\] != progress \[2, 0, 0\]"
+        with pytest.raises(dur.RecoveryError, match=disagree):
+            durable_replica(tmp_path)
+
     def test_snapshots_come_as_often_as_one_record_per_input_made_them(
             self, tmp_path):
         """``snapshot_every`` counts ops and receipts, not records: the

@@ -23,11 +23,13 @@ from repro.serve.codec import (
     InternEncoder,
     VarReader,
     VarWriter,
+    decode_batch,
     decode_message,
     decode_message_from,
     decode_request,
     decode_response,
     decode_value,
+    encode_batch,
     encode_message,
     encode_message_into,
     encode_request,
@@ -61,6 +63,37 @@ values = st.recursive(
     ),
     max_leaves=20,
 )
+
+
+def _update(sender, seq, vec, variable="k7", value="v" * 64):
+    return UpdateMessage(sender=sender, wid=WriteId(sender, seq),
+                         variable=variable, value=value,
+                         payload={"write_co": vec})
+
+
+#: Canonical bodies of every shape a decoder is fed, with ids, sequence
+#: numbers and vector components of one, two and three varint bytes.
+_UPDATES = [
+    _update(0, 1, (1, 0, 0)),
+    _update(1, 200, (127, 200, 128)),
+    _update(2, 20000, (16384, 16383, 20000), variable=("k", 9),
+            value=b"raw"),
+    _update(300, 2**40, (2**40, 0) * 3, variable="ключ",
+            value="значение"),
+]
+CANONICAL_BODIES = [
+    *(encode_message(m) for m in _UPDATES),
+    encode_message(ControlMessage(sender=1, kind="token",
+                                  payload={"round": 16384})),
+    encode_batch([encode_message(m) for m in _UPDATES]),
+    encode_request((200, 0, 16384), [(1, "k1", "v" * 200), (0, "k2", None),
+                                     (1, 7, (1, 2)), (0, ("k", 3), None)]),
+    encode_response((200, 0, 16384), [(1, 1), (1, 20000), (0, "v" * 200),
+                                      (0, None), (0, (1, 2))]),
+]
+DECODE_BY_TYPE = {2: decode_batch, 3: decode_request, 4: decode_response}
+DECODERS = (lambda data: decode_value(VarReader(data)), decode_message,
+            *DECODE_BY_TYPE.values())
 
 
 def roundtrip_value(value):
@@ -103,11 +136,48 @@ class TestValueRoundtrip:
     @settings(max_examples=200, deadline=None)
     def test_garbage_never_crashes(self, blob):
         # decoding attacker-controlled bytes must raise CodecError (or
-        # succeed), never IndexError/KeyError/MemoryError
-        try:
-            decode_value(VarReader(blob))
-        except CodecError:
-            pass
+        # succeed), never IndexError/KeyError/MemoryError -- in every
+        # decoder a peer or a client reaches, each one behind its
+        # frame-type byte as well as bare
+        for data in (blob, *(bytes([kind]) + blob for kind in (2, 3, 4))):
+            for decode in DECODERS:
+                try:
+                    decode(data)
+                except CodecError:
+                    pass
+
+    @given(st.sampled_from(range(len(CANONICAL_BODIES))), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cut_and_flipped_bodies_never_crash(self, index, data):
+        """Real bodies -- ids, sequence numbers and vector components
+        past one and two varint bytes -- cut short, or with bytes
+        flipped: only a CodecError may come out of any decoder."""
+        body = bytearray(CANONICAL_BODIES[index])
+        if data.draw(st.booleans()):
+            body = body[:data.draw(st.integers(0, len(body) - 1))]
+        else:
+            for _ in range(data.draw(st.integers(1, 3))):
+                at = data.draw(st.integers(0, len(body) - 1))
+                body[at] ^= data.draw(st.integers(1, 255))
+        body = bytes(body)
+        for decode in DECODERS:
+            try:
+                decode(body)
+            except CodecError:
+                pass
+        # ... and the one-pass decoders answer as the plain helpers do:
+        # the same result, or the same error first
+        for decode, ref in ((decode_message, ref_decode_message),
+                            (decode_batch, ref_decode_batch),
+                            (decode_request, ref_decode_request)):
+            assert outcome(decode, body) == outcome(ref, body)
+
+    def test_every_cut_of_a_body_is_truncated(self):
+        for body in CANONICAL_BODIES:
+            decode = DECODE_BY_TYPE.get(body[0], decode_message)
+            for end in range(len(body)):
+                with pytest.raises(CodecError):
+                    decode(body[:end])
 
     # Hostile frames that 200 random blobs never produced: each used to
     # leave the decoder as something other than CodecError, past the
@@ -296,6 +366,228 @@ class TestInterning:
             decode_message(referencing)
         with pytest.raises(CodecError, match="interned variable id 0"):
             decode_message_from(VarReader(referencing))
+
+
+# -- canonical bytes: the one-pass codec against the grammar ------------------
+#
+# A reference encoder written from the tables in docs/serving.md ("Wire
+# format"), out of the generic helpers alone: whatever the one-pass
+# functions inline, the bytes must be these.
+
+def ref_text(buf, text):
+    data = text.encode("utf-8")
+    write_uvarint(buf, len(data))
+    buf += data
+
+
+def ref_message(message):
+    w = VarWriter()
+    buf = w.buf
+    if isinstance(message, ControlMessage):
+        buf.append(1)
+        write_uvarint(buf, message.sender)
+        ref_text(buf, message.kind)
+        encode_value(w, dict(message.payload))
+        return bytes(buf)
+    buf.append(0)
+    write_uvarint(buf, message.sender)
+    write_uvarint(buf, message.wid.process)
+    write_uvarint(buf, message.wid.seq)
+    if type(message.variable) is str:
+        buf.append(0)
+        ref_text(buf, message.variable)
+    else:
+        buf.append(1)
+        encode_value(w, message.variable)
+    encode_value(w, message.value)
+    write_uvarint(buf, len(message.payload))
+    for key, value in message.payload.items():
+        ref_text(buf, key)
+        encode_value(w, value)
+    return bytes(buf)
+
+
+def ref_vec(buf, vec):
+    write_uvarint(buf, len(vec))
+    for item in vec:
+        write_uvarint(buf, item)
+
+
+def ref_request(session, ops):
+    w = VarWriter()
+    buf = w.buf
+    buf.append(3)
+    ref_vec(buf, session)
+    write_uvarint(buf, len(ops))
+    for kind, variable, value in ops:
+        buf.append(kind)
+        encode_value(w, variable)
+        if kind == 1:
+            encode_value(w, value)
+    return bytes(buf)
+
+
+def ref_response(progress, results):
+    w = VarWriter()
+    buf = w.buf
+    buf.append(4)
+    ref_vec(buf, progress)
+    write_uvarint(buf, len(results))
+    for kind, value in results:
+        buf.append(kind)
+        if kind == 1:
+            write_uvarint(buf, value)
+        else:
+            encode_value(w, value)
+    return bytes(buf)
+
+
+# Reference decoders, the same grammar read with the VarReader helpers
+# alone: the one-pass decoders must agree on every input, errors too.
+
+def ref_name(value):
+    try:
+        hash(value)
+    except TypeError:
+        raise CodecError("unhashable variable name") from None
+    return value
+
+
+def ref_read_message(r):
+    kind = r.u8()
+    if kind == 1:
+        sender, text, payload = r.uvarint(), r.text(), decode_value(r)
+        if type(payload) is not dict:
+            raise CodecError("control payload must decode to a dict")
+        return ControlMessage(sender=sender, kind=text, payload=payload)
+    if kind != 0:
+        raise CodecError(f"unknown message tag {kind}")
+    sender, process, seq = r.uvarint(), r.uvarint(), r.uvarint()
+    if seq < 1:
+        raise CodecError("write id sequence numbers are 1-based")
+    code = r.uvarint()
+    if code >= 2:
+        raise CodecError(
+            f"interned variable id {code - 2} in a stateless decode")
+    variable = r.text() if code == 0 else ref_name(decode_value(r))
+    value = decode_value(r)
+    payload = {}
+    for _ in range(r.uvarint()):
+        key = r.text()
+        payload[key] = decode_value(r)
+    return UpdateMessage(sender=sender, wid=WriteId(process, seq),
+                         variable=variable, value=value, payload=payload)
+
+
+def ref_decode_message(data):
+    r = VarReader(data)
+    message = ref_read_message(r)
+    if not r.done():
+        raise CodecError("trailing bytes after message")
+    return message
+
+
+def ref_decode_batch(data):
+    r = VarReader(data)
+    if r.u8() != 2:
+        raise CodecError("expected MSG_BATCH on peer plane")
+    messages = [ref_read_message(r) for _ in range(r.uvarint())]
+    if not r.done():
+        raise CodecError("trailing bytes after the last message of a batch")
+    return messages
+
+
+def ref_decode_request(data):
+    r = VarReader(data)
+    if r.u8() != 3:
+        raise CodecError("not a REQUEST frame")
+    session = tuple(r.uvarint() for _ in range(r.uvarint()))
+    ops = []
+    for _ in range(r.uvarint()):
+        kind = r.u8()
+        variable = ref_name(decode_value(r))
+        if kind == 1:
+            ops.append((kind, variable, decode_value(r)))
+        elif kind == 0:
+            ops.append((kind, variable, None))
+        else:
+            raise CodecError(f"unknown op kind {kind}")
+    return session, ops
+
+
+def outcome(decode, data):
+    try:
+        return decode(data)
+    except CodecError as exc:
+        return str(exc)
+
+
+#: one, two, three and more varint bytes, and the edges between them
+wide = st.one_of(st.integers(0, 300), st.sampled_from(EDGES[:6]),
+                 st.integers(0, 2**45))
+names = st.one_of(st.text(max_size=12), st.text(min_size=120, max_size=140),
+                  st.integers(-5, 2**20), st.tuples(st.text(max_size=3),
+                                                    st.integers(0, 9)))
+vectors = st.lists(wide, min_size=1, max_size=5).map(tuple)
+payload_values = st.one_of(vectors, st.just(()), values,
+                           st.tuples(st.integers(-3, 3), wide))
+updates = st.builds(
+    lambda sender, seq, variable, value, payload: UpdateMessage(
+        sender=sender, wid=WriteId(sender, seq), variable=variable,
+        value=value, payload=payload),
+    wide, wide.filter(bool), names,
+    st.one_of(st.text(), st.text(min_size=130, max_size=200), values),
+    st.dictionaries(st.text(max_size=140), payload_values, max_size=3))
+controls = st.builds(
+    lambda sender, kind, payload: ControlMessage(sender=sender, kind=kind,
+                                                 payload=payload),
+    wide, st.text(max_size=10),
+    st.dictionaries(st.one_of(st.text(max_size=5), st.integers(-9, 2**40)),
+                    values, max_size=3))
+ops = st.lists(st.one_of(
+    st.tuples(st.just(0), names, st.none()),
+    st.tuples(st.just(1), names,
+              st.one_of(st.text(), st.text(min_size=130, max_size=200),
+                        values))), max_size=6)
+results = st.lists(st.one_of(
+    st.tuples(st.just(1), wide),
+    st.tuples(st.just(0), st.one_of(st.text(), values))), max_size=6)
+
+
+class TestCanonicalBytes:
+    @given(st.one_of(updates, controls))
+    @settings(max_examples=300, deadline=None)
+    def test_messages_match_the_grammar(self, message):
+        body = encode_message(message)
+        assert body == ref_message(message)
+        back = decode_message(body)
+        assert back == message and type(back) is type(message)
+        assert ref_decode_message(body) == message
+        assert decode_batch(encode_batch([body, body])) == [message] * 2
+
+    @given(st.lists(st.one_of(updates, controls), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_interned_stream_roundtrips(self, messages):
+        w, enc = VarWriter(), InternEncoder()
+        for message in messages:
+            encode_message_into(w, message, enc)
+        r, dec = VarReader(w.getvalue()), InternDecoder()
+        assert [decode_message_from(r, dec) for _ in messages] == messages
+        assert r.done()
+
+    @given(vectors, ops)
+    @settings(max_examples=200, deadline=None)
+    def test_requests_match_the_grammar(self, session, ops):
+        body = encode_request(session, ops)
+        assert body == ref_request(session, ops)
+        assert decode_request(body) == (session, ops)
+
+    @given(vectors, results)
+    @settings(max_examples=200, deadline=None)
+    def test_responses_match_the_grammar(self, progress, results):
+        body = encode_response(progress, results)
+        assert body == ref_response(progress, results)
+        assert decode_response(body) == (progress, results)
 
 
 # -- messages from every registry protocol ------------------------------------

@@ -7,7 +7,7 @@ from repro.core.optp import OptPProtocol
 from repro.model.operations import BOTTOM, WriteId
 from repro.core.base import BROADCAST, Outgoing
 from repro.sim.node import Node
-from repro.sim.trace import EventKind, Trace
+from repro.sim.trace import EventKind, FlatTrace, NullTrace, Trace
 
 
 def make_node(i=1, n=3, proto_cls=OptPProtocol, **kw):
@@ -194,3 +194,64 @@ class TestCallbacks:
         node2, trace2, _, _ = make_node(record_state=False)
         node2.do_write("x", 1)
         assert trace2.process_events(1)[0].state is None
+
+
+class _SilentTrace(NullTrace):
+    """A non-recording trace that fails the test if anything calls it."""
+
+    def record(self, *args, **kwargs):
+        raise AssertionError("an event was built for a non-recording trace")
+
+    record_compact = record
+
+
+class TestNonRecordingTrace:
+    """A node on a trace whose ``recording`` is False builds no event and
+    reads no clock for one; the flag is read on every call, so a trace
+    swapped in mid-run (recovery does it) records from the next event."""
+
+    @staticmethod
+    def silent_node(**kw):
+        clock_reads = []
+        node = Node(OptPProtocol(1, 3), _SilentTrace(3),
+                    clock=lambda: clock_reads.append(1) or 0.0,
+                    dispatch=lambda *a: None, dedup=True,
+                    record_state=True, **kw)
+        return node, clock_reads
+
+    def test_the_flag(self):
+        assert Trace.recording and FlatTrace.recording
+        assert not NullTrace.recording and not _SilentTrace.recording
+
+    def test_no_call_into_the_trace(self):
+        node, clock_reads = self.silent_node()
+        sender = OptPProtocol(0, 3)
+        first, second, third = (msg_from(sender, "x", v) for v in (1, 2, 3))
+        assert node.do_write("y", 1) == WriteId(1, 1)           # write
+        assert node.do_read("y") == 1                           # read
+        node.receive(first)                                     # in order
+        node.receive(third)                                     # buffered
+        assert node.buffered_count == 1
+        node.receive(second)                                    # cascade
+        assert node.buffered_count == 0
+        node.receive(second)                                    # duplicate
+        assert node.duplicates_dropped == 1
+        assert node.protocol.progress == [3, 1, 0]
+        assert node.do_read("x") == 3
+        assert clock_reads == []
+
+    def test_a_trace_swapped_in_records_from_the_next_event(self):
+        node, _ = self.silent_node()
+        sender = OptPProtocol(0, 3)
+        node.receive(msg_from(sender, "x", 1))
+        node.do_write("y", 1)
+        node.trace = trace = Trace(3)
+        node.do_write("y", 2)
+        node.receive(msg_from(sender, "x", 2))
+        assert [(ev.kind, ev.wid) for ev in trace.events] == [
+            (EventKind.WRITE, WriteId(1, 2)), (EventKind.SEND, WriteId(1, 2)),
+            (EventKind.RECEIPT, WriteId(0, 2)),
+            (EventKind.APPLY, WriteId(0, 2))]
+        node.trace = _SilentTrace(3)
+        node.do_write("y", 3)
+        assert len(trace.events) == 4

@@ -111,6 +111,26 @@ class TestServingSurface:
         # bench/tracing.py wraps ``server.read_frame`` by name
         assert hasattr(server, "read_frame")
 
+    def test_applied_is_the_protocols_progress(self):
+        """No second progress vector: ``applied`` is the protocol's own
+        list, so no node subclass reports applies to the server."""
+        import inspect
+        from pathlib import Path
+
+        from repro.serve import server
+        from repro.serve.shard import ClusterSpec
+        from repro.sim.node import Node
+
+        for protocol in server.SERVABLE_PROTOCOLS:
+            replica = server.ReplicaServer(
+                ClusterSpec.local_uds(Path("unused"), protocol, 1, 3), 0, 1)
+            assert type(replica.node) is Node
+            assert replica.applied is replica.node.protocol.progress
+            assert not hasattr(replica, "_count_remote_apply")
+        assert not hasattr(server, "_ServedNode")
+        assert "on_apply_msg" not in inspect.getsource(server)
+        assert "on_apply_msg" not in inspect.signature(Node).parameters
+
 
 class TestImportCost:
     """Every replica process imports the serving path; the checker,
