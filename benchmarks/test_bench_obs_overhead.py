@@ -131,8 +131,7 @@ class BareNode(Node):
                                   EventKind.APPLY,
                                   msg.wid, msg.variable, msg.value)
         self.scheduler.notify_applied(msg)
-        if self._on_remote_apply is not None:
-            self._on_remote_apply()
+        self.remote_applies += 1
 
 
 def reversed_chain(n=N_PROCESSES, depth=CHAIN_DEPTH):

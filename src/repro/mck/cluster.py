@@ -71,8 +71,8 @@ from repro.core.base import (
 from repro.model.operations import WriteId
 from repro.obs.spans import NULL_OBS
 from repro.sim.cluster import ProtocolFactory, _resolve_factory
-from repro.sim.node import Node
-from repro.sim.trace import EventKind, Trace
+from repro.sim.node import Node, settled
+from repro.sim.trace import Trace
 from repro.workloads.ops import ReadOp, WriteOp
 
 from repro.mck.faults import NO_FAULTS, FaultSpec
@@ -210,9 +210,6 @@ class ControlledCluster:
         self._msgs: List[Message] = []
         self._emit_seq = [0] * n
         self._pending_findings: List[Finding] = []
-        self._writes_issued = 0
-        self._deferred_local_applies = 0
-        self._remote_applies = 0
         self.writes: List[WriteId] = []
         self.pc = [0] * n
         self._dup_budget = faults.duplicate
@@ -220,10 +217,6 @@ class ControlledCluster:
         self._duped: Set[str] = set()
         self._lost: List[_Pending] = []
         self._crash_budget = faults.crash
-        self._crashed = [False] * n
-        #: per-process remote-apply counts (trace APPLY events), needed
-        #: for survivor-only quiescence accounting under crash-stop.
-        self._remote_applies_by = [0] * n
         #: simulated snapshot + WAL pair per process (crash mode only).
         self._durable: Optional[List[Any]] = None
         if faults.crash > 0:
@@ -241,8 +234,6 @@ class ControlledCluster:
                 self.trace,
                 clock=self._clock,          # bound methods: deepcopy-safe
                 dispatch=self._dispatch,
-                on_remote_apply=self._count_remote_apply,
-                on_write=self._count_write,
                 dedup=faults.dedup_effective,
                 obs=NULL_OBS,
             )
@@ -278,14 +269,6 @@ class ControlledCluster:
 
     def _clock(self) -> float:
         return float(self._now)
-
-    def _count_remote_apply(self) -> None:
-        self._remote_applies += 1
-
-    def _count_write(self, local_apply: bool) -> None:
-        self._writes_issued += 1
-        if not local_apply:
-            self._deferred_local_applies += 1
 
     def _dispatch(self, sender: int, outgoing: Sequence[Outgoing]) -> None:
         for out in outgoing:
@@ -327,7 +310,7 @@ class ControlledCluster:
     def enabled(self) -> List[Transition]:
         """All enabled transitions, in a deterministic order."""
         ts: List[Transition] = []
-        crashed = self._crashed
+        crashed = [node.crashed for node in self.nodes]
         for p in range(self.n_processes):
             if crashed[p]:
                 continue
@@ -372,7 +355,6 @@ class ControlledCluster:
             self.nodes[arg].fire_timer()
         elif kind == "crash":
             self._crash_budget -= 1
-            self._crashed[arg] = True
             self.nodes[arg].crash()
         elif kind == "recover":
             self._exec_recover(arg)
@@ -450,7 +432,10 @@ class ControlledCluster:
         The rebuilt node replayed against a null trace, a zero clock
         and a sink dispatch (its pre-crash effects are already on the
         trace and in the pool); here the live callbacks are rebound --
-        bound methods, so subsequent clones rebind them again."""
+        bound methods, so subsequent clones rebind them again.  The
+        quiescence ledger is carried over from the crashed node: it
+        counts what the trace saw, not what the replay re-did (a write
+        a broken recovery lost is still owed to every process)."""
         from repro.durability.recovery import rebuild_node
         log = self._durable[p]
         doc = None
@@ -465,20 +450,18 @@ class ControlledCluster:
         node.trace = self.trace
         node.clock = self._clock
         node.dispatch = self._dispatch
-        node._on_remote_apply = self._count_remote_apply
-        node._on_write = self._count_write
         node.scheduler._clock = self._clock
+        crashed = self.nodes[p]
+        node.writes = crashed.writes
+        node.deferred_applies = crashed.deferred_applies
+        node.remote_applies = crashed.remote_applies
         self.nodes[p] = node
-        self._crashed[p] = False
 
     def _absorb(self) -> List[Finding]:
         """Feed newly recorded trace events to the invariant tracker."""
         events = self.trace.events[self._seen_events:]
         self._seen_events += len(events)
         self.last_trace_grew = bool(events)
-        for event in events:
-            if event.kind is EventKind.APPLY:
-                self._remote_applies_by[event.process] += 1
         findings = self._pending_findings
         self._pending_findings = []
         findings.extend(self.tracker.observe(self.trace, events))
@@ -489,15 +472,14 @@ class ControlledCluster:
     @property
     def quiescent(self) -> bool:
         """Mirror of ``SimCluster._quiescent``: workload done, no update
-        in flight, apply accounting satisfied (skips credited via
-        ``missing_applies``).
+        in flight, and the nodes' ledger :func:`~repro.sim.node.settled`.
 
         A crashed process under crash-*recovery* blocks quiescence (its
         recover transition is always enabled, so such paths keep
         running); under crash-*stop* the accounting is judged over the
         survivors only -- see :meth:`_quiescent_crash_stop`.
         """
-        if any(self._crashed):
+        if any(node.crashed for node in self.nodes):
             if self.faults.recover:
                 return False
             return self._quiescent_crash_stop()
@@ -506,10 +488,7 @@ class ControlledCluster:
                 return False
         if any(e.is_update for e in self._pool.values()):
             return False
-        expected = (self._writes_issued * (self.n_processes - 1)
-                    + self._deferred_local_applies)
-        missing = sum(n.protocol.missing_applies() for n in self.nodes)
-        return self._remote_applies + missing >= expected
+        return settled(self.nodes)
 
     def _quiescent_crash_stop(self) -> bool:
         """Survivor-only quiescence: live scripts done, no update in
@@ -521,20 +500,21 @@ class ControlledCluster:
         survivors must apply them -- paper liveness (Theorem 5)
         restricted to the correct processes.
         """
-        live = [p for p in range(self.n_processes) if not self._crashed[p]]
+        nodes = self.nodes
+        live = [p for p in range(self.n_processes) if not nodes[p].crashed]
         for p in live:
             if self.pc[p] < len(self.workload.scripts[p]):
                 return False
-        if any(e.is_update and not self._crashed[e.dest]
+        if any(e.is_update and not nodes[e.dest].crashed
                for e in self._pool.values()):
             return False
         n_live = len(live)
         expected = sum(
-            n_live if self._crashed[wid.process] else n_live - 1
+            n_live if nodes[wid.process].crashed else n_live - 1
             for wid in self.writes
         )
-        got = sum(self._remote_applies_by[p] for p in live)
-        missing = sum(self.nodes[p].protocol.missing_applies() for p in live)
+        got = sum(nodes[p].remote_applies for p in live)
+        missing = sum(nodes[p].protocol.missing_applies() for p in live)
         return got + missing >= expected
 
     def status(self) -> str:
@@ -567,7 +547,7 @@ class ControlledCluster:
             if self.in_class_p:
                 findings.extend(
                     f for f in self.tracker.liveness_findings(self.writes)
-                    if not self._crashed[f.process]
+                    if not self.nodes[f.process].crashed
                 )
             if self.check_convergence:
                 findings.extend(self._convergence_findings())
@@ -577,7 +557,7 @@ class ControlledCluster:
             # Crashed processes (crash-stop) are exempt throughout:
             # liveness only binds the correct processes.
             for p, node in enumerate(self.nodes):
-                if self._crashed[p]:
+                if node.crashed:
                     continue
                 for msg in node.pending:
                     findings.append(Finding(
@@ -617,8 +597,7 @@ class ControlledCluster:
         the store-level witness of that.  Crash-stop terminals compare
         the surviving replicas only."""
         stores = [node.protocol.store_snapshot()
-                  for p, node in enumerate(self.nodes)
-                  if not self._crashed[p]]
+                  for node in self.nodes if not node.crashed]
         variables = sorted({v for s in stores for v in s}, key=repr)
         past = self.tracker.past
         findings = []
@@ -654,7 +633,7 @@ class ControlledCluster:
             self._dup_budget,
             self._drop_budget,
             tuple(sorted(self._pool)),
-            tuple(self._crashed),
+            tuple(node.crashed for node in self.nodes),
             self._crash_budget,
         ]
         if self._durable is not None:
@@ -694,9 +673,6 @@ class ControlledCluster:
         new._msgs = list(self._msgs)
         new._emit_seq = list(self._emit_seq)
         new._pending_findings = list(self._pending_findings)
-        new._writes_issued = self._writes_issued
-        new._deferred_local_applies = self._deferred_local_applies
-        new._remote_applies = self._remote_applies
         new.writes = list(self.writes)
         new.pc = list(self.pc)
         new._dup_budget = self._dup_budget
@@ -705,8 +681,6 @@ class ControlledCluster:
         new._lost = list(self._lost)          # entries frozen
         new._factory = self._factory          # shared callable
         new._crash_budget = self._crash_budget
-        new._crashed = list(self._crashed)
-        new._remote_applies_by = list(self._remote_applies_by)
         new._durable = (None if self._durable is None
                         else [log.clone() for log in self._durable])
         new.check_convergence = self.check_convergence

@@ -1,7 +1,12 @@
 """asyncio-based cluster: the paper's system model on real concurrency.
 
-Each process is an asyncio task executing its
-:class:`~repro.workloads.ops.Program`; each message hop is a task that
+A run is :meth:`AsyncCluster.start`, operations on the nodes, and
+:meth:`AsyncCluster.close`, which awaits the nodes' ledger
+(:func:`~repro.sim.node.settled`) and freezes the result.
+:meth:`~AsyncCluster.run_programs` drives the nodes with one asyncio task
+per :class:`~repro.workloads.ops.Program`;
+:class:`~repro.runtime.interactive.CausalKV` hands them to application
+code.  Each message hop is a task that
 sleeps its (scaled) latency and then delivers into the destination
 node's synchronous ``receive``.  Because everything runs on one event
 loop thread, each protocol procedure executes atomically -- exactly the
@@ -20,12 +25,13 @@ liveness), not timings -- which is what
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.base import BROADCAST, Message, Outgoing, Protocol
+from repro.core.base import BROADCAST, Message, Outgoing, UpdateMessage
+from repro.sim.cluster import ProtocolFactory, _resolve_factory
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.network import estimate_size
-from repro.sim.node import Node
+from repro.sim.node import Node, expected_applies, settled
 from repro.sim.result import RunResult
 from repro.sim.trace import Trace
 from repro.workloads.ops import (
@@ -34,8 +40,6 @@ from repro.workloads.ops import (
     WaitReadStep,
     WriteStep,
 )
-
-ProtocolFactory = Union[str, Callable[[int, int], Protocol]]
 
 
 class ClusterQuiesceError(TimeoutError):
@@ -82,7 +86,12 @@ class ClusterQuiesceError(TimeoutError):
 
 
 class AsyncCluster:
-    """A single-use asyncio run of ``n`` processes under one protocol."""
+    """``n`` processes under one protocol on the running event loop.
+
+    Single-use: :meth:`start` it, drive its nodes (by programs, or by
+    hand as :class:`~repro.runtime.interactive.CausalKV` does), then
+    :meth:`close` it for the frozen :class:`RunResult`.
+    """
 
     def __init__(
         self,
@@ -93,8 +102,6 @@ class AsyncCluster:
         time_scale: float = 0.005,
         quiesce_timeout: float = 30.0,
     ):
-        from repro.sim.cluster import _resolve_factory
-
         if n_processes < 1:
             raise ValueError("need at least one process")
         if time_scale <= 0:
@@ -107,41 +114,30 @@ class AsyncCluster:
         self.trace = Trace(n_processes)
         self._t0 = 0.0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._message_tasks: set = set()
-        self._writes_issued = 0
-        self._deferred_local_applies = 0
-        self._remote_applies = 0
+        #: every task the cluster started: message hops, timers, programs
+        self._tasks: set = set()
         self._in_flight_updates = 0
         self.messages_sent = 0
         self.bytes_estimate = 0
-        self._ran = False
+        self._running = False
+        self._result: Optional[RunResult] = None
         self.nodes: List[Node] = [
-            Node(
-                factory(i, n_processes),
-                self.trace,
-                clock=self._now,
-                dispatch=self._dispatch,
-                on_remote_apply=self._count_apply,
-                on_write=self._count_write,
-            )
+            Node(factory(i, n_processes), self.trace, clock=self._now,
+                 dispatch=self._dispatch)
             for i in range(n_processes)
         ]
         self.protocol_name = self.nodes[0].protocol.name
-
-    # -- clock / counters ---------------------------------------------------------
 
     def _now(self) -> float:
         if self._loop is None:
             return 0.0
         return (self._loop.time() - self._t0) / self.time_scale
 
-    def _count_apply(self) -> None:
-        self._remote_applies += 1
-
-    def _count_write(self, local_apply: bool) -> None:
-        self._writes_issued += 1
-        if not local_apply:
-            self._deferred_local_applies += 1
+    def _spawn(self, coro) -> "asyncio.Future":
+        task = asyncio.ensure_future(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
 
     # -- messaging ----------------------------------------------------------------
 
@@ -155,8 +151,6 @@ class AsyncCluster:
                 self._ship(sender, out.dest, out.message)
 
     def _ship(self, sender: int, dest: int, message: Message) -> None:
-        from repro.core.base import UpdateMessage
-
         delay = self.latency_model.latency(sender, dest, message)
         self.messages_sent += 1
         self.bytes_estimate += estimate_size(message)
@@ -170,9 +164,7 @@ class AsyncCluster:
                 self._in_flight_updates -= 1
             self.nodes[dest].receive(message)
 
-        task = asyncio.ensure_future(hop())
-        self._message_tasks.add(task)
-        task.add_done_callback(self._message_tasks.discard)
+        self._spawn(hop())
 
     # -- program execution -----------------------------------------------------------
 
@@ -211,37 +203,75 @@ class AsyncCluster:
             node.fire_timer()
             await asyncio.sleep(interval * self.time_scale)
 
+    # -- lifecycle --------------------------------------------------------------
+
     def _quiesce_error(self) -> ClusterQuiesceError:
-        expected = (
-            self._writes_issued * (self.n_processes - 1)
-            + self._deferred_local_applies
-        )
-        per_node = [
-            {
-                "node": node.process_id,
-                "buffered": node.buffered_count,
-                "missing_applies": node.protocol.missing_applies(),
-            }
-            for node in self.nodes
-        ]
+        per_node = [{"node": node.process_id,
+                     "buffered": node.buffered_count,
+                     "missing_applies": node.protocol.missing_applies()}
+                    for node in self.nodes]
         return ClusterQuiesceError(
             "cluster failed to quiesce (liveness bug?)",
             timeout=self.quiesce_timeout,
             in_flight_updates=self._in_flight_updates,
-            expected_applies=expected,
-            observed_applies=self._remote_applies,
+            expected_applies=expected_applies(self.nodes),
+            observed_applies=sum(n.remote_applies for n in self.nodes),
             per_node=per_node,
         )
 
-    def _quiescent(self) -> bool:
-        if self._in_flight_updates > 0:
-            return False
-        expected = (
-            self._writes_issued * (self.n_processes - 1)
-            + self._deferred_local_applies
-        )
-        missing = sum(node.protocol.missing_applies() for node in self.nodes)
-        return self._remote_applies + missing >= expected
+    async def start(self) -> None:
+        """Boot the nodes and their timers on the running loop."""
+        if self._loop is not None:
+            raise RuntimeError(
+                "cluster already started (instances are single-use)")
+        self._running = True
+        self._loop = asyncio.get_running_loop()
+        self._t0 = self._loop.time()
+        for node in self.nodes:
+            node.start()
+        for node in self.nodes:
+            if node.protocol.timer_interval is not None:
+                self._spawn(self._timer_loop(node))
+
+    async def close(self) -> RunResult:
+        """Await quiescence, tear down, and freeze the run's result.
+
+        Raises :class:`ClusterQuiesceError` (torn down all the same)
+        when the nodes do not settle within ``quiesce_timeout``.  A
+        second call returns the frozen result again.
+        """
+        if self._running:
+            try:
+                deadline = self._loop.time() + self.quiesce_timeout
+                while self._in_flight_updates or not settled(self.nodes):
+                    if self._loop.time() > deadline:
+                        raise self._quiesce_error()
+                    await asyncio.sleep(self.time_scale)
+            finally:
+                await self._stop()
+            self._result = RunResult(
+                protocol_name=self.protocol_name,
+                n_processes=self.n_processes,
+                trace=self.trace,
+                duration=self._now(),
+                messages_sent=self.messages_sent,
+                bytes_estimate=self.bytes_estimate,
+                stores=[node.protocol.store_snapshot() for node in self.nodes],
+                protocol_stats=[node.protocol.stats() for node in self.nodes],
+                in_class_p=type(self.nodes[0].protocol).in_class_p,
+            )
+        return self._result
+
+    async def _stop(self) -> None:
+        """Cancel whatever is still flying (token rounds, timers etc.)
+        and *await* the cancellations, so no half-dead task outlives
+        the run to fire a "was never retrieved" warning (or deliver
+        into a dismantled node) later."""
+        self._running = False
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     async def run_programs(self, programs: Sequence[Program]) -> RunResult:
         """Run one program per process; await quiescence; return the result."""
@@ -249,51 +279,16 @@ class AsyncCluster:
             raise ValueError(
                 f"need exactly {self.n_processes} programs, got {len(programs)}"
             )
-        if self._ran:
-            raise RuntimeError("AsyncCluster instances are single-use")
-        self._ran = True
-        self._loop = asyncio.get_running_loop()
-        self._t0 = self._loop.time()
-        for node in self.nodes:
-            node.start()
-        timer_tasks = [
-            asyncio.ensure_future(self._timer_loop(node))
-            for node in self.nodes
-            if node.protocol.timer_interval is not None
-        ]
+        await self.start()
         try:
-            await asyncio.gather(
-                *(self._run_program(i, p) for i, p in enumerate(programs))
-            )
-            deadline = self._loop.time() + self.quiesce_timeout
-            while not self._quiescent():
-                if self._loop.time() > deadline:
-                    raise self._quiesce_error()
-                await asyncio.sleep(self.time_scale)
-        finally:
-            # Tear down whatever is still flying (token rounds, timers
-            # etc.) -- and *await* the cancellations, so no half-dead
-            # task outlives the run to fire a "was never retrieved"
-            # warning (or deliver into a dismantled node) later.
-            for task in timer_tasks:
-                task.cancel()
-            for task in list(self._message_tasks):
-                task.cancel()
-            await asyncio.gather(
-                *timer_tasks, *self._message_tasks,
-                return_exceptions=True,
-            )
-        return RunResult(
-            protocol_name=self.protocol_name,
-            n_processes=self.n_processes,
-            trace=self.trace,
-            duration=self._now(),
-            messages_sent=self.messages_sent,
-            bytes_estimate=self.bytes_estimate,
-            stores=[node.protocol.store_snapshot() for node in self.nodes],
-            protocol_stats=[node.protocol.stats() for node in self.nodes],
-            in_class_p=type(self.nodes[0].protocol).in_class_p,
-        )
+            await asyncio.gather(*(
+                self._spawn(self._run_program(i, p))
+                for i, p in enumerate(programs)
+            ))
+        except BaseException:
+            await self._stop()
+            raise
+        return await self.close()
 
 
 def run_programs_async(

@@ -1,10 +1,11 @@
 """An embeddable, interactively driven causal KV store.
 
-The simulator and the batch asyncio cluster replay *pre-declared*
-workloads; this module exposes the same protocol stack as a live
-object: create a cluster of in-process replicas, ``put``/``get``
-against any replica from application code, and close it down with a
-verified trace.  This is the "adopt it in an afternoon" API::
+The simulator replays *pre-declared* workloads, and so does
+:meth:`AsyncCluster.run_programs`; :class:`CausalKV` is the same
+asyncio host driven by hand instead: create a cluster of in-process
+replicas, ``put``/``get`` against any replica from application code,
+and close it down with a verified trace.  This is the "adopt it in an
+afternoon" API::
 
     async with CausalKV.open(3, protocol="optp") as kv:
         await kv.put(0, "greeting", "hello")
@@ -20,21 +21,16 @@ so a session can be audited (or archived via
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Hashable, List, Optional, Sequence, Union
+from typing import Any, Hashable, Optional
 
 from repro.analysis.checker import CheckReport, check_run
-from repro.core.base import BROADCAST, Message, Outgoing, Protocol
 from repro.model.operations import BOTTOM, WriteId
-from repro.sim.latency import ConstantLatency, LatencyModel
-from repro.sim.network import estimate_size
-from repro.sim.node import Node
+from repro.runtime.cluster import AsyncCluster, ProtocolFactory
+from repro.sim.latency import LatencyModel
 from repro.sim.result import RunResult
-from repro.sim.trace import Trace
-
-ProtocolFactory = Union[str, Callable[[int, int], Protocol]]
 
 
-class CausalKV:
+class CausalKV(AsyncCluster):
     """A live cluster of causally consistent in-process replicas."""
 
     def __init__(
@@ -46,41 +42,13 @@ class CausalKV:
         time_scale: float = 0.002,
         quiesce_timeout: float = 30.0,
     ):
-        from repro.sim.cluster import _resolve_factory
+        super().__init__(protocol, n_replicas, latency=latency,
+                         time_scale=time_scale,
+                         quiesce_timeout=quiesce_timeout)
 
-        if n_replicas < 1:
-            raise ValueError("need at least one replica")
-        factory = _resolve_factory(protocol)
-        self.n_replicas = n_replicas
-        self.latency_model = (latency or ConstantLatency(1.0)).fork()
-        self.time_scale = time_scale
-        self.quiesce_timeout = quiesce_timeout
-        self.trace = Trace(n_replicas)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._t0 = 0.0
-        self._tasks: set = set()
-        self._writes = 0
-        self._deferred = 0
-        self._applies = 0
-        self._in_flight = 0
-        self._open = False
-        self._result: Optional[RunResult] = None
-        self.messages_sent = 0
-        self.bytes_estimate = 0
-        self.nodes: List[Node] = [
-            Node(
-                factory(i, n_replicas),
-                self.trace,
-                clock=self._now,
-                dispatch=self._dispatch,
-                on_remote_apply=self._count_apply,
-                on_write=self._count_write,
-            )
-            for i in range(n_replicas)
-        ]
-        self.protocol_name = self.nodes[0].protocol.name
-
-    # -- lifecycle ----------------------------------------------------------
+    @property
+    def n_replicas(self) -> int:
+        return self.n_processes
 
     @classmethod
     def open(cls, n_replicas: int, *, protocol: ProtocolFactory = "optp",
@@ -93,43 +61,10 @@ class CausalKV:
         return self
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.close()
-
-    async def start(self) -> None:
-        if self._open:
-            raise RuntimeError("cluster already started")
-        self._open = True
-        self._loop = asyncio.get_running_loop()
-        self._t0 = self._loop.time()
-        for node in self.nodes:
-            node.start()
-        for node in self.nodes:
-            if node.protocol.timer_interval is not None:
-                self._spawn(self._timer_loop(node))
-
-    async def close(self) -> None:
-        """Wait for quiescence, tear down, and freeze the session result."""
-        if not self._open:
-            return
-        deadline = self._loop.time() + self.quiesce_timeout
-        while not self._quiescent():
-            if self._loop.time() > deadline:
-                raise TimeoutError("cluster failed to quiesce on close")
-            await asyncio.sleep(self.time_scale)
-        for task in list(self._tasks):
-            task.cancel()
-        self._open = False
-        self._result = RunResult(
-            protocol_name=self.protocol_name,
-            n_processes=self.n_replicas,
-            trace=self.trace,
-            duration=self._now(),
-            messages_sent=self.messages_sent,
-            bytes_estimate=self.bytes_estimate,
-            stores=[n.protocol.store_snapshot() for n in self.nodes],
-            protocol_stats=[n.protocol.stats() for n in self.nodes],
-            in_class_p=type(self.nodes[0].protocol).in_class_p,
-        )
+        if exc_type is None:
+            await self.close()
+        else:
+            await self._stop()
 
     # -- client API -----------------------------------------------------------
 
@@ -168,9 +103,7 @@ class CausalKV:
 
     def report(self) -> CheckReport:
         """Full checker verdict over the closed session."""
-        if self._result is None:
-            raise RuntimeError("close() the cluster before asking for a report")
-        return check_run(self._result)
+        return check_run(self.result)
 
     @property
     def result(self) -> RunResult:
@@ -178,70 +111,8 @@ class CausalKV:
             raise RuntimeError("close() the cluster first")
         return self._result
 
-    # -- plumbing ---------------------------------------------------------------
-
     def _check_live(self, replica: int) -> None:
-        if not self._open:
+        if not self._running:
             raise RuntimeError("cluster is not running")
         if not 0 <= replica < self.n_replicas:
             raise ValueError(f"replica {replica} out of range")
-
-    def _now(self) -> float:
-        if self._loop is None:
-            return 0.0
-        return (self._loop.time() - self._t0) / self.time_scale
-
-    def _count_apply(self) -> None:
-        self._applies += 1
-
-    def _count_write(self, local_apply: bool) -> None:
-        self._writes += 1
-        if not local_apply:
-            self._deferred += 1
-
-    def _quiescent(self) -> bool:
-        if self._in_flight > 0:
-            return False
-        expected = self._writes * (self.n_replicas - 1) + self._deferred
-        missing = sum(n.protocol.missing_applies() for n in self.nodes)
-        return self._applies + missing >= expected
-
-    def _spawn(self, coro) -> None:
-        task = asyncio.ensure_future(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
-    async def _timer_loop(self, node: Node) -> None:
-        interval = node.protocol.timer_interval
-        await asyncio.sleep(interval * self.time_scale)
-        while True:
-            node.fire_timer()
-            await asyncio.sleep(interval * self.time_scale)
-
-    def _dispatch(self, sender: int, outgoing: Sequence[Outgoing]) -> None:
-        for out in outgoing:
-            dests = (
-                [d for d in range(self.n_replicas) if d != sender]
-                if out.dest == BROADCAST
-                else [out.dest]
-            )
-            for dest in dests:
-                self._ship(sender, dest, out.message)
-
-    def _ship(self, sender: int, dest: int, message: Message) -> None:
-        from repro.core.base import UpdateMessage
-
-        delay = self.latency_model.latency(sender, dest, message)
-        self.messages_sent += 1
-        self.bytes_estimate += estimate_size(message)
-        is_update = isinstance(message, UpdateMessage)
-        if is_update:
-            self._in_flight += 1
-
-        async def hop() -> None:
-            await asyncio.sleep(delay * self.time_scale)
-            if is_update:
-                self._in_flight -= 1
-            self.nodes[dest].receive(message)
-
-        self._spawn(hop())

@@ -11,9 +11,10 @@ instances around a protocol, then drives a workload to quiescence:
   :class:`~repro.workloads.ops.Program` per process) with think times
   and value-polling waits.
 
-Quiescence means: all workload operations executed **and** every issued
-write is applied at every other process, minus the applies the protocol
-legitimately skipped (``missing_applies``, writing-semantics variants).
+Quiescence means: all workload operations executed, no update in
+flight, **and** the nodes' ledger is :func:`~repro.sim.node.settled`
+(every issued write applied at every other process, minus the applies
+the protocol legitimately skipped).
 A run that cannot reach quiescence (a liveness bug) raises
 :class:`~repro.sim.engine.EngineLimitError` instead of hanging or
 silently returning a short trace.
@@ -28,7 +29,7 @@ from repro.obs.spans import NULL_OBS, Obs
 from repro.sim.engine import Engine
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.network import Network
-from repro.sim.node import Node
+from repro.sim.node import Node, settled
 from repro.sim.result import RunResult
 from repro.sim.trace import FlatTrace
 from repro.workloads.ops import (
@@ -126,9 +127,6 @@ class SimCluster:
         self.max_time = max_time
         self.crashes = dict(crashes or {})
         self.deadline = deadline
-        self._writes_issued = 0
-        self._deferred_local_applies = 0
-        self._remote_applies = 0
         self._work_remaining = 0
         self._ran = False
         self.nodes: List[Node] = [
@@ -138,8 +136,6 @@ class SimCluster:
                 clock=lambda: self.engine.now,
                 dispatch=self._dispatch,
                 record_state=record_state,
-                on_remote_apply=self._count_apply,
-                on_write=self._count_write,
                 dedup=dedup,
                 obs=self.obs,
             )
@@ -169,16 +165,6 @@ class SimCluster:
             "in_flight_updates": self.network.in_flight_updates,
         }
 
-    def _count_apply(self) -> None:
-        self._remote_applies += 1
-
-    def _count_write(self, local_apply: bool) -> None:
-        self._writes_issued += 1
-        if not local_apply:
-            # The issuer's own apply will arrive as an APPLY event and
-            # is therefore part of the quiescence expectation.
-            self._deferred_local_applies += 1
-
     def _quiescent(self) -> bool:
         if self.deadline is not None and self.engine.now >= self.deadline:
             return True
@@ -188,14 +174,7 @@ class SimCluster:
             # Late messages (possibly headed for a discard) must still
             # arrive, or the trace under-reports.
             return False
-        expected = (
-            self._writes_issued * (self.n_processes - 1)
-            + self._deferred_local_applies
-        )
-        missing = sum(
-            node.protocol.missing_applies() for node in self.nodes
-        )
-        return self._remote_applies + missing >= expected
+        return settled(self.nodes)
 
     def _start(self) -> None:
         if self._ran:

@@ -43,8 +43,6 @@ class Node:
         dispatch: Dispatch,
         *,
         record_state: bool = False,
-        on_remote_apply: Optional[Callable[[], None]] = None,
-        on_write: Optional[Callable[[], None]] = None,
         dedup: bool = False,
         obs: Obs = NULL_OBS,
     ):
@@ -76,8 +74,12 @@ class Node:
             self._m_discards = reg.counter("node.discards", process=pid)
             self._m_dups_dropped = reg.counter(
                 "node.duplicates_dropped", process=pid)
-        self._on_remote_apply = on_remote_apply
-        self._on_write = on_write
+        #: the quiescence ledger (see :func:`settled`): writes issued
+        #: here, how many of them are applied here only later (by an
+        #: APPLY event), and the APPLY events recorded here.
+        self.writes = 0
+        self.deferred_applies = 0
+        self.remote_applies = 0
         #: crash-stop flag (fault-injection extension; the paper's
         #: model is failure-free).  A crashed node ignores all traffic
         #: and refuses local operations.
@@ -160,8 +162,9 @@ class Node:
             if outcome.outgoing:
                 self._obs.sink.on_send(now, self.process_id, outcome.wid,
                                        variable)
-        if self._on_write is not None:
-            self._on_write(outcome.local_apply)
+        self.writes += 1
+        if not outcome.local_apply:
+            self.deferred_applies += 1
         return outcome.wid
 
     def do_read(self, variable: Hashable) -> Any:
@@ -275,8 +278,7 @@ class Node:
             self._m_applies.inc()
             self._obs.sink.on_apply(now, self.process_id, msg.wid)
         self.scheduler.notify_applied(msg)
-        if self._on_remote_apply is not None:
-            self._on_remote_apply()
+        self.remote_applies += 1
 
     def _discard(self, msg: UpdateMessage) -> None:
         self.protocol.discard_update(msg)
@@ -316,9 +318,32 @@ class Node:
         if obs_on:
             self._m_applies.inc()
             self._obs.sink.on_apply(now, self.process_id, wid)
-        if self._on_remote_apply is not None:
-            self._on_remote_apply()
+        self.remote_applies += 1
 
     @property
     def buffered_count(self) -> int:
         return len(self.scheduler)
+
+
+def expected_applies(nodes: Sequence[Node]) -> int:
+    """APPLY events a complete run owes: every write at each of the
+    other ``n - 1`` processes, plus the issuer's own apply of each write
+    it did not apply at issue (:func:`settled`)."""
+    n = len(nodes)
+    return sum(node.writes * (n - 1) + node.deferred_applies
+               for node in nodes)
+
+
+def settled(nodes: Sequence[Node]) -> bool:
+    """Class-𝒫 liveness (Theorem 5) as a count: every write issued so
+    far has been applied at every process.
+
+    ``writes·(n-1) + deferred_applies <= remote_applies + missing_applies``,
+    each term summed over the nodes.  ``missing_applies`` credits the
+    applies a protocol skips by design (writing-semantics variants,
+    partial replication).  Every in-process host ends its run on this
+    test.
+    """
+    observed = sum(node.remote_applies + node.protocol.missing_applies()
+                   for node in nodes)
+    return observed >= expected_applies(nodes)

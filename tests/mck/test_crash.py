@@ -72,6 +72,33 @@ class TestCrashStop:
         assert not any(t[0] == "recover" for t in cluster.enabled())
 
 
+class TestRecoveredLedger:
+    @pytest.mark.parametrize("faults", ["crash", "crash,losetail:1"])
+    def test_rebuilt_node_keeps_the_traces_counts(self, faults):
+        """The rebuilt node's quiescence ledger is what the trace saw
+        at that process, not what its replay re-did: a write a broken
+        recovery lost is still owed to every process."""
+        from repro.mck import ControlledCluster
+        from repro.sim.trace import EventKind
+
+        cluster = ControlledCluster("optp", workload_by_name("pair"),
+                                    faults=parse_faults(faults))
+        cluster.execute(("op", 1))                  # p1 writes y
+        cluster.execute(("deliver", "u:1.0>0"))     # p0 applies it
+        cluster.execute(("op", 0))                  # p0 writes x
+        crashed = cluster.nodes[0]
+        cluster.execute(("crash", 0))
+        cluster.execute(("recover", 0))
+        rebuilt = cluster.nodes[0]
+        assert rebuilt is not crashed and not rebuilt.crashed
+        events = cluster.trace.process_events(0)
+        kinds = [e.kind for e in events]
+        assert (rebuilt.writes, rebuilt.deferred_applies,
+                rebuilt.remote_applies) == (
+            kinds.count(EventKind.WRITE), 0, kinds.count(EventKind.APPLY))
+        assert (rebuilt.writes, rebuilt.remote_applies) == (1, 1)
+
+
 class TestBrokenRecoveryMutation:
     """Self-check: a recovery that loses the WAL tail must be caught."""
 

@@ -16,6 +16,13 @@ ALL_PROTOCOLS = ["optp", "anbkh", "ws-receiver", "jimenez-token",
 FAST = dict(time_scale=0.002, quiesce_timeout=20.0)
 
 
+class BlackHole(ConstantLatency):
+    """Counts a send but never lets an update arrive in time."""
+
+    def latency(self, s, d, m):
+        return 10_000.0
+
+
 def h1_programs():
     # c trails a by 8 simulated units (>> the 0.3-unit poll) so p1's
     # wait reliably observes a before c overwrites it, even under real
@@ -109,12 +116,6 @@ class TestShutdown:
     def test_quiesce_timeout_carries_diagnostics(self):
         """A quiesce failure must be debuggable from the exception
         alone: per-node queue depths, expected vs. observed applies."""
-
-        class BlackHole(ConstantLatency):
-            """Counts a send but never lets an update arrive in time."""
-
-            def latency(self, s, d, m):
-                return 10_000.0
 
         programs = [
             Program.of(WriteStep("x", 1)),

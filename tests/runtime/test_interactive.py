@@ -5,8 +5,10 @@ import asyncio
 import pytest
 
 from repro.model.operations import BOTTOM, WriteId
+from repro.runtime import ClusterQuiesceError
 from repro.runtime.interactive import CausalKV
 from repro.sim.latency import ConstantLatency, UniformLatency
+from tests.runtime.test_async_cluster import BlackHole
 
 FAST = dict(time_scale=0.002, quiesce_timeout=20.0)
 
@@ -142,3 +144,66 @@ class TestOtherProtocols:
 
         kv = run(scenario())
         assert kv.report().ok, kv.report().summary()
+
+
+class TestShutdown:
+    """``CausalKV`` is the asyncio host driven by hand, so it shuts down
+    like one: cancellations awaited, quiesce failures explained."""
+
+    def test_no_pending_tasks_after_close(self):
+        async def go():
+            before = {t for t in asyncio.all_tasks() if not t.done()}
+            async with CausalKV.open(3, protocol="gossip-optp", **FAST) as kv:
+                await kv.put(0, "k", "v")
+                await kv.wait_visible(2, "k")
+            leaked = [
+                t for t in asyncio.all_tasks()
+                if not t.done() and t not in before
+            ]
+            assert leaked == []
+
+        run(go())
+
+    def test_wedged_close_raises_and_tears_down(self):
+        async def go():
+            before = {t for t in asyncio.all_tasks() if not t.done()}
+            kv = CausalKV.open(2, latency=BlackHole(1.0),
+                               time_scale=0.002, quiesce_timeout=0.2)
+            await kv.start()
+            await kv.put(0, "x", 1)
+            with pytest.raises(ClusterQuiesceError) as exc_info:
+                await kv.close()
+            err = exc_info.value
+            assert isinstance(err, TimeoutError)
+            assert err.in_flight_updates == 1
+            assert err.expected_applies == 1 and err.observed_applies == 0
+            assert [e["node"] for e in err.per_node] == [0, 1]
+            leaked = [
+                t for t in asyncio.all_tasks()
+                if not t.done() and t not in before
+            ]
+            assert leaked == []
+            with pytest.raises(RuntimeError, match="not running"):
+                await kv.put(0, "x", 2)
+
+        run(go())
+
+    def test_body_error_tears_down_without_waiting(self):
+        async def go():
+            kv = CausalKV.open(2, latency=BlackHole(1.0),
+                               time_scale=0.002, quiesce_timeout=30.0)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            with pytest.raises(KeyError):
+                async with kv:
+                    await kv.put(0, "x", 1)
+                    raise KeyError("boom")
+            assert loop.time() - started < 5.0
+            with pytest.raises(RuntimeError, match="not running"):
+                await kv.put(0, "x", 2)
+
+        run(go())
+
+    def test_time_scale_validated(self):
+        with pytest.raises(ValueError, match="time_scale"):
+            CausalKV.open(2, time_scale=0)

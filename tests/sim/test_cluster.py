@@ -4,6 +4,7 @@ import pytest
 
 from repro.model.legality import is_causally_consistent
 from repro.model.operations import WriteId
+from repro.protocols import PROTOCOLS
 from repro.sim import (
     ConstantLatency,
     EngineLimitError,
@@ -258,3 +259,53 @@ class TestWSReceiverOnSubstrate:
         assert r_optp.write_delays == 1
         # both end with the same final value
         assert r_ws.stores[1]["x"] == r_optp.stores[1]["x"] == (2, WriteId(0, 2))
+
+
+class TestLedger:
+    """Each node's quiescence ledger agrees with what the trace saw:
+    ``writes`` are its WRITE events, ``remote_applies`` its APPLY
+    events, ``deferred_applies`` the APPLY events of its own writes
+    (sequencer), and a finished run is ``settled`` -- with partial
+    replication's skipped applies credited by ``missing_applies``."""
+
+    @staticmethod
+    def _run(name):
+        from repro.protocols import ReplicationMap, partial_factory
+        from repro.workloads.generators import (
+            WorkloadConfig,
+            random_partial_schedule,
+            random_schedule,
+        )
+
+        cfg = WorkloadConfig(n_processes=4, ops_per_process=12, seed=7)
+        if name == "partial":
+            rmap = ReplicationMap.round_robin(
+                [f"x{i}" for i in range(cfg.n_variables)], cfg.n_processes, 2)
+            factory = partial_factory(rmap)
+            schedule = random_partial_schedule(cfg, rmap)
+        else:
+            factory = PROTOCOLS[name]
+            schedule = random_schedule(cfg)
+        cluster = SimCluster(factory, cfg.n_processes,
+                             latency=SeededLatency(7, dist="exponential",
+                                                   mean=2.0))
+        return cluster, cluster.run_schedule(schedule)
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS) + ["partial"])
+    def test_ledger_matches_trace(self, name):
+        from repro.sim.node import settled
+
+        cluster, result = self._run(name)
+        for node in cluster.nodes:
+            events = result.trace.process_events(node.process_id)
+            writes = [e for e in events if e.kind is EventKind.WRITE]
+            applies = [e for e in events if e.kind is EventKind.APPLY]
+            own = [e for e in applies if e.wid.process == node.process_id]
+            assert node.writes == len(writes) > 0
+            assert node.remote_applies == len(applies)
+            assert node.deferred_applies == len(own)
+        assert settled(cluster.nodes)
+        if name == "sequencer":
+            assert sum(n.deferred_applies for n in cluster.nodes) > 0
+        if name == "partial":
+            assert sum(n.protocol.missing_applies() for n in cluster.nodes) > 0

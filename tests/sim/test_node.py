@@ -169,22 +169,22 @@ class TestOutOfBandApplies:
 
 class TestCallbacks:
     def test_on_write_and_on_apply_fire(self):
-        writes = []
-        applies = []
-        trace = Trace(2)
+        """The node's own quiescence ledger (the callbacks it replaced
+        are gone): a write counts, an apply-at-issue defers nothing,
+        and a received update counts as an apply."""
         node = Node(
             OptPProtocol(1, 2),
-            trace,
+            Trace(2),
             clock=lambda: 0.0,
             dispatch=lambda *a: None,
-            on_write=lambda local: writes.append(local),
-            on_remote_apply=lambda: applies.append(1),
         )
         node.do_write("x", 1)
-        assert writes == [True]
+        assert (node.writes, node.deferred_applies, node.remote_applies) \
+            == (1, 0, 0)
         sender = OptPProtocol(0, 2)
         node.receive(msg_from(sender, "y", 2))
-        assert applies == [1]
+        assert (node.writes, node.deferred_applies, node.remote_applies) \
+            == (1, 0, 1)
 
     def test_state_snapshots_opt_in(self):
         node, trace, _, _ = make_node(record_state=True)

@@ -132,6 +132,45 @@ class TestServingSurface:
         assert "on_apply_msg" not in inspect.signature(Node).parameters
 
 
+class TestOneLedger:
+    """The quiescence ledger lives on ``Node`` and is read by
+    ``settled``; no host keeps a copy or feeds it by callback, and the
+    interactive store is the asyncio host, not a second one."""
+
+    def test_node_takes_no_ledger_callbacks(self):
+        import inspect
+
+        from repro.sim.node import Node
+
+        params = inspect.signature(Node).parameters
+        assert "on_write" not in params
+        assert "on_remote_apply" not in params
+
+    def test_no_host_counts_for_the_nodes(self):
+        from repro.mck import ControlledCluster, workload_by_name
+        from repro.runtime import AsyncCluster, CausalKV
+        from repro.serve.server import ReplicaServer
+        from repro.sim import SimCluster
+
+        for host in (SimCluster, AsyncCluster, CausalKV, ControlledCluster,
+                     ReplicaServer):
+            for name in ("_count_write", "_count_apply",
+                         "_count_remote_apply"):
+                assert not hasattr(host, name), (host.__name__, name)
+        cluster = ControlledCluster("optp", workload_by_name("pair"))
+        for name in ("_remote_applies_by", "_crashed", "_writes_issued",
+                     "_deferred_local_applies", "_remote_applies"):
+            assert not hasattr(cluster, name), name
+
+    def test_causalkv_is_the_asyncio_host(self):
+        from repro.runtime import AsyncCluster, CausalKV
+
+        assert issubclass(CausalKV, AsyncCluster)
+        for name in ("_dispatch", "_ship", "_timer_loop", "_now",
+                     "_quiescent"):
+            assert name not in vars(CausalKV), name
+
+
 class TestImportCost:
     """Every replica process imports the serving path; the checker,
     numpy and networkx load only where they are used."""
