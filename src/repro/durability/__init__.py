@@ -7,17 +7,20 @@ reads -- OptP reads mutate ``Write_co`` -- and peer message receipts)
 to a CRC-framed write-ahead log, periodically folds the log into a
 snapshot of the protocol's Section 4.1 structures, and after a crash
 rebuilds its exact pre-crash state by snapshot restore + deterministic
-replay.  ``docs/fault-tolerance.md`` walks through the design; the
-model checker explores crash/recover as ordinary transitions
-(``repro.mck``) and the serving layer journals for real
-(``repro.serve.server``).
+replay.  Every host recovers through one builder,
+:func:`snapshot_document`, and one routine, :func:`recover_node`: the
+serving layer journals for real (``repro.serve.server``) and the model
+checker explores crash/recover as ordinary transitions over the same
+bytes in memory (``repro.mck``).  ``docs/fault-tolerance.md`` walks
+through the design.
 """
 
 from repro.durability.recovery import (
-    DurableLog,
     RecoveryError,
     apply_record,
     rebuild_node,
+    recover_node,
+    snapshot_document,
 )
 from repro.durability.snapshot import restore_node, snapshot_node
 from repro.durability.wal import (
@@ -45,7 +48,6 @@ from repro.durability.wal import (
 )
 
 __all__ = [
-    "DurableLog",
     "KIND_BATCH",
     "KIND_OPS",
     "KIND_READ",
@@ -69,7 +71,9 @@ __all__ = [
     "read_framed_file",
     "read_wal",
     "rebuild_node",
+    "recover_node",
     "restore_node",
+    "snapshot_document",
     "snapshot_node",
     "write_framed_file",
 ]

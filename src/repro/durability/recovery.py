@@ -4,12 +4,19 @@ The registry protocols are deterministic functions of their input
 sequence (scripted writes/reads plus message receipts in arrival
 order), so recovery is *replay*: restore the latest snapshot, then feed
 the logged post-snapshot inputs back through a fresh
-:class:`~repro.sim.node.Node`.  The replayed node runs against a
-:class:`~repro.sim.trace.NullTrace` and a sink dispatch -- the
-pre-crash events are already on the authoritative trace and the
-pre-crash broadcasts are already in the channels (or in the serving
-layer's retransmission buffer), so replay must re-derive *state*
-without re-emitting *effects*.
+:class:`~repro.sim.node.Node`.  The pre-crash events are already on the
+authoritative trace and the pre-crash broadcasts are already in the
+channels (or in the serving layer's retransmission buffer), so replay
+must re-derive *state* without re-emitting *effects*: the host keeps
+the replayed node's dispatch from shipping anything.
+
+Every host recovers with the same two functions:
+:func:`snapshot_document` builds the snapshot a replica folds its WAL
+into, and :func:`recover_node` restores one, checks it and replays the
+records it does not cover.  :class:`~repro.serve.server.ReplicaServer`
+calls them over its snapshot file and WAL, and the model checker's
+crash mode (:class:`~repro.mck.cluster.ControlledCluster`) over the
+same bytes held in memory.
 
 Failures surface as :class:`RecoveryError`, which carries the durable
 context an operator needs (snapshot sequence, WAL record/tail counts)
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.base import Outgoing, Protocol
+from repro.core.base import Protocol
 from repro.durability.snapshot import restore_node
 from repro.durability.wal import (
     KIND_BATCH,
@@ -30,13 +37,15 @@ from repro.durability.wal import (
     KIND_RECV,
     KIND_WRITE,
     decode_record,
+    decode_snapshot,
 )
 from repro.obs.spans import NULL_OBS
 from repro.serve.codec import OP_WRITE
 from repro.sim.node import Node
 from repro.sim.trace import NullTrace
 
-__all__ = ["DurableLog", "RecoveryError", "apply_record", "rebuild_node"]
+__all__ = ["RecoveryError", "apply_record", "rebuild_node", "recover_node",
+           "snapshot_document"]
 
 
 class RecoveryError(RuntimeError):
@@ -72,17 +81,6 @@ class RecoveryError(RuntimeError):
         self.journal_tail = journal_tail or []
 
 
-# Module-level (deepcopy- and pickle-safe) stand-ins for the live
-# callbacks: replay re-derives state, never effects.
-
-def _zero_clock() -> float:
-    return 0.0
-
-
-def _sink_dispatch(sender: int, outgoing: Sequence[Outgoing]) -> None:
-    return None
-
-
 def apply_record(node: Node, rec: Tuple[Any, ...]) -> None:
     """Feed one decoded WAL record back through ``node``.
 
@@ -110,102 +108,85 @@ def apply_record(node: Node, rec: Tuple[Any, ...]) -> None:
         raise RecoveryError(f"unreplayable WAL record kind {rec[0]!r}")
 
 
-def rebuild_node(factory: Callable[[int, int], Protocol],
-                 process_id: int,
-                 n_processes: int,
-                 snapshot_doc: Optional[Dict[str, Any]],
-                 bodies: Sequence[bytes],
-                 *,
-                 dedup: bool = False,
-                 lose_tail: int = 0) -> Node:
-    """Build a recovered :class:`~repro.sim.node.Node` for ``process_id``.
 
-    ``snapshot_doc`` is a :func:`repro.durability.snapshot.snapshot_node`
-    document (None = recover from an empty initial state) and
-    ``bodies`` the post-snapshot WAL record bodies, oldest first.
 
-    ``lose_tail`` drops the last N records before replay.  It exists
-    for the mutation self-check (``BrokenRecovery``): a recovery path
-    that silently forgets the WAL tail must be *caught* by the model
-    checker, so the bug is injectable on demand.
+def snapshot_document(node: Node, t: float, sent: List[bytes],
+                      wal_records: int) -> Dict[str, Any]:
+    """The snapshot a replica folds its WAL into: the node
+    (:func:`~repro.durability.snapshot.snapshot_node`), the progress
+    vector it was taken at (``applied``), the clock ``t``, the node's own
+    broadcast bodies in issue order (``sent``, the retransmission buffer)
+    and the number of WAL records it covers (``wal_records``).  Take it
+    between records only: a record is journaled before its ops run."""
+    # looked up on the package, where bench/tracing.py times it
+    from repro import durability
+    return {
+        "node": durability.snapshot_node(node),
+        "applied": list(node.protocol.progress),
+        "t": t,
+        "sent": sent,
+        "wal_records": wal_records,
+    }
 
-    The returned node carries replay-only callbacks (null trace, zero
-    clock, sink dispatch); the caller rebinds the live ones.
+
+def recover_node(node: Node, snapshot: Optional[bytes],
+                 bodies: Sequence[bytes], sent: List[bytes], *,
+                 pin: Optional[Callable[[float], None]] = None,
+                 tail_bytes: int = 0) -> float:
+    """Rebuild the freshly built ``node`` from an encoded
+    :func:`snapshot_document` (None: the initial state) and the whole
+    WAL ``bodies``, oldest first; return the time of the last input
+    restored (0.0 if none).
+
+    Restoring the snapshot must reproduce its ``applied`` vector, or it
+    is not one this replica wrote.  Its ``sent`` goes into ``sent``
+    *before* replay, since a replayed own write appends its update there
+    again through the node's dispatch.  Replay skips the ``wal_records``
+    the snapshot covers and calls ``pin`` with each record's time first,
+    so a host clock that honours it dates every event as it was live.
+    Any failure is a :class:`RecoveryError` (``tail_bytes``: the torn
+    bytes the WAL reader dropped, for the message).
     """
+    skip = 0
+    last_t = 0.0
     try:
-        protocol = factory(process_id, n_processes)
-    except Exception as exc:
-        raise RecoveryError("protocol factory failed during recovery",
-                            detail=repr(exc)) from exc
-    if not type(protocol).supports_snapshot:
-        raise RecoveryError(
-            f"protocol {type(protocol).__name__} does not support snapshots")
-    node = Node(protocol, NullTrace(n_processes),
-                clock=_zero_clock, dispatch=_sink_dispatch,
-                dedup=dedup, obs=NULL_OBS)
-    replay = list(bodies)
-    if lose_tail > 0:
-        replay = replay[:max(0, len(replay) - lose_tail)]
-    try:
-        if snapshot_doc is not None:
-            restore_node(node, snapshot_doc)
-        for body in replay:
-            apply_record(node, decode_record(body))
+        if snapshot is not None:
+            doc = decode_snapshot(snapshot)
+            restore_node(node, doc["node"])
+            progress = node.protocol.progress
+            if list(doc["applied"]) != progress:
+                raise RecoveryError(
+                    "snapshot applied vector disagrees with the "
+                    "restored protocol progress",
+                    detail=f"applied {list(doc['applied'])} != "
+                           f"progress {progress}")
+            sent.extend(doc["sent"])
+            skip = int(doc["wal_records"])
+            last_t = float(doc["t"])
+        for body in bodies[skip:]:
+            rec = decode_record(body)
+            last_t = rec[1]
+            if pin is not None:
+                pin(last_t)
+            apply_record(node, rec)
     except RecoveryError:
         raise
     except Exception as exc:
-        raise RecoveryError("replay failed during recovery",
-                            wal_records=len(bodies),
-                            detail=repr(exc)) from exc
+        raise RecoveryError(
+            "replay failed during recovery",
+            snapshot_seq=skip, wal_records=len(bodies),
+            wal_tail_bytes=tail_bytes, detail=repr(exc)) from exc
+    return last_t
+
+
+def rebuild_node(factory: Callable[[int, int], Protocol],
+                 process_id: int, n_processes: int,
+                 snapshot: Optional[bytes], bodies: Sequence[bytes], *,
+                 dedup: bool = False) -> Node:
+    """A node recovered by :func:`recover_node` that records no events
+    and sends nothing (``bench/ceilings.py`` times replay with it)."""
+    node = Node(factory(process_id, n_processes), NullTrace(n_processes),
+                clock=lambda: 0.0, dispatch=lambda sender, outgoing: None,
+                dedup=dedup, obs=NULL_OBS)
+    recover_node(node, snapshot, bodies, [])
     return node
-
-
-class DurableLog:
-    """In-memory durable state of one model-checked node.
-
-    The model checker's crash transitions need the *semantics* of the
-    snapshot + WAL pair without disk I/O on every explored path, so
-    this mirrors the pair as bytes: record bodies exactly as
-    :mod:`repro.durability.wal` would frame them, and the snapshot as
-    its encoded document.  Bytes are immutable, so cloning a cluster
-    shares them and only copies the list spine.
-
-    ``snap_every=N`` folds the log into a fresh snapshot once N records
-    accumulate (the caller passes the live node); 0 disables
-    auto-snapshotting (pure WAL replay from the initial state).
-    """
-
-    __slots__ = ("snap_every", "snapshot", "snap_seq", "bodies")
-
-    def __init__(self, snap_every: int = 0):
-        self.snap_every = snap_every
-        self.snapshot: Optional[bytes] = None
-        #: number of records folded into the snapshot so far
-        self.snap_seq = 0
-        self.bodies: List[bytes] = []
-
-    def append(self, body: bytes, node: Node) -> None:
-        from repro.durability.snapshot import snapshot_node
-        from repro.durability.wal import encode_snapshot
-        self.bodies.append(body)
-        if self.snap_every and len(self.bodies) >= self.snap_every:
-            self.snapshot = encode_snapshot(snapshot_node(node))
-            self.snap_seq += len(self.bodies)
-            self.bodies.clear()
-
-    def clone(self) -> "DurableLog":
-        new = DurableLog.__new__(DurableLog)
-        new.snap_every = self.snap_every
-        new.snapshot = self.snapshot
-        new.snap_seq = self.snap_seq
-        new.bodies = list(self.bodies)
-        return new
-
-    def rebuild(self, factory: Callable[[int, int], Protocol],
-                process_id: int, n_processes: int, *,
-                dedup: bool = False, lose_tail: int = 0) -> Node:
-        from repro.durability.wal import decode_snapshot
-        doc = (decode_snapshot(self.snapshot)
-               if self.snapshot is not None else None)
-        return rebuild_node(factory, process_id, n_processes, doc,
-                            self.bodies, dedup=dedup, lose_tail=lose_tail)

@@ -21,7 +21,11 @@ Transition vocabulary (all JSON-serializable 2-tuples):
   down, ``p`` takes no ops/timers and receives no deliveries (the
   unordered pool holds its traffic, modelling connected channels)
 - ``("recover", p)``  -- rebuild ``p`` from its durable snapshot + WAL
-  (:mod:`repro.durability`) and resume
+  and resume
+
+Each process journals the records a served replica writes, folds them
+into the served snapshot document and recovers with the server's own
+routine (:mod:`repro.durability`), all in memory.
 
 Crash/recover are semantic no-ops on the *trace*: recovery replays the
 journaled inputs through a :class:`~repro.sim.trace.NullTrace`, so a
@@ -68,11 +72,20 @@ from repro.core.base import (
     Outgoing,
     UpdateMessage,
 )
+from repro.durability import encode_snapshot, recover_node, snapshot_document
+from repro.durability.wal import encode_batch_record, encode_ops_record
 from repro.model.operations import WriteId
 from repro.obs.spans import NULL_OBS
+from repro.serve.codec import (
+    OP_READ,
+    OP_WRITE,
+    encode_batch,
+    encode_message,
+    encode_request,
+)
 from repro.sim.cluster import ProtocolFactory, _resolve_factory
 from repro.sim.node import Node, settled
-from repro.sim.trace import Trace
+from repro.sim.trace import NullTrace, Trace
 from repro.workloads.ops import ReadOp, WriteOp
 
 from repro.mck.faults import NO_FAULTS, FaultSpec
@@ -217,12 +230,18 @@ class ControlledCluster:
         self._duped: Set[str] = set()
         self._lost: List[_Pending] = []
         self._crash_budget = faults.crash
-        #: simulated snapshot + WAL pair per process (crash mode only).
-        self._durable: Optional[List[Any]] = None
+        #: crash mode only, per process: ``(snapshot bytes or None,
+        #: records it covers, the whole WAL)``, immutable so clones share
+        #: it, and its own broadcast bodies (a served replica's ``_sent``)
+        self._durable: Optional[List[Tuple[Optional[bytes], int,
+                                           Tuple[bytes, ...]]]] = None
+        self._sent: Optional[List[List[bytes]]] = None
         if faults.crash > 0:
-            from repro.durability.recovery import DurableLog
-            self._durable = [DurableLog(snap_every=faults.snap_every)
-                             for _ in range(n)]
+            self._durable = [(None, 0, ())] * n
+            self._sent = [[] for _ in range(n)]
+        #: set while a recovering node replays: its sends are effects
+        #: the pool already holds
+        self._replaying = False
         self.check_convergence = check_convergence
         self.tracker = InvariantTracker(n, expect_optimal=expect_optimal)
         #: whether the last executed transition recorded trace events
@@ -273,9 +292,13 @@ class ControlledCluster:
     def _dispatch(self, sender: int, outgoing: Sequence[Outgoing]) -> None:
         for out in outgoing:
             if out.dest == BROADCAST:
+                if self._sent is not None:
+                    self._sent[sender].append(encode_message(out.message))
                 dests = [d for d in range(self.n_processes) if d != sender]
             else:
                 dests = [out.dest]
+            if self._replaying:
+                continue
             for dest in dests:
                 self._enqueue(sender, dest, out.message)
 
@@ -398,15 +421,12 @@ class ControlledCluster:
             # Journal what a served replica does: a one-op REQUEST run.
             # The *scripted* value: value=None replays as the same
             # deterministic fresh_value the original produced.
-            from repro.durability.wal import encode_ops_record
-            from repro.serve.codec import OP_READ, OP_WRITE, encode_request
             if isinstance(op, WriteOp):
                 request = (OP_WRITE, op.variable, op.value)
             else:
                 request = (OP_READ, op.variable, None)
             body = encode_request((0,) * self.n_processes, [request])
-            self._durable[p].append(
-                encode_ops_record(float(self._now), 0, 1, body), node)
+            self._journal(p, encode_ops_record(float(self._now), 0, 1, body))
 
     def _exec_deliver(self, mid: str) -> None:
         entry = self._pool.pop(mid)
@@ -418,39 +438,42 @@ class ControlledCluster:
             ))
         self.nodes[entry.dest].receive(entry.message)
         if self._durable is not None:
-            from repro.durability.wal import encode_batch_record
-            from repro.serve.codec import encode_batch, encode_message
-            self._durable[entry.dest].append(
-                encode_batch_record(float(self._now), encode_batch(
-                    [encode_message(entry.message)])),
-                self.nodes[entry.dest],
-            )
+            self._journal(entry.dest, encode_batch_record(
+                float(self._now), encode_batch([encode_message(entry.message)])))
+
+    def _journal(self, p: int, body: bytes) -> None:
+        """Append one record to ``p``'s WAL (never truncated, as a served
+        replica's is not) and snapshot every ``snap_every`` records."""
+        snapshot, covered, wal = self._durable[p]
+        wal += (body,)
+        every = self.faults.snap_every
+        if every and len(wal) - covered >= every:
+            covered = len(wal)
+            snapshot = encode_snapshot(snapshot_document(
+                self.nodes[p], float(self._now), self._sent[p], covered))
+        self._durable[p] = (snapshot, covered, wal)
 
     def _exec_recover(self, p: int) -> None:
-        """Rebuild ``p`` from its snapshot + WAL and wire it back in.
-
-        The rebuilt node replayed against a null trace, a zero clock
-        and a sink dispatch (its pre-crash effects are already on the
-        trace and in the pool); here the live callbacks are rebound --
-        bound methods, so subsequent clones rebind them again.  The
-        quiescence ledger is carried over from the crashed node: it
-        counts what the trace saw, not what the replay re-did (a write
-        a broken recovery lost is still owed to every process)."""
-        from repro.durability.recovery import rebuild_node
-        log = self._durable[p]
-        doc = None
-        if log.snapshot is not None:
-            from repro.durability.wal import decode_snapshot
-            doc = decode_snapshot(log.snapshot)
-        node = rebuild_node(
-            self._factory, p, self.n_processes, doc, log.bodies,
-            dedup=self.faults.dedup_effective,
-            lose_tail=self.faults.wal_lose_tail,
-        )
+        """Rebuild ``p`` from its snapshot + WAL as a restarted server
+        does, into a fresh node on a null trace (its pre-crash events
+        are on the trace, and its sends in the pool: ``_replaying``
+        holds them back), then put it on the live trace.  ``losetail:N``
+        hides the WAL's last N records (the BrokenRecovery mutation).
+        The quiescence ledger is carried over from the crashed node: it
+        counts what the trace saw, not what the replay re-did."""
+        snapshot, _, wal = self._durable[p]
+        wal = wal[:max(0, len(wal) - self.faults.wal_lose_tail)]
+        node = Node(self._factory(p, self.n_processes),
+                    NullTrace(self.n_processes), clock=self._clock,
+                    dispatch=self._dispatch,
+                    dedup=self.faults.dedup_effective, obs=NULL_OBS)
+        self._sent[p] = []
+        self._replaying = True
+        try:
+            recover_node(node, snapshot, wal, self._sent[p])
+        finally:
+            self._replaying = False
         node.trace = self.trace
-        node.clock = self._clock
-        node.dispatch = self._dispatch
-        node.scheduler._clock = self._clock
         crashed = self.nodes[p]
         node.writes = crashed.writes
         node.deferred_applies = crashed.deferred_applies
@@ -637,8 +660,8 @@ class ControlledCluster:
             self._crash_budget,
         ]
         if self._durable is not None:
-            parts.append(tuple((log.snap_seq, len(log.bodies))
-                               for log in self._durable))
+            parts.append(tuple((covered, len(wal))
+                               for _, covered, wal in self._durable))
         for node in self.nodes:
             store = node.protocol.store_snapshot()
             parts.append((
@@ -682,7 +705,10 @@ class ControlledCluster:
         new._factory = self._factory          # shared callable
         new._crash_budget = self._crash_budget
         new._durable = (None if self._durable is None
-                        else [log.clone() for log in self._durable])
+                        else list(self._durable))
+        new._sent = (None if self._sent is None
+                     else [list(sent) for sent in self._sent])
+        new._replaying = False
         new.check_convergence = self.check_convergence
         new.tracker = self.tracker.clone()
         new.last_trace_grew = self.last_trace_grew

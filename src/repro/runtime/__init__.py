@@ -1,14 +1,14 @@
-"""Real-concurrency runtime: processes as asyncio tasks.
+"""Real-concurrency runtime: the simulator on the wall clock.
 
 The discrete-event simulator (:mod:`repro.sim`) gives deterministic,
-replayable runs; this package runs the *same* protocol and node objects
-under genuine asynchrony -- per-message delivery tasks with real
-``asyncio.sleep`` latencies -- as an end-to-end sanity check that
-nothing in the protocols depends on the simulator's determinism.
+replayable runs; this package runs the *same* cluster with the running
+asyncio loop as its engine, so latencies are real (scaled) waits and
+interleavings come from a live loop: an end-to-end check that nothing
+in the protocols depends on the simulator's determinism.
 
-There is one asyncio host, :class:`AsyncCluster`: it runs programs
-(:func:`run_programs_async`) or is driven by hand through its
-interactive face, :class:`CausalKV`.
+:class:`AsyncCluster` is that :class:`~repro.sim.cluster.SimCluster`: it
+runs programs (:func:`run_programs_async`) or is driven by hand through
+its interactive face, :class:`CausalKV`.
 """
 
 from repro.runtime.cluster import (

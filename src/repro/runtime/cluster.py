@@ -1,17 +1,19 @@
 """asyncio-based cluster: the paper's system model on real concurrency.
 
-A run is :meth:`AsyncCluster.start`, operations on the nodes, and
-:meth:`AsyncCluster.close`, which awaits the nodes' ledger
-(:func:`~repro.sim.node.settled`) and freezes the result.
-:meth:`~AsyncCluster.run_programs` drives the nodes with one asyncio task
-per :class:`~repro.workloads.ops.Program`;
-:class:`~repro.runtime.interactive.CausalKV` hands them to application
-code.  Each message hop is a task that
-sleeps its (scaled) latency and then delivers into the destination
-node's synchronous ``receive``.  Because everything runs on one event
-loop thread, each protocol procedure executes atomically -- exactly the
-paper's atomicity assumption -- while message interleavings are
-genuinely nondeterministic.
+:class:`AsyncCluster` is a :class:`~repro.sim.cluster.SimCluster` whose
+engine is the running event loop: the same network, message shipping,
+program interpreter and timer stagger, with every scheduled callback a
+``loop.call_at`` at its (scaled) wall-clock time instead of an entry in
+a simulated queue.  A run is :meth:`AsyncCluster.start`, operations on
+the nodes, and :meth:`AsyncCluster.close`, which awaits the simulator's
+quiescence test and freezes the result.
+:meth:`~AsyncCluster.run_programs` runs the simulator's program
+interpreter between the two;
+:class:`~repro.runtime.interactive.CausalKV` hands the nodes to
+application code instead.  Because everything
+runs on one event loop thread, each protocol procedure executes
+atomically -- exactly the paper's atomicity assumption -- while message
+interleavings come from a live loop.
 
 Simulation-time latencies are scaled by ``time_scale`` wall seconds per
 simulated unit (default 5 ms), so tests stay fast.  Trace timestamps
@@ -25,21 +27,13 @@ liveness), not timings -- which is what
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.base import BROADCAST, Message, Outgoing, UpdateMessage
-from repro.sim.cluster import ProtocolFactory, _resolve_factory
-from repro.sim.latency import ConstantLatency, LatencyModel
-from repro.sim.network import estimate_size
-from repro.sim.node import Node, expected_applies, settled
+from repro.sim.cluster import ProtocolFactory, SimCluster
+from repro.sim.latency import LatencyModel
+from repro.sim.node import expected_applies
 from repro.sim.result import RunResult
-from repro.sim.trace import Trace
-from repro.workloads.ops import (
-    Program,
-    ReadStep,
-    WaitReadStep,
-    WriteStep,
-)
+from repro.workloads.ops import Program
 
 
 class ClusterQuiesceError(TimeoutError):
@@ -85,7 +79,47 @@ class ClusterQuiesceError(TimeoutError):
         super().__init__("; ".join(parts))
 
 
-class AsyncCluster:
+class _WallClock:
+    """The part of :class:`~repro.sim.engine.Engine` a cluster uses, over
+    the running loop: ``now`` is ``loop.time()`` since :meth:`bind` in
+    units of ``scale`` seconds, and ``schedule_at`` is ``loop.call_at``.
+    The first exception a callback raises is kept in ``error`` (for
+    ``close()`` to raise) and ends the run: no later callback runs, nor
+    any once ``stopped`` is set."""
+
+    def __init__(self, scale: float) -> None:
+        self.scale = scale
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
+        self._t0 = 0.0
+        self.error: Optional[Exception] = None
+        self.stopped = False
+
+    def bind(self, loop: asyncio.AbstractEventLoop) -> None:
+        self.loop = loop
+        self._t0 = loop.time()
+
+    @property
+    def now(self) -> float:
+        if self.loop is None:
+            return 0.0
+        return (self.loop.time() - self._t0) / self.scale
+
+    def schedule_at(self, time: float, fn: Callable[[], None]) -> None:
+        self.loop.call_at(self._t0 + time * self.scale, self._fire, fn)
+
+    def schedule_after(self, delay: float, fn: Callable[[], None]) -> None:
+        self.schedule_at(self.now + delay, fn)
+
+    def _fire(self, fn: Callable[[], None]) -> None:
+        if self.stopped or self.error is not None:
+            return
+        try:
+            fn()
+        except Exception as exc:
+            self.error = exc
+
+
+class AsyncCluster(SimCluster):
     """``n`` processes under one protocol on the running event loop.
 
     Single-use: :meth:`start` it, drive its nodes (by programs, or by
@@ -106,102 +140,19 @@ class AsyncCluster:
             raise ValueError("need at least one process")
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
-        factory = _resolve_factory(protocol)
-        self.n_processes = n_processes
-        self.latency_model = (latency or ConstantLatency(1.0)).fork()
         self.time_scale = time_scale
         self.quiesce_timeout = quiesce_timeout
-        self.trace = Trace(n_processes)
-        self._t0 = 0.0
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        #: every task the cluster started: message hops, timers, programs
-        self._tasks: set = set()
-        self._in_flight_updates = 0
-        self.messages_sent = 0
-        self.bytes_estimate = 0
         self._running = False
         self._result: Optional[RunResult] = None
-        self.nodes: List[Node] = [
-            Node(factory(i, n_processes), self.trace, clock=self._now,
-                 dispatch=self._dispatch)
-            for i in range(n_processes)
-        ]
-        self.protocol_name = self.nodes[0].protocol.name
+        super().__init__(protocol, n_processes, latency=latency)
 
-    def _now(self) -> float:
-        if self._loop is None:
-            return 0.0
-        return (self._loop.time() - self._t0) / self.time_scale
+    def _make_engine(self) -> _WallClock:
+        return _WallClock(self.time_scale)
 
-    def _spawn(self, coro) -> "asyncio.Future":
-        task = asyncio.ensure_future(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return task
-
-    # -- messaging ----------------------------------------------------------------
-
-    def _dispatch(self, sender: int, outgoing: Sequence[Outgoing]) -> None:
-        for out in outgoing:
-            if out.dest == BROADCAST:
-                for dest in range(self.n_processes):
-                    if dest != sender:
-                        self._ship(sender, dest, out.message)
-            else:
-                self._ship(sender, out.dest, out.message)
-
-    def _ship(self, sender: int, dest: int, message: Message) -> None:
-        delay = self.latency_model.latency(sender, dest, message)
-        self.messages_sent += 1
-        self.bytes_estimate += estimate_size(message)
-        is_update = isinstance(message, UpdateMessage)
-        if is_update:
-            self._in_flight_updates += 1
-
-        async def hop() -> None:
-            await asyncio.sleep(delay * self.time_scale)
-            if is_update:
-                self._in_flight_updates -= 1
-            self.nodes[dest].receive(message)
-
-        self._spawn(hop())
-
-    # -- program execution -----------------------------------------------------------
-
-    async def _run_program(self, process: int, program: Program) -> None:
-        node = self.nodes[process]
-        for step in program:
-            if step.delay:
-                await asyncio.sleep(step.delay * self.time_scale)
-            if isinstance(step, WriteStep):
-                node.do_write(step.variable, step.value)
-            elif isinstance(step, ReadStep):
-                node.do_read(step.variable)
-            elif isinstance(step, WaitReadStep):
-                for _ in range(step.max_polls):
-                    if step.matches(node.do_read(step.variable)):
-                        break
-                    await asyncio.sleep(step.poll * self.time_scale)
-                else:
-                    raise RuntimeError(
-                        f"p{process} gave up waiting for "
-                        f"{step.variable}={step.expect!r}"
-                    )
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown step {step!r}")
-
-    async def _timer_loop(self, node: Node) -> None:
-        """Fire the node's periodic protocol hook (anti-entropy etc.),
-        staggered like the simulator does."""
-        interval = node.protocol.timer_interval
-        assert interval is not None
-        await asyncio.sleep(
-            interval * (1.0 + node.process_id / self.n_processes)
-            * self.time_scale
-        )
-        while True:
-            node.fire_timer()
-            await asyncio.sleep(interval * self.time_scale)
+    def run_schedule(self, schedule) -> RunResult:
+        raise TypeError(
+            "AsyncCluster runs closed-loop programs only "
+            "(await run_programs); an open-loop schedule needs SimCluster")
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -213,81 +164,59 @@ class AsyncCluster:
         return ClusterQuiesceError(
             "cluster failed to quiesce (liveness bug?)",
             timeout=self.quiesce_timeout,
-            in_flight_updates=self._in_flight_updates,
+            in_flight_updates=self.network.in_flight_updates,
             expected_applies=expected_applies(self.nodes),
             observed_applies=sum(n.remote_applies for n in self.nodes),
             per_node=per_node,
         )
 
-    async def start(self) -> None:
-        """Boot the nodes and their timers on the running loop."""
-        if self._loop is not None:
+    def _start(self) -> None:
+        if self.engine.loop is not None:
             raise RuntimeError(
                 "cluster already started (instances are single-use)")
+        self.engine.bind(asyncio.get_running_loop())
         self._running = True
-        self._loop = asyncio.get_running_loop()
-        self._t0 = self._loop.time()
-        for node in self.nodes:
-            node.start()
-        for node in self.nodes:
-            if node.protocol.timer_interval is not None:
-                self._spawn(self._timer_loop(node))
+        super()._start()
+
+    async def start(self) -> None:
+        """Boot the nodes and their timers on the running loop."""
+        self._start()
 
     async def close(self) -> RunResult:
         """Await quiescence, tear down, and freeze the run's result.
 
-        Raises :class:`ClusterQuiesceError` (torn down all the same)
-        when the nodes do not settle within ``quiesce_timeout``.  A
-        second call returns the frozen result again.
+        Raises the first exception a delivery, timer or program step
+        raised, as soon as it is raised, and :class:`ClusterQuiesceError`
+        when the nodes do not settle within ``quiesce_timeout`` of the
+        programs' end (torn down all the same).  A second call returns
+        the frozen result again.
         """
         if self._running:
+            engine = self.engine
             try:
-                deadline = self._loop.time() + self.quiesce_timeout
-                while self._in_flight_updates or not settled(self.nodes):
-                    if self._loop.time() > deadline:
+                deadline = engine.loop.time() + self.quiesce_timeout
+                while engine.error is None and not self._quiescent():
+                    if self._work_remaining:
+                        deadline = engine.loop.time() + self.quiesce_timeout
+                    elif engine.loop.time() > deadline:
                         raise self._quiesce_error()
                     await asyncio.sleep(self.time_scale)
             finally:
-                await self._stop()
-            self._result = RunResult(
-                protocol_name=self.protocol_name,
-                n_processes=self.n_processes,
-                trace=self.trace,
-                duration=self._now(),
-                messages_sent=self.messages_sent,
-                bytes_estimate=self.bytes_estimate,
-                stores=[node.protocol.store_snapshot() for node in self.nodes],
-                protocol_stats=[node.protocol.stats() for node in self.nodes],
-                in_class_p=type(self.nodes[0].protocol).in_class_p,
-            )
+                self._stop()
+            if engine.error is not None:
+                raise engine.error
+            self._result = self._run_result()
         return self._result
 
-    async def _stop(self) -> None:
-        """Cancel whatever is still flying (token rounds, timers etc.)
-        and *await* the cancellations, so no half-dead task outlives
-        the run to fire a "was never retrieved" warning (or deliver
-        into a dismantled node) later."""
+    def _stop(self) -> None:
+        """End the run: whatever is still scheduled (token rounds,
+        timers, messages in flight) comes due to nothing."""
         self._running = False
-        tasks = list(self._tasks)
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+        self.engine.stopped = True
 
     async def run_programs(self, programs: Sequence[Program]) -> RunResult:
         """Run one program per process; await quiescence; return the result."""
-        if len(programs) != self.n_processes:
-            raise ValueError(
-                f"need exactly {self.n_processes} programs, got {len(programs)}"
-            )
-        await self.start()
-        try:
-            await asyncio.gather(*(
-                self._spawn(self._run_program(i, p))
-                for i, p in enumerate(programs)
-            ))
-        except BaseException:
-            await self._stop()
-            raise
+        self._launch(programs)
         return await self.close()
 
 

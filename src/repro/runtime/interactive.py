@@ -9,7 +9,7 @@ afternoon" API::
 
     async with CausalKV.open(3, protocol="optp") as kv:
         await kv.put(0, "greeting", "hello")
-        await kv.wait_visible(1, "greeting")   # causal convergence
+        await kv.wait_visible(1, "greeting")   # replica 1 holds a value
         assert await kv.get(1, "greeting") == "hello"
     report = kv.report()          # full checker verdict over the session
 
@@ -64,7 +64,7 @@ class CausalKV(AsyncCluster):
         if exc_type is None:
             await self.close()
         else:
-            await self._stop()
+            self._stop()
 
     # -- client API -----------------------------------------------------------
 
@@ -88,14 +88,19 @@ class CausalKV(AsyncCluster):
         self, replica: int, key: Hashable, *, timeout: float = 10.0
     ) -> Any:
         """Block until ``key`` holds a non-BOTTOM value at ``replica``;
-        returns it.  Each poll is a real read of the session history."""
+        returns it.  Each poll is a real read of the session history.
+
+        That is *some* write's value, not necessarily the last one: the
+        replicas agree on causally ordered writes, but after concurrent
+        writes to one key they may hold different values for good."""
         self._check_live(replica)
-        deadline = self._loop.time() + timeout
+        loop = self.engine.loop
+        deadline = loop.time() + timeout
         while True:
             value = self.nodes[replica].do_read(key)
             if not isinstance(value, type(BOTTOM)):
                 return value
-            if self._loop.time() > deadline:
+            if loop.time() > deadline:
                 raise TimeoutError(
                     f"{key!r} never became visible at replica {replica}"
                 )

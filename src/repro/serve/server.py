@@ -64,7 +64,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import BROADCAST, Outgoing, UpdateMessage
-from repro.obs.spans import NULL_OBS, Obs
 from repro.serve import codec
 from repro.serve.codec import (
     FRAME_HELLO,
@@ -166,9 +165,6 @@ class _PeerLink:
         srv.stats["peer_bytes"] += len(payload) + 4
         if cause is not None:
             srv.stats[cause] += 1
-        if srv._obs.enabled:
-            srv._m_batches.inc()
-            srv._m_batch_msgs.inc(len(self.bodies))
         self.bodies.clear()
         self.pending_bytes = 0
 
@@ -378,7 +374,6 @@ class ReplicaServer:
         batch_window: float = 0.0005,
         batch_max_msgs: int = 256,
         batch_max_bytes: int = 64 << 10,
-        obs: Obs = NULL_OBS,
     ):
         if spec.protocol not in SERVABLE_PROTOCOLS:
             raise ValueError(
@@ -399,7 +394,6 @@ class ReplicaServer:
         self.batch_window = batch_window
         self.batch_max_msgs = batch_max_msgs
         self.batch_max_bytes = batch_max_bytes
-        self._obs = obs
 
         self._t0 = monotonic()
         factory = _resolve_factory(spec.protocol)
@@ -459,17 +453,6 @@ class ReplicaServer:
             "peer_flush_idle": 0, "peer_flush_window": 0,
             "peer_flush_cap": 0,
         }
-        if obs.enabled:
-            reg = obs.registry
-            label = dict(group=group, node=node_id)
-            self._m_writes = reg.counter("serve.writes", **label)
-            self._m_reads = reg.counter("serve.reads", **label)
-            self._m_waits = reg.counter("serve.read_waits", **label)
-            self._m_batches = reg.counter("serve.peer_batches", **label)
-            self._m_batch_msgs = reg.counter("serve.peer_msgs", **label)
-            self._m_wal = reg.counter("serve.wal_records", **label)
-            self._h_recovery = reg.histogram("serve.recovery_seconds",
-                                             **label)
         if self.wal_dir is not None:
             self._open_durable()
 
@@ -486,6 +469,10 @@ class ReplicaServer:
         of it carry this time until the caller resets ``_pinned``."""
         self._pinned = t = self._now()
         return t
+
+    def _pin_at(self, t: float) -> None:
+        """Pin a replayed record's time (recovery)."""
+        self._pinned = t
 
     def _dominates(self, session: Sequence[int]) -> bool:
         applied = self.applied
@@ -533,11 +520,22 @@ class ReplicaServer:
                     else dur.read_framed_file(self._snap_path))
         res = dur.read_wal(wal_path)
         if raw_snap is not None or res.bodies:
-            self._replay(dur, raw_snap, res)
+            # Replay through the *live* node, onto the real trace (record
+            # mode); ``_dispatch`` externalizes nothing while
+            # ``_replaying`` but still rebuilds ``_sent`` from broadcasts.
+            self._replaying = True
+            try:
+                last_t = dur.recover_node(
+                    self.node, raw_snap, res.bodies, self._sent,
+                    pin=self._pin_at, tail_bytes=res.tail_bytes)
+            finally:
+                self._replaying = False
+                self._pinned = None
+            # resume the timebase where the journal left off so the
+            # replica's post-recovery timestamps stay monotone
+            self._t0 = monotonic() - last_t
             self.stats["recovered"] = 1
             self.stats["recovery_us"] = int((monotonic() - t_start) * 1e6)
-            if self._obs.enabled:
-                self._h_recovery.observe(monotonic() - t_start)
         if res.tail_bytes:
             # appending after a torn tail would wedge every later
             # record behind an unreadable prefix
@@ -545,60 +543,12 @@ class ReplicaServer:
         self._wal_total = len(res.bodies)
         self._wal = dur.WalWriter(wal_path, fsync_every=self.fsync_every)
 
-    def _replay(self, dur, raw_snap: Optional[bytes], res) -> None:
-        """Rebuild pre-crash state through the *live* node: replayed
-        events land on the real trace (record mode) and replayed writes
-        and receipts advance ``applied`` -- the protocol's progress --
-        as they did live, while ``_replaying`` suppresses
-        re-externalization in :meth:`_dispatch` (broadcasts still append
-        to ``_sent``, which is how the retransmission buffer is rebuilt).
-        Each record's events carry the record's time, as they did live.
-
-        The snapshot's ``applied`` is the progress vector it was taken
-        at: restoring the protocol must reproduce it, or the snapshot
-        is not one this replica wrote."""
-        skip = 0
-        last_t = 0.0
-        self._replaying = True
-        try:
-            if raw_snap is not None:
-                doc = dur.decode_snapshot(raw_snap)
-                dur.restore_node(self.node, doc["node"])
-                if list(doc["applied"]) != self.applied:
-                    raise dur.RecoveryError(
-                        "snapshot applied vector disagrees with the "
-                        "restored protocol progress",
-                        detail=f"applied {list(doc['applied'])} != "
-                               f"progress {self.applied}")
-                self._sent = doc["sent"]
-                skip = int(doc["wal_records"])
-                last_t = float(doc["t"])
-            for body in res.bodies[skip:]:
-                rec = dur.decode_record(body)
-                last_t = self._pinned = rec[1]
-                dur.apply_record(self.node, rec)
-        except dur.RecoveryError:
-            raise
-        except Exception as exc:
-            raise dur.RecoveryError(
-                "serving-layer recovery failed",
-                snapshot_seq=skip, wal_records=len(res.bodies),
-                wal_tail_bytes=res.tail_bytes, detail=repr(exc)) from exc
-        finally:
-            self._replaying = False
-            self._pinned = None
-        # resume the timebase where the journal left off so the
-        # replica's post-recovery timestamps stay monotone
-        self._t0 = monotonic() - last_t
-
     def _wal_append(self, body: bytes, inputs: int = 1) -> None:
         """Journal one record holding ``inputs`` ops or receipts."""
         self._wal.append(body)
         self._wal_total += 1
         self._unsnapped += inputs
         self.stats["wal_records"] += 1
-        if self._obs.enabled:
-            self._m_wal.inc()
 
     def _maybe_snapshot(self) -> None:
         """Fold the WAL into a fresh snapshot once ``snapshot_every``
@@ -613,13 +563,8 @@ class ReplicaServer:
                 or self._unsnapped < self.snapshot_every):
             return
         dur = self._dur
-        doc = {
-            "node": dur.snapshot_node(self.node),
-            "applied": list(self.applied),
-            "t": self._now(),
-            "sent": self._sent,
-            "wal_records": self._wal_total,
-        }
+        doc = dur.snapshot_document(self.node, self._now(), self._sent,
+                                    self._wal_total)
         self._wal.sync()
         dur.write_framed_file(self._snap_path, dur.encode_snapshot(doc))
         self._unsnapped = 0
@@ -834,7 +779,6 @@ class ReplicaServer:
         dominate yet, park it on ``conn`` for :meth:`_unpark` to run the
         rest as a second run."""
         stop = self._run_end(session, ops, at)
-        obs_on = self._obs.enabled
         if stop > at:
             node = self.node
             t = self._pin()
@@ -853,20 +797,14 @@ class ReplicaServer:
                     if kind == OP_WRITE:
                         wid = node.do_write(variable, value)
                         self.stats["writes"] += 1
-                        if obs_on:
-                            self._m_writes.inc()
                         results.append((OP_WRITE, wid.seq))
                     else:
                         results.append((OP_READ, node.do_read(variable)))
                         self.stats["reads"] += 1
-                        if obs_on:
-                            self._m_reads.inc()
             finally:
                 self._pinned = None
         if stop < len(ops):
             self.stats["read_waits"] += 1
-            if obs_on:
-                self._m_waits.inc()
             conn.park((session, ops, stop, results, body))
             return
         if self._wal is not None:

@@ -113,7 +113,7 @@ class SimCluster:
         factory = _resolve_factory(protocol)
         self.n_processes = n_processes
         self.obs = obs if obs is not None else NULL_OBS
-        self.engine = Engine(obs=self.obs)
+        self.engine = self._make_engine()
         self.engine.diag_context = self._diag_context
         self.trace = FlatTrace(n_processes)
         model = (latency or ConstantLatency(1.0)).fork()
@@ -144,6 +144,11 @@ class SimCluster:
         self.protocol_name = self.nodes[0].protocol.name
 
     # -- plumbing ---------------------------------------------------------------
+
+    def _make_engine(self) -> Engine:
+        """The clock and queue (:class:`~repro.runtime.AsyncCluster`'s
+        is the running event loop)."""
+        return Engine(obs=self.obs)
 
     def _dispatch(self, sender: int, outgoing: Sequence[Outgoing]) -> None:
         for out in outgoing:
@@ -209,6 +214,9 @@ class SimCluster:
             max_events=self.max_events,
             max_time=self.max_time,
         )
+        return self._run_result()
+
+    def _run_result(self) -> RunResult:
         # Protocol counters live on the metrics registry; the list of
         # per-process dicts survives as the backward-compatible
         # ``RunResult.protocol_stats`` view (with ``stats_total`` as
@@ -283,6 +291,10 @@ class SimCluster:
 
     def run_programs(self, programs: Sequence[Program]) -> RunResult:
         """Execute one program per process to quiescence."""
+        self._launch(programs)
+        return self._finish()
+
+    def _launch(self, programs: Sequence[Program]) -> None:
         if len(programs) != self.n_processes:
             raise ValueError(
                 f"need exactly {self.n_processes} programs, got {len(programs)}"
@@ -292,7 +304,6 @@ class SimCluster:
         for i, program in enumerate(programs):
             if len(program) > 0:
                 self._advance(i, program, 0)
-        return self._finish()
 
     def _advance(self, process: int, program: Program, idx: int) -> None:
         if idx >= len(program):

@@ -1,5 +1,7 @@
-"""Recovery unit tests: RecoveryError triage fields, ``lose_tail``
-mutation, and the DurableLog snapshot-fold bookkeeping.
+"""Recovery unit tests: RecoveryError triage fields, the one recovery
+routine (:func:`repro.durability.recover_node`), the ``lose_tail``
+mutation, and the model checker's in-memory snapshot + WAL, which holds
+the served snapshot document.
 
 The end-to-end recovery claim lives in test_crash_equivalence.py; this
 file pins the building blocks an operator (or the mutation self-check)
@@ -10,23 +12,57 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mck.cluster import ControlledCluster
+from repro.mck.faults import FaultSpec
+from repro.mck.workloads import MckWorkload
 from repro.model.operations import WriteId
 from repro.sim.cluster import _resolve_factory
+from repro.sim.node import Node
+from repro.sim.trace import NullTrace
+from repro.workloads.ops import ReadOp, WriteOp
 from repro.durability import (
-    DurableLog,
     RecoveryError,
     decode_snapshot,
     encode_read_record,
     encode_snapshot,
     encode_write_record,
     rebuild_node,
+    recover_node,
     restore_node,
+    snapshot_document,
     snapshot_node,
 )
+
+#: the keys of the snapshot a served replica writes
+SERVED_KEYS = {"node", "applied", "t", "sent", "wal_records"}
 
 
 def _optp():
     return _resolve_factory("optp")
+
+
+def _node(protocol="optp", n=2, *, dedup=False):
+    """A fresh node that records nothing and sends nothing."""
+    return Node(_resolve_factory(protocol)(0, n), NullTrace(n),
+                clock=lambda: 0.0, dispatch=lambda sender, outgoing: None,
+                dedup=dedup)
+
+
+def _writes(values):
+    return [encode_write_record(float(i), "x", v)
+            for i, v in enumerate(values)]
+
+
+def _cluster(scripts, *, snap_every=0, lose_tail=0):
+    """A crash-mode checker cluster over hand-written scripts."""
+    workload = MckWorkload("unit", tuple(tuple(s) for s in scripts))
+    return ControlledCluster("optp", workload, faults=FaultSpec(
+        crash=1, snap_every=snap_every, wal_lose_tail=lose_tail))
+
+
+def _run_ops(cluster, p, count):
+    for _ in range(count):
+        cluster.execute(("op", p))
 
 
 class TestRecoveryError:
@@ -58,99 +94,176 @@ class TestRecoveryError:
 
     def test_undecodable_record_wraps_to_recovery_error(self):
         with pytest.raises(RecoveryError) as exc:
-            rebuild_node(_optp(), 0, 2, None, [b"\xff garbage"])
+            recover_node(_node(), None, [b"\xff garbage"], [],
+                         tail_bytes=5)
         assert exc.value.wal_records == 1
+        assert exc.value.wal_tail_bytes == 5
         assert "replay failed during recovery" in str(exc.value)
 
     def test_non_snapshot_protocol_rejected(self):
-        class NoSnap:
-            supports_snapshot = False
-
-            def __init__(self, process_id, n_processes):
-                pass
-
+        snapshot = encode_snapshot(snapshot_document(_node(), 0.0, [], 0))
         with pytest.raises(RecoveryError, match="does not support"):
-            rebuild_node(NoSnap, 0, 2, None, [])
+            recover_node(_node("ws-receiver"), snapshot, [], [])
+
+
+class TestRecoverNode:
+    def test_whole_wal_replay_returns_the_last_time(self):
+        node = _node()
+        pinned = []
+        assert recover_node(node, None, _writes("abc"), [],
+                            pin=pinned.append) == 2.0
+        assert pinned == [0.0, 1.0, 2.0]
+        assert node.protocol.writes_issued == 3
+        assert node.do_read("x")[0] == "c"
+
+    def test_snapshot_skips_the_records_it_covers(self):
+        bodies = _writes("abc")
+        live = _node()
+        recover_node(live, None, bodies[:2], [])
+        snapshot = encode_snapshot(snapshot_document(
+            live, 1.5, [b"first", b"second"], 2))
+        sent = []
+        back = _node()
+        assert recover_node(back, snapshot, bodies, sent) == 2.0
+        assert back.protocol.writes_issued == 3
+        assert back.do_read("x")[0] == "c"
+        # the snapshot's sent comes before anything replay appends
+        assert sent == [b"first", b"second"]
+
+    def test_snapshot_time_when_nothing_follows(self):
+        live = _node()
+        recover_node(live, None, _writes("a"), [])
+        snapshot = encode_snapshot(snapshot_document(live, 4.25, [], 1))
+        assert recover_node(_node(), snapshot, _writes("a"), []) == 4.25
+
+    def test_rebuild_node_is_a_replay_only_node(self):
+        node = rebuild_node(_optp(), 0, 2, None, _writes("ab"), dedup=True)
+        assert node.dedup
+        assert node.do_read("x")[0] == "b"
+        assert not node.trace.recording
 
 
 class TestLoseTail:
-    """``lose_tail`` is the injectable BrokenRecovery bug: the rebuilt
+    """``losetail:N`` is the injectable BrokenRecovery bug: the rebuilt
     node must demonstrably *forget* the dropped suffix."""
 
-    def _bodies(self, values):
-        return [encode_write_record(float(i), "x", v)
-                for i, v in enumerate(values)]
+    SCRIPTS = [[WriteOp("x", "a"), WriteOp("x", "b"), WriteOp("x", "c")],
+               []]
+
+    def _recovered(self, lose_tail):
+        cluster = _cluster(self.SCRIPTS, lose_tail=lose_tail)
+        _run_ops(cluster, 0, 3)
+        cluster.execute(("crash", 0))
+        cluster.execute(("recover", 0))
+        return cluster.nodes[0]
 
     def test_tail_dropped(self):
-        bodies = self._bodies(["a", "b", "c"])
-        whole = rebuild_node(_optp(), 0, 2, None, bodies)
-        broken = rebuild_node(_optp(), 0, 2, None, bodies, lose_tail=1)
+        whole = self._recovered(0)
+        broken = self._recovered(1)
         assert whole.protocol.writes_issued == 3
         assert broken.protocol.writes_issued == 2
         assert whole.do_read("x")[0] == "c"
         assert broken.do_read("x")[0] == "b"
 
     def test_lose_more_than_log_is_empty_replay(self):
-        node = rebuild_node(_optp(), 0, 2, None,
-                            self._bodies(["a"]), lose_tail=5)
-        assert node.protocol.writes_issued == 0
+        assert self._recovered(5).protocol.writes_issued == 0
 
 
 class TestDurableLog:
-    def _node(self):
-        # a throwaway live node to snapshot during folds
-        return rebuild_node(_optp(), 0, 2, None, [])
+    """The checker's in-memory durable state per process:
+    ``(snapshot bytes, records covered, the whole WAL)``."""
+
+    READS = [[ReadOp("x")] * 5, []]
 
     def test_fold_cadence(self):
-        log = DurableLog(snap_every=2)
-        node = self._node()
-        for i in range(5):
-            rec = encode_read_record(float(i), "x")
-            node.do_read("x")
-            log.append(rec, node)
-        # folds at records 2 and 4; one record rides the WAL tail
-        assert log.snap_seq == 4
-        assert len(log.bodies) == 1
-        assert log.snapshot is not None
+        cluster = _cluster(self.READS, snap_every=2)
+        _run_ops(cluster, 0, 5)
+        snapshot, covered, wal = cluster._durable[0]
+        # folds at records 2 and 4; one record rides past the snapshot,
+        # and the WAL keeps all five, as a served replica's does
+        assert covered == 4
+        assert len(wal) == 5
+        assert snapshot is not None
 
     def test_no_fold_when_disabled(self):
-        log = DurableLog(snap_every=0)
-        node = self._node()
-        for i in range(5):
-            log.append(encode_read_record(float(i), "x"), node)
-        assert log.snapshot is None
-        assert log.snap_seq == 0
-        assert len(log.bodies) == 5
+        cluster = _cluster(self.READS, snap_every=0)
+        _run_ops(cluster, 0, 5)
+        snapshot, covered, wal = cluster._durable[0]
+        assert snapshot is None
+        assert covered == 0
+        assert len(wal) == 5
 
     def test_clone_shares_bytes_copies_spine(self):
-        log = DurableLog(snap_every=0)
-        node = self._node()
-        log.append(encode_read_record(0.0, "x"), node)
-        twin = log.clone()
-        assert twin.bodies == log.bodies
-        assert twin.bodies is not log.bodies
-        assert twin.bodies[0] is log.bodies[0]
-        log.append(encode_read_record(1.0, "x"), node)
-        assert len(twin.bodies) == 1
+        cluster = _cluster(self.READS, snap_every=0)
+        _run_ops(cluster, 0, 1)
+        twin = cluster.clone()
+        assert twin._durable[0][2][0] is cluster._durable[0][2][0]
+        _run_ops(cluster, 0, 1)
+        assert len(twin._durable[0][2]) == 1
+        assert len(cluster._durable[0][2]) == 2
 
     def test_rebuild_round_trip(self):
-        log = DurableLog(snap_every=2)
-        live = rebuild_node(_optp(), 0, 2, None, [])
-        for i, v in enumerate(["a", "b", "c"]):
-            live.do_write("x", v)
-            log.append(encode_write_record(float(i), "x", v), live)
-        back = log.rebuild(_optp(), 0, 2)
-        assert back.protocol.debug_state() == live.protocol.debug_state()
-        assert back.do_read("x")[0] == "c"
+        cluster = _cluster([[WriteOp("x", v) for v in "abc"], []],
+                           snap_every=2)
+        _run_ops(cluster, 0, 3)
+        live = cluster.nodes[0].protocol.debug_state()
+        sent = list(cluster._sent[0])
+        cluster.execute(("crash", 0))
+        cluster.execute(("recover", 0))
+        assert cluster.nodes[0].protocol.debug_state() == live
+        assert cluster.nodes[0].do_read("x")[0] == "c"
+        # the snapshot's two bodies, then the replayed third write's
+        assert cluster._sent[0] == sent
+        assert len(sent) == 3
+
+    def test_snapshot_is_the_served_document(self):
+        cluster = _cluster([[WriteOp("x", v) for v in "abc"], []],
+                           snap_every=2)
+        _run_ops(cluster, 0, 3)
+        snapshot, covered, wal = cluster._durable[0]
+        doc = decode_snapshot(snapshot)
+        assert set(doc) == SERVED_KEYS
+        assert doc["wal_records"] == covered == 2
+        assert list(doc["applied"]) == [2, 0]
+        assert len(doc["sent"]) == 2
+
+    def test_served_replica_writes_the_same_keys(self, tmp_path):
+        from repro import durability as dur
+        from repro.serve.server import ReplicaServer
+        from repro.serve.shard import ClusterSpec
+
+        spec = ClusterSpec.local_uds(tmp_path, "optp", 1, 2)
+        server = ReplicaServer(spec, 0, 0, wal_dir=tmp_path / "wal",
+                               snapshot_every=1)
+        server.node.do_write("x", "a")
+        server._unsnapped = 1
+        server._maybe_snapshot()
+        server._wal.close()
+        raw = dur.read_framed_file(tmp_path / "wal" / "node-g0n0.snap")
+        assert set(decode_snapshot(raw)) == SERVED_KEYS
+
+    def test_tampered_applied_fails_the_recover_transition(self):
+        cluster = _cluster([[WriteOp("x", v) for v in "abc"], []],
+                           snap_every=2)
+        _run_ops(cluster, 0, 3)
+        snapshot, covered, wal = cluster._durable[0]
+        doc = decode_snapshot(snapshot)
+        doc["applied"] = [7, 0]
+        cluster._durable[0] = (encode_snapshot(doc), covered, wal)
+        cluster.execute(("crash", 0))
+        with pytest.raises(RecoveryError) as exc:
+            cluster.execute(("recover", 0))
+        assert "applied vector disagrees" in str(exc.value)
+        assert "applied [7, 0] != progress [2, 0]" in str(exc.value)
 
 
 class TestNodeSnapshotDoc:
     def test_round_trip_through_document(self):
-        live = rebuild_node(_optp(), 0, 2, None, [])
+        live = _node()
         live.do_write("x", "a")
         live.do_read("x")
         doc = snapshot_node(live)
-        fresh = rebuild_node(_optp(), 0, 2, None, [])
+        fresh = _node()
         restore_node(fresh, doc)
         assert fresh.protocol.debug_state() == live.protocol.debug_state()
         assert fresh.do_read("x")[0] == "a"
@@ -162,7 +275,7 @@ class TestSeenPacking:
 
     @staticmethod
     def _node_with_seen(wids):
-        node = rebuild_node(_optp(), 0, 3, None, [], dedup=True)
+        node = _node(n=3, dedup=True)
         node._seen_updates.update(wids)
         return node
 

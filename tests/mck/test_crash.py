@@ -2,8 +2,9 @@
 crash-stop accounting, and the BrokenRecovery mutation self-check.
 
 The crash adversary adds ``crash(p)`` / ``recover(p)`` transitions to
-the interleaving space; recovery rebuilds the victim from its simulated
-snapshot + WAL (``repro.durability.DurableLog``).  Clean protocols must
+the interleaving space; recovery rebuilds the victim from its in-memory
+snapshot + WAL with the server's own routine
+(``repro.durability.recover_node``).  Clean protocols must
 survive *every* placement of the crash with zero violations; a recovery
 path that forgets the WAL tail (``losetail:N``) must be rejected with a
 short replayable witness -- otherwise the crash checks check nothing.

@@ -4,8 +4,11 @@ Timings here are real (scaled) wall-clock, so every assertion targets
 run *properties* -- legality, safety, liveness -- never exact times.
 """
 
+import asyncio
+
 import pytest
 
+from repro.core.optp import OptPProtocol
 from repro.model.legality import is_causally_consistent
 from repro.runtime import AsyncCluster, ClusterQuiesceError, run_programs_async
 from repro.sim.latency import ConstantLatency, UniformLatency
@@ -21,6 +24,16 @@ class BlackHole(ConstantLatency):
 
     def latency(self, s, d, m):
         return 10_000.0
+
+
+class ApplyFails(OptPProtocol):
+    """OptP whose apply step raises at p1: a protocol error inside a
+    delivery."""
+
+    def apply_update(self, msg):
+        if self.process_id == 1:
+            raise ZeroDivisionError("p1 cannot apply")
+        super().apply_update(msg)
 
 
 def h1_programs():
@@ -70,8 +83,6 @@ class TestAsyncRuns:
             run_programs_async("optp", 3, [Program.of()], **FAST)
 
     def test_single_use(self):
-        import asyncio
-
         cluster = AsyncCluster("optp", 1, **FAST)
         asyncio.run(cluster.run_programs([Program.of(WriteStep("x", 1))]))
         with pytest.raises(RuntimeError, match="single-use"):
@@ -83,6 +94,15 @@ class TestAsyncRuns:
         with pytest.raises(ValueError):
             AsyncCluster("optp", 2, time_scale=0)
 
+    def test_quiesce_timeout_counts_from_the_programs_end(self):
+        """Think time is the workload's, not the drain's: a program
+        longer than ``quiesce_timeout`` still completes."""
+        r = run_programs_async("optp", 2,
+                               [Program.of(WriteStep("x", 1, delay=100.0)),
+                                Program.of()],
+                               time_scale=0.002, quiesce_timeout=0.05)
+        assert r.remote_applies == 1
+
     def test_duration_reported_in_sim_units(self):
         r = run_programs_async("optp", 2,
                                [Program.of(WriteStep("x", 1)), Program.of()],
@@ -93,9 +113,8 @@ class TestAsyncRuns:
 
 class TestShutdown:
     def test_no_pending_tasks_after_run(self):
-        """Teardown must await its cancellations: nothing the cluster
-        started may still be alive when run_programs returns."""
-        import asyncio
+        """Nothing the cluster started may still be alive when
+        run_programs returns."""
 
         async def go():
             cluster = AsyncCluster("jimenez-token", 3, **FAST)
@@ -137,3 +156,43 @@ class TestShutdown:
             assert "buffered" in entry and "missing_applies" in entry
         assert "in_flight_updates=1" in str(err)
         assert "p0: buffered=" in str(err)
+
+
+class TestProtocolErrors:
+    """An exception inside a delivery, timer or program step is the
+    run's outcome, raised as soon as it happens -- not a quiesce
+    timeout with the error lost to the loop's handler."""
+
+    def test_run_programs_raises_the_protocols_own_error(self):
+        async def go():
+            before = {t for t in asyncio.all_tasks() if not t.done()}
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            cluster = AsyncCluster(ApplyFails, 2, time_scale=0.002,
+                                   quiesce_timeout=30.0)
+            with pytest.raises(ZeroDivisionError, match="p1 cannot apply"):
+                await cluster.run_programs(
+                    [Program.of(WriteStep("x", 1)), Program.of()])
+            assert loop.time() - started < 5.0
+            leaked = [t for t in asyncio.all_tasks()
+                      if not t.done() and t not in before]
+            assert leaked == []
+
+        asyncio.run(go())
+
+    def test_run_programs_async_raises_it_too(self):
+        import time
+
+        started = time.monotonic()
+        with pytest.raises(ZeroDivisionError, match="p1 cannot apply"):
+            run_programs_async(ApplyFails, 3,
+                               [Program.of(WriteStep("x", 1)), Program.of(),
+                                Program.of()],
+                               time_scale=0.002, quiesce_timeout=30.0)
+        assert time.monotonic() - started < 5.0
+
+    def test_no_open_loop_schedules(self):
+        from repro.workloads.ops import Schedule
+
+        with pytest.raises(TypeError, match="run_programs"):
+            AsyncCluster("optp", 2).run_schedule(Schedule.of([]))

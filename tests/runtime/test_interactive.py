@@ -8,7 +8,7 @@ from repro.model.operations import BOTTOM, WriteId
 from repro.runtime import ClusterQuiesceError
 from repro.runtime.interactive import CausalKV
 from repro.sim.latency import ConstantLatency, UniformLatency
-from tests.runtime.test_async_cluster import BlackHole
+from tests.runtime.test_async_cluster import ApplyFails, BlackHole
 
 FAST = dict(time_scale=0.002, quiesce_timeout=20.0)
 
@@ -199,6 +199,28 @@ class TestShutdown:
                     await kv.put(0, "x", 1)
                     raise KeyError("boom")
             assert loop.time() - started < 5.0
+            with pytest.raises(RuntimeError, match="not running"):
+                await kv.put(0, "x", 2)
+
+        run(go())
+
+    def test_close_raises_the_protocols_own_error(self):
+        """A delivery that raises ends the session: ``close`` raises
+        the protocol's exception at once, not a quiesce timeout."""
+        async def go():
+            before = {t for t in asyncio.all_tasks() if not t.done()}
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            kv = CausalKV(ApplyFails, 2, time_scale=0.002,
+                          quiesce_timeout=30.0)
+            await kv.start()
+            await kv.put(0, "x", 1)
+            with pytest.raises(ZeroDivisionError, match="p1 cannot apply"):
+                await kv.close()
+            assert loop.time() - started < 5.0
+            leaked = [t for t in asyncio.all_tasks()
+                      if not t.done() and t not in before]
+            assert leaked == []
             with pytest.raises(RuntimeError, match="not running"):
                 await kv.put(0, "x", 2)
 

@@ -305,8 +305,10 @@ class TestStatelessPeerPlane:
             path = tmp_path / "wal" / "node-g0n0.wal"
             assert journaled_frames(path) == [peer.batch([first, second])]
             wal = dur.read_wal(path)
-            node = dur.rebuild_node(PROTOCOLS["optp"], 0, 3, None,
-                                    wal.bodies, dedup=True)
+            node = Node(PROTOCOLS["optp"](0, 3), NullTrace(3),
+                        clock=lambda: 0.0,
+                        dispatch=lambda sender, outgoing: None, dedup=True)
+            dur.recover_node(node, None, wal.bodies, [])
             assert node.do_read("name-1") == 1
 
         run(go())

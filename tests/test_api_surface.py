@@ -58,7 +58,7 @@ class TestReadinessSurface:
 
         import repro.sim.scheduler as scheduler
         from repro.sim import Node, SimCluster
-        from repro.durability import rebuild_node
+        from repro.durability import recover_node
 
         classes = {
             name for name, obj in vars(scheduler).items()
@@ -67,7 +67,7 @@ class TestReadinessSurface:
             and obj is not scheduler.DeliveryScheduler
         }
         assert classes == {"CountingScheduler", "RescanScheduler"}
-        for fn in (Node.__init__, SimCluster.__init__, rebuild_node):
+        for fn in (Node.__init__, SimCluster.__init__, recover_node):
             params = inspect.signature(fn).parameters
             assert not {"scheduler", "state_backend"} & set(params), fn
         assert not hasattr(Node, "_receive_update_flat")
@@ -131,6 +131,19 @@ class TestServingSurface:
         assert "on_apply_msg" not in inspect.getsource(server)
         assert "on_apply_msg" not in inspect.signature(Node).parameters
 
+    def test_stats_is_the_one_served_counter(self):
+        """No metrics registry beside ``stats``: the server takes no
+        ``obs`` handle and keeps no instrument of its own."""
+        import inspect
+
+        from repro.serve import server
+
+        params = inspect.signature(server.ReplicaServer).parameters
+        assert "obs" not in params
+        source = inspect.getsource(server)
+        for name in ("_obs", "_m_writes", "_h_recovery", "obs_on"):
+            assert name not in source, name
+
 
 class TestOneLedger:
     """The quiescence ledger lives on ``Node`` and is read by
@@ -169,6 +182,44 @@ class TestOneLedger:
         for name in ("_dispatch", "_ship", "_timer_loop", "_now",
                      "_quiescent"):
             assert name not in vars(CausalKV), name
+
+    def test_one_recovery_routine(self):
+        """The server and the checker recover through the same two
+        functions; the checker's twin of the durable log is gone."""
+        import inspect
+
+        from repro import durability
+        from repro.durability import recovery
+        from repro.mck import cluster
+        from repro.serve import server
+
+        for name in ("DurableLog", "_zero_clock", "_sink_dispatch"):
+            assert not hasattr(recovery, name), name
+            assert not hasattr(durability, name), name
+        for module in (server, cluster):
+            source = inspect.getsource(module)
+            assert "recover_node(" in source, module.__name__
+            assert "snapshot_document(" in source, module.__name__
+            assert "rebuild_node" not in source, module.__name__
+
+    def test_the_asyncio_host_is_the_simulator_on_the_wall_clock(self):
+        """``AsyncCluster`` is a ``SimCluster`` with a wall-clock engine:
+        no dispatch, shipping, program or timer code of its own, and no
+        constructor parameter on ``SimCluster`` to choose the engine."""
+        import inspect
+
+        from repro.runtime import AsyncCluster, CausalKV
+        from repro.sim import SimCluster
+
+        assert issubclass(AsyncCluster, SimCluster)
+        for host in (AsyncCluster, CausalKV):
+            for name in ("_spawn", "_ship", "_run_program", "_timer_loop",
+                         "_in_flight_updates", "_tasks"):
+                assert not hasattr(host, name), (host.__name__, name)
+            for name in ("_dispatch", "_deliver", "_advance", "_run_step",
+                         "_poll", "_schedule_timer", "_quiescent"):
+                assert name not in vars(host), (host.__name__, name)
+        assert "engine" not in inspect.signature(SimCluster).parameters
 
 
 class TestImportCost:
