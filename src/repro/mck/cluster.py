@@ -30,7 +30,7 @@ routine (:mod:`repro.durability`), all in memory.
 Crash/recover are semantic no-ops on the *trace*: recovery replays the
 journaled inputs through a :class:`~repro.sim.trace.NullTrace`, so a
 recovered process carries exactly its pre-crash protocol state and the
-ordinary invariants (legality, Theorem 3 safety, causal convergence,
+ordinary invariants (legality, Theorem 3 safety, ordered-write agreement,
 class-𝒫 liveness) are required to hold on every crash path unchanged.
 Under ``recover=False`` (crash-stop) the terminal conditions are judged
 over the surviving processes instead.
@@ -611,14 +611,15 @@ class ControlledCluster:
         return findings
 
     def _convergence_findings(self) -> List[Finding]:
-        """Causal convergence: replicas may legitimately disagree on
-        the final value of a variable written *concurrently* (the paper
-        imposes no total order on ``||co`` writes), but never when one
-        final write is in the causal past of another -- the replica
+        """Ordered-write agreement, *not* causal convergence: this
+        rejects replicas that settle a variable on two final writes
+        only when one is in the causal past of the other -- the replica
         holding the causally older write either missed an apply
-        (liveness) or applied out of order (safety), and this check is
-        the store-level witness of that.  Crash-stop terminals compare
-        the surviving replicas only."""
+        (liveness) or applied out of order (safety).  Disagreement
+        between ``||co`` writes passes (the paper imposes no total
+        order on them), so replicas that diverge forever on concurrent
+        writes to one key are not a finding (ROADMAP item 14).
+        Crash-stop terminals compare the surviving replicas only."""
         stores = [node.protocol.store_snapshot()
                   for node in self.nodes if not node.crashed]
         variables = sorted({v for s in stores for v in s}, key=repr)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 
 from repro.obs.spans import NULL_OBS, Obs
 from repro.sim.cluster import ProtocolFactory
@@ -195,8 +195,25 @@ def _make_root(config: CheckConfig) -> ControlledCluster:
     )
 
 
+def _new_result(config: CheckConfig,
+                root: ControlledCluster) -> CheckResult:
+    """An empty verdict for a search of ``config`` from ``root``."""
+    return CheckResult(
+        protocol_name=root.protocol_name,
+        workload_name=config.workload.name,
+        faults=config.faults,
+        mode=config.mode,
+        expect_optimal=root.tracker.expect_optimal,
+    )
+
+
 class _Search:
     """Mutable exploration state shared across the recursion."""
+
+    #: The sharded check's frontier: ``dfs`` hands each node at this
+    #: depth, uncounted, to ``at_horizon``
+    #: (:class:`repro.mck.shard._Expansion`).  None: search to the end.
+    horizon: Optional[int] = None
 
     def __init__(self, config: CheckConfig, result: CheckResult,
                  progress=None):
@@ -254,6 +271,9 @@ class _Search:
 
     def dfs(self, cluster: ControlledCluster, sleep: Set[Transition],
             chain_keys: Set[str], depth: int) -> None:
+        if depth == self.horizon:
+            self.at_horizon(sleep, chain_keys, depth)
+            return
         self._count_state()
         status = cluster.status()
         if status != "running":
@@ -325,37 +345,25 @@ class _Search:
                     break  # abandon the walk: the prefix is already bad
         self.path.clear()
 
+    def run(self, root: ControlledCluster) -> None:
+        """Search from ``root``: its bootstrap findings, then the DFS or
+        the walks.  A spent ``max_states`` sets ``state_limit_hit``."""
+        try:
+            for finding in root.bootstrap_findings:
+                self.record(finding)
+            if self.config.mode == "exhaustive":
+                self.dfs(root, set(), set(), 0)
+            else:
+                self.walk(root)
+        except StateLimitError:
+            self.result.state_limit_hit = True
+        except _StopSearch:
+            pass
 
-def check(config: CheckConfig, *, obs: Obs = NULL_OBS,
-          progress=None) -> CheckResult:
-    """Explore ``config`` and return the verdict.
 
-    ``progress`` (a :class:`repro.obs.progress.ProgressSink`) receives a
-    snapshot every :data:`~repro.obs.progress.STATES_PER_TICK` states --
-    live telemetry only; the verdict is unaffected.
-    """
-    root = _make_root(config)
-    result = CheckResult(
-        protocol_name=root.protocol_name,
-        workload_name=config.workload.name,
-        faults=config.faults,
-        mode=config.mode,
-        expect_optimal=root.tracker.expect_optimal,
-    )
-    search = _Search(config, result, progress)
-    start = time.perf_counter()
-    try:
-        for finding in root.bootstrap_findings:
-            search.record(finding)
-        if config.mode == "exhaustive":
-            search.dfs(root, set(), set(), 0)
-        else:
-            search.walk(root)
-    except StateLimitError:
-        result.state_limit_hit = True
-    except _StopSearch:
-        pass
-    result.wall = time.perf_counter() - start
+def _publish(result: CheckResult, obs: Obs) -> None:
+    """Report a finished check to ``obs``: counters, and a flight
+    recorder note (and dump) when it recorded violations."""
     if obs.enabled:
         reg = obs.registry
         labels = {"protocol": result.protocol_name,
@@ -378,6 +386,22 @@ def check(config: CheckConfig, *, obs: Obs = NULL_OBS,
             states=result.states,
         )
         journal.maybe_dump("mck-violations")
+
+
+def check(config: CheckConfig, *, obs: Obs = NULL_OBS,
+          progress=None) -> CheckResult:
+    """Explore ``config`` and return the verdict.
+
+    ``progress`` (a :class:`repro.obs.progress.ProgressSink`) receives a
+    snapshot every :data:`~repro.obs.progress.STATES_PER_TICK` states --
+    live telemetry only; the verdict is unaffected.
+    """
+    root = _make_root(config)
+    result = _new_result(config, root)
+    start = time.perf_counter()
+    _Search(config, result, progress).run(root)
+    result.wall = time.perf_counter() - start
+    _publish(result, obs)
     if progress is not None:
         progress.update(
             states=result.states,
@@ -387,48 +411,6 @@ def check(config: CheckConfig, *, obs: Obs = NULL_OBS,
     return result
 
 
-def _bounded_dfs(search: "_Search", cluster: ControlledCluster,
-                 sleep: Set[Transition], chain_keys: Set[str],
-                 limit: int) -> Optional[List[Transition]]:
-    """Depth-limited DFS returning the first violating choice path."""
-    search._count_state()
-    status = cluster.status()
-    if status != "running":
-        if cluster.terminal_findings(status):
-            return list(search.path)
-        return None
-    if limit == 0:
-        return None
-    done: List[Transition] = []
-    candidates = [t for t in cluster.enabled() if t not in sleep]
-    for i, t in enumerate(candidates):
-        child = cluster if i == len(candidates) - 1 else cluster.clone()
-        findings = child.execute(t)
-        search.result.transitions += 1
-        search.path.append(t)
-        try:
-            if findings:
-                return list(search.path)
-            child_sleep = {s for s in sleep if independent(s, t)} | {
-                d for d in done if independent(d, t)}
-            if child.last_trace_grew:
-                found = _bounded_dfs(search, child, child_sleep, set(),
-                                     limit - 1)
-            else:
-                key = child.state_key()
-                if key in chain_keys:
-                    found = None
-                else:
-                    found = _bounded_dfs(search, child, child_sleep,
-                                         chain_keys | {key}, limit - 1)
-            if found is not None:
-                return found
-        finally:
-            search.path.pop()
-        done.append(t)
-    return None
-
-
 def minimize_witness(
     config: CheckConfig,
     fallback: List[Transition],
@@ -436,26 +418,21 @@ def minimize_witness(
     max_states: int = 200_000,
 ) -> List[Transition]:
     """Shortest violating choice path, by iterative deepening up to
-    ``len(fallback)`` (the path a prior search found).  Minimal up to
-    commutation equivalence -- sleep sets stay on, and equivalent
-    interleavings all have the same length.  Falls back to the known
-    path if the budget runs out."""
-    probe = replace(config, max_states=max_states,
-                    stop_on_violation=False)
-    result = CheckResult(
-        protocol_name="", workload_name=config.workload.name,
-        faults=config.faults, mode="exhaustive", expect_optimal=False)
+    ``len(fallback)`` (the path a prior search found): each round is
+    the exhaustive DFS bounded at depth ``limit`` that stops at its
+    first violation.  Minimal up to commutation equivalence -- sleep
+    sets stay on, and equivalent interleavings all have the same
+    length.  ``max_states`` is one budget for all rounds; once it is
+    spent the known path is returned."""
+    result = _new_result(config, _make_root(config))
     for limit in range(1, len(fallback) + 1):
-        root = _make_root(config)
-        search = _Search(probe, result)
-        if root.bootstrap_findings:
-            return []
-        try:
-            found = _bounded_dfs(search, root, set(), set(), limit)
-        except StateLimitError:
-            return list(fallback)
-        if found is not None:
-            return found
+        bounded = replace(config, mode="exhaustive", max_states=max_states,
+                          max_depth=limit, stop_on_violation=True)
+        _Search(bounded, result).run(_make_root(config))
+        if result.state_limit_hit:
+            break
+        if result.violations:
+            return list(result.violations[0].choices)
     return list(fallback)
 
 

@@ -11,14 +11,12 @@ recorded violations, in order -- **exactly equal** to the serial
 How the split stays exact
 -------------------------
 
-The coordinator runs a depth-limited *expansion* of the DFS that
-mirrors :meth:`_Search.dfs` bookkeeping line for line (states counted
-at entry, sleep/cycle prunes, last-candidate-consumes-parent, the
-sleep-set and chain-key propagation rules).  Nodes at the expansion
-horizon are **not** counted; each becomes a shard: the choice path from
-the root plus the sleep set, chain keys and depth the serial DFS would
-carry into that node.  A worker replays the path on a fresh root and
-resumes ``dfs`` with exactly that carried state, so
+The coordinator runs the serial :meth:`_Search.dfs` itself with a
+*horizon* depth.  Nodes at the horizon are **not** counted; each
+becomes a shard: the choice path from the root plus the sleep set,
+chain keys and depth the serial DFS carries into that node.  A worker
+replays the path on a fresh root and resumes ``dfs`` with exactly that
+carried state, so
 
 ``serial counters == interior counters + sum(shard counters)``
 
@@ -56,7 +54,7 @@ from repro.obs.spans import NULL_OBS, Obs
 from repro.sweep.cache import RunCache
 from repro.sweep.runner import SweepRunner, SweepStats
 
-from repro.mck.cluster import ControlledCluster, Transition, independent
+from repro.mck.cluster import Transition
 from repro.mck.explorer import (
     MAX_RECORDED_VIOLATIONS,
     CheckConfig,
@@ -64,6 +62,8 @@ from repro.mck.explorer import (
     StateLimitError,
     Violation,
     _make_root,
+    _new_result,
+    _publish,
     _Search,
 )
 from repro.mck.parallel import (
@@ -103,17 +103,18 @@ def shardable(config: CheckConfig, jobs: int) -> bool:
 
 
 class _Expansion(_Search):
-    """Depth-limited DFS that emits horizon nodes as shards.
+    """The serial DFS cut at ``horizon``: each node at that depth
+    becomes a shard instead of being counted and expanded.
 
-    Bookkeeping must mirror :meth:`_Search.dfs` exactly; every
-    divergence would show up as a count mismatch in the parity suite.
-    The one deliberate difference: recorded violations go to the
-    ordered event log instead of ``result.violations`` directly (the
-    merge rebuilds the list so shard violations land in DFS order).
+    Recorded violations go to the ordered event log instead of
+    ``result.violations`` (the merge rebuilds the list so shard
+    violations land in DFS order).
     """
 
-    def __init__(self, config: CheckConfig, result: CheckResult):
+    def __init__(self, config: CheckConfig, result: CheckResult,
+                 horizon: int):
         super().__init__(config, result)
+        self.horizon = horizon
         #: DFS-ordered interleave of ("v", Violation) and ("f", index
         #: into :attr:`frontier`).
         self.events: List[Tuple] = []
@@ -125,8 +126,10 @@ class _Expansion(_Search):
         self.events.append(
             ("v", Violation(finding=finding, choices=tuple(self.path))))
 
-    def _emit_shard(self, sleep: Set[Transition], chain_keys: Set[str],
-                    depth: int) -> None:
+    def at_horizon(self, sleep: Set[Transition], chain_keys: Set[str],
+                   depth: int) -> None:
+        """Emit the node ``dfs`` reached at the horizon as a shard,
+        uncounted: the worker's ``dfs`` counts it at entry, once."""
         # Canonical JSON form: transitions as 2-lists, sets sorted.
         self.events.append(("f", len(self.frontier)))
         self.frontier.append({
@@ -136,91 +139,31 @@ class _Expansion(_Search):
             "depth": depth,
         })
 
-    def expand(self, cluster: ControlledCluster, sleep: Set[Transition],
-               chain_keys: Set[str], depth: int, budget: int) -> None:
-        if budget == 0:
-            # Horizon: hand the node to a worker *uncounted* -- the
-            # worker's dfs counts it at entry, exactly once.
-            self._emit_shard(sleep, chain_keys, depth)
-            return
-        self._count_state()
-        status = cluster.status()
-        if status != "running":
-            self._terminal(cluster, status)
-            return
-        if depth >= self.config.max_depth:
-            self.result.terminals["truncated"] += 1
-            return
-        done: List[Transition] = []
-        candidates = []
-        for t in cluster.enabled():
-            if t in sleep:
-                self.result.prunes["sleep"] += 1
-            else:
-                candidates.append(t)
-        for i, t in enumerate(candidates):
-            child = (cluster if i == len(candidates) - 1
-                     else cluster.clone())
-            findings = self._step(child, t)
-            self.path.append(t)
-            try:
-                if findings:
-                    for finding in findings:
-                        self.record(finding)
-                else:
-                    child_sleep = {
-                        s for s in sleep if independent(s, t)
-                    } | {d for d in done if independent(d, t)}
-                    if child.last_trace_grew:
-                        self.expand(child, child_sleep, set(),
-                                    depth + 1, budget - 1)
-                    else:
-                        key = child.state_key()
-                        if key in chain_keys:
-                            self.result.prunes["cycle"] += 1
-                        else:
-                            self.expand(child, child_sleep,
-                                        chain_keys | {key},
-                                        depth + 1, budget - 1)
-            finally:
-                self.path.pop()
-            done.append(t)
-
 
 def _expand_frontier(config: CheckConfig,
                      target: int) -> Optional[_Expansion]:
-    """Iteratively deepen until the horizon holds >= ``target`` shards.
+    """Push the horizon deeper until it holds >= ``target`` shards.
 
     Each attempt restarts from a fresh root (state counts must reflect
     only the final expansion).  Returns None when the interior alone
     exhausts ``max_states`` -- serial would too, so the caller falls
     back to the serial path for identical limit semantics.
     """
-    budget = 1
+    horizon = 1
     while True:
         root = _make_root(config)
-        result = CheckResult(
-            protocol_name=root.protocol_name,
-            workload_name=config.workload.name,
-            faults=config.faults,
-            mode=config.mode,
-            expect_optimal=root.tracker.expect_optimal,
-        )
-        exp = _Expansion(config, result)
-        try:
-            for finding in root.bootstrap_findings:
-                exp.record(finding)
-            exp.expand(root, set(), set(), 0, budget)
-        except StateLimitError:
+        exp = _Expansion(config, _new_result(config, root), horizon)
+        exp.run(root)
+        if exp.result.state_limit_hit:
             return None
         if not exp.frontier or len(exp.frontier) >= target:
             return exp
-        if budget > config.max_depth:
-            # Unreachable in practice: at budget == max_depth + 1 every
+        if horizon > config.max_depth:
+            # Unreachable in practice: at horizon == max_depth + 1 every
             # path has terminated or truncated inside the interior, so
             # the frontier is empty and the branch above returned.
             return exp
-        budget += 1
+        horizon += 1
 
 
 # -- worker side -------------------------------------------------------------
@@ -249,13 +192,7 @@ def execute_shard_spec(spec: Dict) -> Tuple[Dict, float]:
     root = _make_root(config)
     for t in path:
         root.execute(t)
-    result = CheckResult(
-        protocol_name=root.protocol_name,
-        workload_name=config.workload.name,
-        faults=config.faults,
-        mode=config.mode,
-        expect_optimal=root.tracker.expect_optimal,
-    )
+    result = _new_result(config, root)
     search = _Search(config, result)
     search.path = list(path)
     start = time.perf_counter()
@@ -353,26 +290,5 @@ def check_sharded(
         stats = SweepStats(jobs=jobs)
     result = _merge(exp, shards)
     result.wall = time.perf_counter() - start
-    if obs.enabled:
-        reg = obs.registry
-        labels = {"protocol": result.protocol_name,
-                  "workload": result.workload_name}
-        reg.counter("mck.states", **labels).inc(result.states)
-        reg.counter("mck.transitions", **labels).inc(result.transitions)
-        reg.counter("mck.violations", **labels).inc(result.violations_seen)
-        for kind, n in result.prunes.items():
-            reg.counter("mck.prunes", kind=kind, **labels).inc(n)
-        for status, n in result.terminals.items():
-            reg.counter("mck.terminals", status=status, **labels).inc(n)
-        reg.histogram("mck.states_per_sec").observe(result.states_per_sec)
-    journal = obs.journal
-    if journal is not None and result.violations_seen > 0:
-        journal.note(
-            "mck-violations",
-            protocol=result.protocol_name,
-            workload=result.workload_name,
-            violations_seen=result.violations_seen,
-            states=result.states,
-        )
-        journal.maybe_dump("mck-violations")
+    _publish(result, obs)
     return result, stats

@@ -14,10 +14,15 @@ vocabulary:
   the same way, so a session can never observe a replica state older
   than one it has already seen.
 
-Causal consistency *across* sessions is the protocol's job (OptP
-applies remote writes only after their causal past); the session
-vector only bridges the client's moves between replicas, which the
-paper's single-process model never has to face.
+Both hold across a hop between replicas; **writes-follow-reads** and
+**monotonic writes** do not.  A write never waits on the session
+vector, and the new replica's write carries only that replica's causal
+past, not what the client saw elsewhere (ROADMAP item 2).  Causal
+consistency *across* sessions is the protocol's job (OptP applies
+remote writes only after their causal past), with the replica as the
+process, and it holds per shard group only: groups never exchange
+messages, so a dependency a client carries from one group to another
+is not kept (ROADMAP item 12).
 
 Ops are pipelined: :meth:`SessionClient.batch` ships one REQUEST frame
 with many ops and multiple frames may be in flight per connection

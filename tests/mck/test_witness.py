@@ -9,6 +9,7 @@ it, and the ``repro-dsm check --replay`` CLI entry point.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.mck import (
     build_witness,
     check,
     load_witness,
+    minimize_witness,
     parse_faults,
     replay_path,
     replay_witness,
@@ -79,6 +81,48 @@ class TestBuild:
                              workload=workload_by_name("pair"))
         with pytest.raises(ValueError, match="factory"):
             config_to_dict(config)
+
+
+class TestMinimizationBudget:
+    """``max_states`` is one budget for every deepening round of
+    ``minimize_witness``; once it is spent the minimiser hands back the
+    path it was given.  It never executes that path, only bounds the
+    deepening by its length, so a stand-in of the witness's length tells
+    the hand-back apart from a found witness (on ``pair`` every lossy
+    violation is already minimal)."""
+
+    @pytest.fixture(scope="class")
+    def rounds(self, lossy_witness):
+        """(stand-in fallback, minimal path, states of each round up to
+        and including the one that finds the witness)."""
+        config, _, doc = lossy_witness
+        witness = [tuple(t) for t in doc["choices"]]
+        states = []
+        for limit in range(1, len(witness) + 1):
+            result = check(replace(config, max_depth=limit))
+            states.append(result.states)
+            if not result.ok:
+                break
+        fallback = [("stand-in", i) for i in range(len(witness))]
+        return fallback, witness, states
+
+    def test_budget_too_small_for_the_first_round(self, lossy_witness,
+                                                  rounds):
+        config = lossy_witness[0]
+        fallback, _, states = rounds
+        assert minimize_witness(config, fallback,
+                                max_states=states[0] - 1) == fallback
+
+    def test_budget_is_shared_across_rounds(self, lossy_witness, rounds):
+        config = lossy_witness[0]
+        fallback, witness, states = rounds
+        assert len(states) > 1
+        each, total = max(states), sum(states)
+        # enough for every round alone, not for all of them together
+        assert minimize_witness(config, fallback,
+                                max_states=each) == fallback
+        assert minimize_witness(config, fallback,
+                                max_states=total) == witness
 
 
 class TestRoundTrip:

@@ -309,3 +309,23 @@ class TestLedger:
             assert sum(n.deferred_applies for n in cluster.nodes) > 0
         if name == "partial":
             assert sum(n.protocol.missing_applies() for n in cluster.nodes) > 0
+
+
+class TestConcurrentWritesToOneKey:
+    """ROADMAP item 14(a): both servable protocols install every applied
+    write, so two ``||co`` writes to one key leave replicas disagreeing
+    forever.  Causal memory allows it; a KV store is expected not to.
+    The xfail is strict, so the fix of item 14(b) must remove it."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 14: replicas diverge on concurrent writes to one "
+        "key (stores settle on p1's, p0's and p1's write)"))
+    @pytest.mark.parametrize("proto", CLASS_P)
+    def test_stores_agree_at_quiescence(self, proto):
+        cluster = SimCluster(proto, 3)
+        cluster.run_schedule(Schedule.of([
+            ScheduledOp(0.0, 0, WriteOp("x", "p0")),
+            ScheduledOp(0.0, 1, WriteOp("x", "p1")),
+        ]))
+        finals = [node.protocol.store_get("x") for node in cluster.nodes]
+        assert finals.count(finals[0]) == len(finals), finals

@@ -222,6 +222,23 @@ class TestOneLedger:
         assert "engine" not in inspect.signature(SimCluster).parameters
 
 
+class TestOneSearch:
+    """``_Search.dfs`` is the model checker's only exhaustive search:
+    the sharded check cuts it at a horizon and witness minimisation
+    bounds its depth, so neither keeps a copy of it."""
+
+    def test_no_second_or_third_dfs(self):
+        import inspect
+
+        from repro.mck import explorer, shard
+
+        assert not hasattr(explorer, "_bounded_dfs")
+        assert not hasattr(shard._Expansion, "expand")
+        assert "dfs" not in vars(shard._Expansion)
+        for module in (explorer, shard):
+            assert "def expand(" not in inspect.getsource(module)
+
+
 class TestImportCost:
     """Every replica process imports the serving path; the checker,
     numpy and networkx load only where they are used."""
