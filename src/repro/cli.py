@@ -299,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--shards", type=int, default=1,
                        help="replica groups the key space is sharded over")
     p_srv.add_argument("--rundir", required=True, metavar="DIR",
-                       help="run directory (sockets, cluster.json, logs)")
+                       help="run directory (sockets, cluster.json, stats; "
+                       "a recorded run's WALs under DIR/wal)")
     p_srv.add_argument("--transport", choices=["unix", "tcp"],
                        default="unix")
     p_srv.add_argument("--port-base", type=int, default=7400,
@@ -333,16 +334,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--down-time", type=float, default=0.5,
                        help="chaos: seconds the victim stays down")
     p_srv.add_argument("--record", action="store_true",
-                       help="record per-node event logs for conformance "
-                       "replay (costs throughput)")
+                       help="keep the run for conformance replay: every "
+                       "replica is durable and its WAL (under --wal-dir, "
+                       "else RUNDIR/wal) is the recording; costs an "
+                       "fsync per response")
     p_srv.add_argument("--verify", action="store_true",
-                       help="after the run, merge the recorded logs and "
-                       "replay the paper's checkers (implies --record)")
+                       help="after the run, replay each replica's WAL, "
+                       "merge the group's events and run the paper's "
+                       "checkers (implies --record)")
     p_srv.add_argument("--json", metavar="PATH", dest="json_out",
                        help="write the full run report as JSON")
     p_srv.add_argument("--trace-out", metavar="PATH",
-                       help="write a Perfetto/Chrome trace of the merged "
-                       "group-0 event log (implies --record)")
+                       help="write a Perfetto/Chrome trace of group 0's "
+                       "merged, WAL-replayed events (implies --verify)")
 
     p_lg = sub.add_parser(
         "loadgen",
@@ -677,6 +681,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     2 on bad usage.  ``--replay`` instead re-executes a witness and
     exits 0 iff it reproduces byte-identically."""
     import json
+    from dataclasses import replace
     from pathlib import Path
 
     from repro.mck import (
@@ -684,6 +689,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         build_witness,
         check_sharded,
         load_witness,
+        minimize_witness,
         parse_faults,
         replay_witness,
         run_checks,
@@ -774,12 +780,20 @@ def cmd_check(args: argparse.Namespace) -> int:
         if not r.ok:
             failed = True
             if args.witness_out:
-                doc = build_witness(config, r.violations[0])
+                violation = r.violations[0]
+                budget = 200_000
+                shortest = minimize_witness(config, list(violation.choices),
+                                            max_states=budget)
+                if shortest is not None:
+                    violation = replace(violation, choices=tuple(shortest))
+                doc = build_witness(config, violation, minimize=False)
                 save = Path(args.witness_out)
                 save.write_text(json.dumps(doc, sort_keys=True, indent=1)
                                 + "\n")
+                how = ("minimized" if shortest is not None else
+                       f"not minimized: the {budget}-state budget ran out")
                 print(f"  witness written to {args.witness_out} "
-                      f"({len(doc['choices'])} choices, minimized)")
+                      f"({len(doc['choices'])} choices, {how})")
                 args.witness_out = None  # first violation only
     if args.stats_out:
         doc = {

@@ -416,21 +416,21 @@ def minimize_witness(
     fallback: List[Transition],
     *,
     max_states: int = 200_000,
-) -> List[Transition]:
+) -> Optional[List[Transition]]:
     """Shortest violating choice path, by iterative deepening up to
     ``len(fallback)`` (the path a prior search found): each round is
     the exhaustive DFS bounded at depth ``limit`` that stops at its
     first violation.  Minimal up to commutation equivalence -- sleep
     sets stay on, and equivalent interleavings all have the same
     length.  ``max_states`` is one budget for all rounds; once it is
-    spent the known path is returned."""
+    spent the answer is None: no path is known to be minimal."""
     result = _new_result(config, _make_root(config))
     for limit in range(1, len(fallback) + 1):
         bounded = replace(config, mode="exhaustive", max_states=max_states,
                           max_depth=limit, stop_on_violation=True)
         _Search(bounded, result).run(_make_root(config))
         if result.state_limit_hit:
-            break
+            return None
         if result.violations:
             return list(result.violations[0].choices)
     return list(fallback)

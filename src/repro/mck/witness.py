@@ -157,14 +157,17 @@ def build_witness(config: CheckConfig, violation: Violation, *,
 
     With ``minimize`` (the default) the choice path is first shortened
     by iterative deepening (:func:`~repro.mck.explorer.minimize_witness`);
-    the headline finding is re-derived from the replay of the final
-    path, since a shorter path may surface an equivalent-but-distinct
-    finding first.
+    if its ``minimize_states`` budget runs out, the search's own path is
+    kept.  The headline finding is re-derived from the replay of the
+    final path, since a shorter path may surface an
+    equivalent-but-distinct finding first.
     """
     choices = list(violation.choices)
     if minimize:
-        choices = minimize_witness(config, choices,
-                                   max_states=minimize_states)
+        shortest = minimize_witness(config, choices,
+                                    max_states=minimize_states)
+        if shortest is not None:
+            choices = shortest
     outcome = replay_path(config, choices)
     if not outcome.findings:
         raise ValueError(

@@ -7,8 +7,8 @@ wire protocol (:mod:`repro.serve.codec`), with key-space sharding
 across replica groups (:mod:`repro.serve.shard`), session-consistent
 clients (:mod:`repro.serve.client`), deterministic open-loop load
 generation (:mod:`repro.serve.loadgen`), and a deployment harness
-(:mod:`repro.serve.harness`) whose recorded runs replay byte-for-byte
-through the paper's conformance oracles
+(:mod:`repro.serve.harness`) whose recorded runs -- the replicas'
+write-ahead logs -- replay through the paper's conformance oracles
 (:mod:`repro.serve.merge` + :mod:`repro.serve.conformance`).
 
 See ``docs/serving.md`` for the wire format and operational guide.
@@ -22,7 +22,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.serve.harness": ("ServedCluster", "serve_and_load", "serve_chaos"),
     "repro.serve.loadgen": ("LoadgenConfig", "run_worker",
                             "summarize_workers"),
-    "repro.serve.merge": ("MergeError", "merge_node_logs"),
+    "repro.serve.merge": ("MergeError", "merge_node_logs", "replay_wal"),
     "repro.serve.server": ("SERVABLE_PROTOCOLS", "ReplicaServer"),
     "repro.serve.shard": ("ClusterSpec", "shard_of"),
 })
@@ -39,6 +39,7 @@ __all__ = [
     "SessionClient",
     "encoded_size",
     "merge_node_logs",
+    "replay_wal",
     "run_worker",
     "serve_and_load",
     "serve_chaos",

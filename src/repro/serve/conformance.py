@@ -1,7 +1,9 @@
 """Replay a recorded live trace through every existing oracle.
 
-"Fast" must also be "causally consistent": after a served run, the
-merged trace (:mod:`repro.serve.merge`) is fed -- unchanged -- through
+"Fast" must also be "causally consistent": after a served run, each
+replica's WAL is replayed into its events and the group's events are
+merged into one trace (:mod:`repro.serve.merge`), which is fed --
+unchanged -- through
 
 - :func:`repro.analysis.checker.check_run` (history legality, safety,
   liveness, the Definition-3 delay audit, characterization), and

@@ -9,10 +9,12 @@ This is the shared machinery behind ``repro-dsm serve`` /
 3. *quiesce*: poll every node's admin plane until all applied vectors
    match the issued-write targets and every buffer is empty -- only a
    drained deployment can claim the Theorem-5 liveness property;
-4. two-phase shutdown: nodes flush, dump their event logs + stats,
+4. two-phase shutdown: nodes flush, sync their WAL, dump their stats,
    acknowledge, exit;
-5. when recording: merge each group's logs
-   (:func:`repro.serve.merge.merge_node_logs`) and replay them through
+5. when recording: a recorded run is its WALs (every recorded replica
+   is durable), so replay each replica's WAL into its events
+   (:func:`repro.serve.merge.replay_wal`), merge each group's traces
+   (:func:`~repro.serve.merge.merge_node_logs`) and run them through
    the full oracle stack (:func:`~repro.serve.conformance.verify_live_trace`),
    archive the merged trace as JSONL and optionally as a Perfetto
    trace.
@@ -39,7 +41,7 @@ from repro.serve.codec import (
     write_frame,
 )
 from repro.serve.loadgen import LoadgenConfig, run_worker, summarize_workers
-from repro.serve.merge import load_node_log, merge_node_logs
+from repro.serve.merge import merge_node_logs, replay_wal
 from repro.serve.server import STOP_QUERY, STOP_SHUTDOWN
 from repro.serve.shard import ClusterSpec, parse_endpoint
 from repro.serve.timebase import monotonic
@@ -311,21 +313,24 @@ class ServedCluster:
     # -- verification -------------------------------------------------------
 
     def verify(self) -> Dict[str, Any]:
-        """Merge each group's recorded logs and replay all oracles."""
+        """Replay each replica's WAL, merge each group's traces and
+        replay all oracles."""
         if not self.record:
             raise RuntimeError("deployment was not recording; nothing to verify")
         # the checker (numpy, networkx) is imported by the run that uses it
         from repro.serve.conformance import verify_live_trace
+        from repro.sim.cluster import _resolve_factory
         from repro.sim.serialize import trace_to_jsonl
 
+        factory = _resolve_factory(self.spec.protocol)
+        wal_dir = self.wal_dir or self.rundir / "wal"
+        n = self.spec.group_size
         groups = []
         ok = True
         for g in range(self.spec.n_shards):
-            logs = []
-            for i in range(self.spec.group_size):
-                path = self.rundir / f"node-g{g}n{i}.log.jsonl"
-                logs.append(load_node_log(path.read_text()))
-            trace = merge_node_logs(logs)
+            trace = merge_node_logs([
+                replay_wal(factory, i, n, wal_dir / f"node-g{g}n{i}.wal")
+                for i in range(n)])
             report = verify_live_trace(
                 trace,
                 protocol_name=self.spec.protocol,

@@ -1,9 +1,16 @@
-"""Per-node event logs and the causally gated k-way trace merge.
+"""Replay a replica's WAL into its events, and the causally gated
+k-way trace merge.
 
-Each live replica records only its *own* process's events (its ``E_i``
-of Section 3.1) with machine-monotonic timestamps.  Reconstructing the
-global :class:`~repro.sim.trace.Trace` the analyzers expect means
-interleaving the per-node logs into one total order.  Sorting by
+A recorded run is its WALs.  The registry protocols are deterministic
+in their inputs, so a replica's own events (its ``E_i`` of Section 3.1)
+follow from its journal: :func:`replay_wal` feeds every record -- one
+per peer frame, one per run of a client request, each with the time
+the live replica pinned for it -- through a fresh node on a recording
+:class:`~repro.sim.trace.Trace` and gets back the events the live
+replica produced, timestamps included.
+
+Reconstructing the global trace the analyzers expect means
+interleaving the per-replica traces into one total order.  Sorting by
 timestamp is almost right -- on one host ``CLOCK_MONOTONIC`` is shared
 across processes, so a receipt really is stamped after its send -- but
 the checkers' correctness must not hinge on clock quality.  The merge
@@ -12,11 +19,11 @@ that refuses to emit any receipt-family event (RECEIPT / BUFFER /
 APPLY / DISCARD of a remote write) before the issuer's WRITE event has
 been emitted.  A blocked stream simply waits while others advance.
 
-This cannot deadlock when every per-node log is in real-time order:
-a stream only blocks on another stream's WRITE event, WRITE events are
-never blocked, and a cyclic wait would need some message to be
-received before it was sent.  If logs are inconsistent (clock jumped
-backwards mid-run, truncated file), the merge raises
+This cannot deadlock when every per-replica trace is in real-time
+order: a stream only blocks on another stream's WRITE event, WRITE
+events are never blocked, and a cyclic wait would need some message to
+be received before it was sent.  If the traces are inconsistent (clock
+jumped backwards mid-run, a lost journal), the merge raises
 :class:`MergeError` with the stuck heads rather than emitting a trace
 the checkers would misjudge.
 
@@ -28,18 +35,15 @@ and the JSONL serializer all replay it unchanged.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.sim.serialize import _decode_value, _decode_wid, _encode_value, \
-    _encode_wid
+from repro import durability as dur
+from repro.core.base import Protocol
+from repro.sim.node import Node
 from repro.sim.trace import EventKind, Trace, TraceEvent
 
-__all__ = ["MergeError", "NodeLog", "dump_node_log", "load_node_log",
-           "merge_node_logs"]
-
-LOG_VERSION = 1
+__all__ = ["MergeError", "merge_node_logs", "replay_wal"]
 
 #: Event kinds that must wait for the issuer's WRITE during the merge.
 _RECEIPT_FAMILY = (EventKind.RECEIPT, EventKind.BUFFER, EventKind.APPLY,
@@ -47,102 +51,46 @@ _RECEIPT_FAMILY = (EventKind.RECEIPT, EventKind.BUFFER, EventKind.APPLY,
 
 
 class MergeError(RuntimeError):
-    """Node logs admit no causally consistent interleaving."""
+    """Per-replica traces admit no causally consistent interleaving."""
 
 
-@dataclass
-class NodeLog:
-    """One replica's recorded ``E_i`` plus identifying metadata."""
+def replay_wal(factory: Callable[[int, int], Protocol], process: int,
+               n: int, wal_path: Path) -> Trace:
+    """Replica ``process``'s events, rebuilt from its whole WAL.
 
-    process: int
-    n_processes: int
-    protocol: str
-    #: ``(event, registers_apply)`` pairs in local (``<_i``) order;
-    #: ``registers_apply`` is None except on WRITE events.
-    events: List[Tuple[TraceEvent, Optional[bool]]]
-
-
-def dump_node_log(trace: Trace, process: int, protocol: str) -> str:
-    """Serialize one node's own events to JSONL (header line first).
-
-    ``registers_apply`` is captured per WRITE event by asking the trace
-    whether that event owns the (process, wid) apply slot -- protocols
-    that defer their local apply record it as a later APPLY event.
+    The node is built as a served replica builds its own (``dedup``
+    on) and replays through :func:`~repro.durability.recover_node`
+    from the initial state, each record at its journaled time; its
+    broadcasts go nowhere.  A WAL is never truncated below its first
+    record, so this holds every event, snapshots or not.
     """
-    header = {
-        "version": LOG_VERSION,
-        "kind": "node-log",
-        "process": process,
-        "n": trace.n_processes,
-        "protocol": protocol,
-    }
-    lines = [json.dumps(header, sort_keys=True)]
-    for ev in trace.process_events(process):
-        doc: Dict[str, Any] = {
-            "t": ev.time,
-            "k": ev.kind.value,
-            "wid": _encode_wid(ev.wid),
-            "var": _encode_value(ev.variable),
-            "val": _encode_value(ev.value),
-        }
-        if ev.read_from is not None:
-            doc["rf"] = _encode_wid(ev.read_from)
-        if ev.kind is EventKind.WRITE:
-            doc["ra"] = trace.apply_event(process, ev.wid) is ev
-        lines.append(json.dumps(doc, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    now = 0.0
+
+    def pin(t: float) -> None:
+        nonlocal now
+        now = t
+
+    trace = Trace(n)
+    node = Node(factory(process, n), trace, clock=lambda: now,
+                dispatch=lambda sender, outgoing: None, dedup=True)
+    dur.recover_node(node, None, dur.read_wal(wal_path).bodies, [], pin=pin)
+    return trace
 
 
-def load_node_log(text: str) -> NodeLog:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise MergeError("empty node log")
-    header = json.loads(lines[0])
-    if header.get("kind") != "node-log" or header.get("version") != LOG_VERSION:
-        raise MergeError(f"bad node log header {header!r}")
-    process = header["process"]
-    events = []
-    for idx, line in enumerate(lines[1:]):
-        doc = json.loads(line)
-        kind = EventKind(doc["k"])
-        registers = doc.get("ra")
-        ev = TraceEvent(
-            seq=idx,
-            time=doc["t"],
-            process=process,
-            kind=kind,
-            wid=_decode_wid(doc.get("wid")),
-            variable=_decode_value(doc.get("var")),
-            value=_decode_value(doc.get("val")),
-            read_from=_decode_wid(doc.get("rf")),
-            state=None,
-        )
-        events.append((ev, registers))
-    return NodeLog(
-        process=process,
-        n_processes=header["n"],
-        protocol=header["protocol"],
-        events=events,
-    )
+def merge_node_logs(traces: Sequence[Trace]) -> Trace:
+    """Interleave per-replica traces into one analyzable global trace.
 
-
-def merge_node_logs(logs: Sequence[NodeLog]) -> Trace:
-    """Interleave per-node logs into one analyzable global trace."""
-    if not logs:
-        raise MergeError("no node logs to merge")
-    n = logs[0].n_processes
-    protocols = sorted({log.protocol for log in logs})
-    if len(protocols) != 1:
-        raise MergeError(f"mixed protocols in node logs: {protocols}")
-    by_process: Dict[int, NodeLog] = {}
-    for log in logs:
-        if log.n_processes != n:
-            raise MergeError("node logs disagree on n_processes")
-        if log.process in by_process:
-            raise MergeError(f"two logs for process {log.process}")
-        by_process[log.process] = log
-    streams = [by_process[p].events if p in by_process else []
-               for p in range(n)]
+    ``traces[p]`` holds process ``p``'s own events (:func:`replay_wal`);
+    a WRITE keeps whether it was its issuer's local apply.
+    """
+    if not traces:
+        raise MergeError("no traces to merge")
+    n = traces[0].n_processes
+    if any(t.n_processes != n for t in traces):
+        raise MergeError("traces disagree on n_processes")
+    streams: List[Sequence[TraceEvent]] = [
+        t.process_events(p) for p, t in enumerate(traces)]
+    streams += [()] * (n - len(streams))
 
     trace = Trace(n)
     heads = [0] * n
@@ -162,7 +110,7 @@ def merge_node_logs(logs: Sequence[NodeLog]) -> Trace:
         for p in range(n):
             if heads[p] >= len(streams[p]):
                 continue
-            ev, _ = streams[p][heads[p]]
+            ev = streams[p][heads[p]]
             if blocked(p, ev):
                 continue
             key = (ev.time, p)
@@ -170,16 +118,16 @@ def merge_node_logs(logs: Sequence[NodeLog]) -> Trace:
                 best = key
         if best is None:
             stuck = [
-                f"p{p}: {streams[p][heads[p]][0]}"
+                f"p{p}: {streams[p][heads[p]]}"
                 for p in range(n)
                 if heads[p] < len(streams[p])
             ]
             raise MergeError(
-                "node logs admit no causal interleaving (message received "
+                "traces admit no causal interleaving (message received "
                 "before it was sent?); stuck heads: " + "; ".join(stuck)
             )
         p = best[1]
-        ev, registers = streams[p][heads[p]]
+        ev = streams[p][heads[p]]
         heads[p] += 1
         remaining -= 1
         trace.record(
@@ -190,7 +138,10 @@ def merge_node_logs(logs: Sequence[NodeLog]) -> Trace:
             variable=ev.variable,
             value=ev.value,
             read_from=ev.read_from,
-            registers_apply=registers,
+            # a WRITE is its issuer's local apply unless the protocol
+            # recorded that apply as a later APPLY event
+            registers_apply=(traces[p].apply_event(p, ev.wid) is ev
+                             if ev.kind is EventKind.WRITE else None),
         )
         if ev.kind is EventKind.WRITE:
             writes_emitted.add(ev.wid)

@@ -26,17 +26,17 @@ behind real sockets:
   vector (OptP's ``Apply``): one list, advanced by the protocol's write
   and apply steps, never a copy kept beside it.
 - **admin plane**: quiesce polling and two-phase shutdown, so a parent
-  can drain the deployment before asking nodes to dump their event
-  logs (which keeps the Theorem-5 liveness check meaningful).
+  can drain the deployment before it stops the nodes and replays their
+  journals (which keeps the Theorem-5 liveness check meaningful).
 
 Every connection, accepted or dialed, is a :class:`asyncio.BufferedProtocol`
 that serves each frame synchronously as it arrives (:class:`_Inbound`).
 
 Everything protocol-visible reuses the existing substrate unchanged:
 buffering goes through the same counting scheduler the simulator and
-the model checker run, events land in a real
-:class:`~repro.sim.trace.Trace` (or a no-op trace when not recording),
-and the recorded log replays through every checker via
+the model checker run.  The node records no events (a
+:class:`~repro.sim.trace.NullTrace`): a recorded run is its WAL, whose
+records rebuild every replica's events for every checker via
 :mod:`repro.serve.merge` / :mod:`repro.serve.conformance`.
 
 With ``wal_dir`` set the replica is *durable* (crash-recovery model,
@@ -53,6 +53,9 @@ rebuilds its exact pre-crash state by snapshot restore + WAL replay,
 tells each peer in the handshake (HELLO to a lower id, WELCOME to a
 higher one) how many of its writes it holds, and is sent the suffix it
 missed; the higher id of a pair redials, and both ends resync alike.
+``record=True`` only makes the replica durable under ``rundir / "wal"``
+when no ``wal_dir`` is given: the WAL is never truncated below its first
+record, so it holds every input of the run.
 """
 
 from __future__ import annotations
@@ -81,11 +84,10 @@ from repro.serve.codec import (
     read_frame,  # noqa: F401 -- unused, but bench/tracing.py wraps it here
     write_frame,
 )
-from repro.serve.merge import dump_node_log
 from repro.serve.shard import ClusterSpec, parse_endpoint
 from repro.serve.timebase import monotonic
 from repro.sim.node import Node
-from repro.sim.trace import NullTrace, Trace
+from repro.sim.trace import NullTrace
 
 __all__ = ["NullTrace", "ReplicaServer", "SERVABLE_PROTOCOLS"]
 
@@ -386,9 +388,13 @@ class ReplicaServer:
         self.group = group
         self.node_id = node_id
         self.n = spec.group_size
-        self.record = record
         self.rundir = Path(rundir) if rundir is not None else None
         self.wal_dir = Path(wal_dir) if wal_dir is not None else None
+        if record and self.wal_dir is None:
+            if self.rundir is None:
+                raise ValueError("a recorded replica journals to wal_dir "
+                                 "or rundir/wal; neither is set")
+            self.wal_dir = self.rundir / "wal"
         self.fsync_every = fsync_every
         self.snapshot_every = snapshot_every
         self.batch_window = batch_window
@@ -397,10 +403,9 @@ class ReplicaServer:
 
         self._t0 = monotonic()
         factory = _resolve_factory(spec.protocol)
-        self.trace: Trace = Trace(self.n) if record else NullTrace(self.n)
         self.node = Node(
             factory(node_id, self.n),
-            self.trace,
+            NullTrace(self.n),
             clock=self._now,
             dispatch=self._dispatch,
             # Links redial on EOF and retransmit the unacked suffix;
@@ -512,17 +517,12 @@ class ReplicaServer:
         wal_path = stem.with_suffix(".wal")
         self._snap_path = stem.with_suffix(".snap")
         t_start = monotonic()
-        # In record mode the full trace must be rebuilt with original
-        # timestamps, so the snapshot is ignored (the WAL is never
-        # compacted; full replay is always possible) and no further
-        # snapshots are taken.
-        raw_snap = (None if self.record
-                    else dur.read_framed_file(self._snap_path))
+        raw_snap = dur.read_framed_file(self._snap_path)
         res = dur.read_wal(wal_path)
         if raw_snap is not None or res.bodies:
-            # Replay through the *live* node, onto the real trace (record
-            # mode); ``_dispatch`` externalizes nothing while
-            # ``_replaying`` but still rebuilds ``_sent`` from broadcasts.
+            # Replay through the *live* node; ``_dispatch`` externalizes
+            # nothing while ``_replaying`` but still rebuilds ``_sent``
+            # from broadcasts.
             self._replaying = True
             try:
                 last_t = dur.recover_node(
@@ -559,7 +559,7 @@ class ReplicaServer:
         node lags the log and a snapshot taken there would silently
         drop the rest of the frame on recovery.
         """
-        if (self._wal is None or self.record or not self.snapshot_every
+        if (self._wal is None or not self.snapshot_every
                 or self._unsnapped < self.snapshot_every):
             return
         dur = self._dur
@@ -841,13 +841,11 @@ class ReplicaServer:
         return w.getvalue()
 
     def _dump(self) -> None:
+        if self._wal is not None:
+            self._wal.sync()    # the acknowledged stop covers the journal
         if self.rundir is None:
             return
         stem = self.rundir / f"node-g{self.group}n{self.node_id}"
-        if self.record:
-            stem.with_suffix(".log.jsonl").write_text(
-                dump_node_log(self.trace, self.node_id, self.spec.protocol)
-            )
         stem.with_suffix(".stats.json").write_text(
             json.dumps(self._status(), indent=2, sort_keys=True, default=str)
         )

@@ -24,7 +24,7 @@ def monotonic() -> float:
     On Linux this reads ``CLOCK_MONOTONIC``, whose epoch is
     machine-wide: timestamps taken by different replica processes on
     one host are mutually comparable, which is what lets
-    :mod:`repro.serve.merge` order per-node event logs by time.  (The
+    :mod:`repro.serve.merge` order per-replica traces by time.  (The
     gated merge does not *trust* that comparability -- causal order
     wins over timestamps -- but it makes the common case exact.)
     """

@@ -85,11 +85,11 @@ class TestBuild:
 
 class TestMinimizationBudget:
     """``max_states`` is one budget for every deepening round of
-    ``minimize_witness``; once it is spent the minimiser hands back the
-    path it was given.  It never executes that path, only bounds the
-    deepening by its length, so a stand-in of the witness's length tells
-    the hand-back apart from a found witness (on ``pair`` every lossy
-    violation is already minimal)."""
+    ``minimize_witness``; once it is spent the minimiser answers None,
+    since no path is known to be minimal.  It never executes the path it
+    is given, only bounds the deepening by its length, so a stand-in of
+    the witness's length serves (on ``pair`` every lossy violation is
+    already minimal)."""
 
     @pytest.fixture(scope="class")
     def rounds(self, lossy_witness):
@@ -111,7 +111,7 @@ class TestMinimizationBudget:
         config = lossy_witness[0]
         fallback, _, states = rounds
         assert minimize_witness(config, fallback,
-                                max_states=states[0] - 1) == fallback
+                                max_states=states[0] - 1) is None
 
     def test_budget_is_shared_across_rounds(self, lossy_witness, rounds):
         config = lossy_witness[0]
@@ -120,9 +120,16 @@ class TestMinimizationBudget:
         each, total = max(states), sum(states)
         # enough for every round alone, not for all of them together
         assert minimize_witness(config, fallback,
-                                max_states=each) == fallback
+                                max_states=each) is None
         assert minimize_witness(config, fallback,
                                 max_states=total) == witness
+
+    def test_build_keeps_the_search_path_when_the_budget_runs_out(
+            self, lossy_witness):
+        config, result, _ = lossy_witness
+        violation = result.violations[0]
+        doc = build_witness(config, violation, minimize_states=1)
+        assert [tuple(t) for t in doc["choices"]] == list(violation.choices)
 
 
 class TestRoundTrip:
@@ -224,6 +231,7 @@ class TestCliReplay:
         assert rc == 1                       # violations found
         assert wpath.exists()
         assert "witness" in out
+        assert "choices, minimized)" in out
 
         rc = main(["check", "--replay", str(wpath)])
         out = capsys.readouterr().out

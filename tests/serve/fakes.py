@@ -1,10 +1,16 @@
 """Stand-ins for the event loop and the transports a replica runs on:
 no sockets and no sleeps, every instant and every ``recv`` chosen by
 the test.  :class:`Duplex` wires two replicas' ends of one peer
-connection back to back.
+connection back to back, and :class:`Mesh` meshes a whole group with
+them, any of whose links a test can stall.
 """
 
+from pathlib import Path
+
+from repro.serve import codec
+from repro.serve.codec import ROLE_CLIENT
 from repro.serve.server import ReplicaServer, _Inbound
+from repro.serve.shard import ClusterSpec
 
 
 class FakeHandle:
@@ -128,3 +134,49 @@ class Duplex:
                     deliver(dst, written[self.carried[src]])
                     self.carried[src] += 1
                     moved = True
+
+
+class Mesh:
+    """A group of ``n`` replicas on one :class:`FakeLoop`, one
+    :class:`Duplex` per pair (``links[lo, hi]``).  :meth:`settle` pumps
+    every link whose pair is not in ``stalled``: a stalled link keeps
+    what its ends wrote until it is pumped again, while the loop still
+    ticks, so every replica still flushes to it."""
+
+    def __init__(self, protocol: str = "optp", n: int = 3):
+        spec = ClusterSpec.local_uds(Path("unused"), protocol, 1, n)
+        self.loop = FakeLoop()
+        # batch_window 0: every flush is an end-of-tick one, so the fake
+        # clock never has to move
+        self.servers = [ReplicaServer(spec, 0, i, batch_window=0.0)
+                        for i in range(n)]
+        self.links = {(lo, hi): Duplex(self.servers[hi], self.servers[lo],
+                                       self.loop)
+                      for lo in range(n) for hi in range(lo + 1, n)}
+        self.stalled = set()
+        self.settle()
+
+    def _carried(self) -> int:
+        return sum(sum(d.carried.values()) for d in self.links.values())
+
+    def settle(self) -> None:
+        """Run the loop and pump every live link until nothing moves."""
+        while True:
+            before = self._carried()
+            self.loop.tick()
+            for pair, duplex in self.links.items():
+                if pair not in self.stalled:
+                    duplex.pump()
+            if self._carried() == before and not self.loop.soon:
+                return
+
+    def request(self, replica: int, session, ops):
+        """One REQUEST on a fresh client connection to ``replica``, then
+        :meth:`settle`; ``(progress, results)``, or None if it parked."""
+        conn = _Inbound(self.servers[replica])
+        conn.connection_made(FakeTransport())
+        deliver(conn, codec.frame(codec.encode_hello(ROLE_CLIENT)))
+        deliver(conn, codec.frame(codec.encode_request(tuple(session), ops)))
+        self.settle()
+        written = conn.transport.written
+        return codec.decode_response(written[-1][4:]) if written else None

@@ -2,7 +2,7 @@
 
 This is the same path CI's serve-smoke job and the serve benchmark
 drive: spawn replica processes, load, quiesce, two-phase shutdown,
-merge the logs, replay the oracles.  Kept short (rate-limited,
+replay and merge the WALs, run the oracles.  Kept short (rate-limited,
 sub-second) because it boots real OS processes.
 """
 
@@ -31,11 +31,13 @@ class TestServeAndLoad:
         (group_report,) = conf["groups"]
         assert group_report["checker_problems"] == []
         assert group_report["invariant_findings"] == []
-        # node logs + merged trace + stats landed in the rundir
+        # the WALs (the recording), merged trace + stats landed in the
+        # rundir, and no second event-log format beside them
         assert (tmp_path / "cluster.json").exists()
         assert (tmp_path / "trace-g0.jsonl").exists()
+        assert not list(tmp_path.glob("*.log.jsonl"))
         for i in range(3):
-            assert (tmp_path / f"node-g0n{i}.log.jsonl").exists()
+            assert (tmp_path / "wal" / f"node-g0n{i}.wal").exists()
             stats = json.loads(
                 (tmp_path / f"node-g0n{i}.stats.json").read_text())
             assert "stats" in stats and "applied" in stats

@@ -1,36 +1,27 @@
 """Causally gated k-way merge tests.
 
-The merge turns per-node live logs back into one global trace the
-checkers accept; the interesting cases are clock skew (receipt stamped
-before its send) and genuinely inconsistent logs.
+The merge turns per-replica traces (what :func:`replay_wal` rebuilds
+from each WAL) back into one global trace the checkers accept; the
+interesting cases are clock skew (receipt stamped before its send) and
+genuinely inconsistent traces.
 """
 
 import pytest
 
 from repro.model.operations import WriteId
-from repro.serve.merge import (
-    MergeError,
-    dump_node_log,
-    load_node_log,
-    merge_node_logs,
-)
+from repro.serve.merge import MergeError, merge_node_logs
 from repro.sim.trace import EventKind, Trace
 
 
 def node_trace(n, events):
-    """Build a per-node trace from (time, process, kind, wid, var, val)."""
+    """Build a per-node trace from (time, process, kind, wid, var, val,
+    read_from[, registers_apply])."""
     trace = Trace(n)
-    for time, process, kind, wid, var, val, read_from in events:
+    for time, process, kind, wid, var, val, read_from, *ra in events:
         trace.record(time, process, kind, wid=wid, variable=var,
-                     value=val, read_from=read_from)
+                     value=val, read_from=read_from,
+                     registers_apply=ra[0] if ra else None)
     return trace
-
-
-def logs_roundtrip(traces, protocol="optp"):
-    return [
-        load_node_log(dump_node_log(trace, p, protocol))
-        for p, trace in enumerate(traces)
-    ]
 
 
 W = EventKind.WRITE
@@ -38,31 +29,6 @@ S = EventKind.SEND
 R = EventKind.RECEIPT
 A = EventKind.APPLY
 RET = EventKind.RETURN
-
-
-class TestRoundtrip:
-    def test_dump_load_preserves_events(self):
-        w1 = WriteId(0, 1)
-        t0 = node_trace(2, [
-            (1.0, 0, W, w1, "x", "a", None),
-            (1.0, 0, S, w1, "x", "a", None),
-            (3.0, 0, RET, None, "x", "a", w1),
-        ])
-        log = load_node_log(dump_node_log(t0, 0, "optp"))
-        assert log.process == 0
-        assert log.n_processes == 2
-        assert log.protocol == "optp"
-        kinds = [ev.kind for ev, _ in log.events]
-        assert kinds == [W, S, RET]
-        ev0, ra0 = log.events[0]
-        assert ev0.wid == w1 and ev0.value == "a"
-        assert ra0 is True  # WRITE doubled as the local apply
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(MergeError):
-            load_node_log('{"kind": "nope", "version": 1}\n')
-        with pytest.raises(MergeError):
-            load_node_log("")
 
 
 class TestMerge:
@@ -77,9 +43,11 @@ class TestMerge:
             (2.0, 1, A, w1, "x", "a", None),
             (3.0, 1, RET, None, "x", "a", w1),
         ])
-        merged = merge_node_logs(logs_roundtrip([t0, t1]))
+        merged = merge_node_logs([t0, t1])
         assert [ev.kind for ev in merged.events] == [W, S, R, A, RET]
         assert merged.apply_event(1, w1) is not None
+        # the WRITE doubled as its issuer's local apply
+        assert merged.apply_event(0, w1) is merged.events[0]
 
     def test_clock_skew_receipt_gated_behind_write(self):
         """p1 stamps the receipt *before* p0's write (skewed clock);
@@ -93,7 +61,7 @@ class TestMerge:
             (1.0, 1, R, w1, "x", "a", None),
             (1.1, 1, A, w1, "x", "a", None),
         ])
-        merged = merge_node_logs(logs_roundtrip([t0, t1]))
+        merged = merge_node_logs([t0, t1])
         kinds = [(ev.process, ev.kind) for ev in merged.events]
         assert kinds.index((0, W)) < kinds.index((1, R))
         assert kinds.index((1, R)) < kinds.index((1, A))
@@ -108,7 +76,7 @@ class TestMerge:
             (0.5, 0, R, w1, "x", "a", None),
             (0.6, 0, A, w1, "x", "a", None),
         ])
-        merged = merge_node_logs(logs_roundtrip([t0, t1]))
+        merged = merge_node_logs([t0, t1])
         assert len(merged.events) == 4
 
     def test_missing_write_raises(self):
@@ -117,23 +85,19 @@ class TestMerge:
         t0 = node_trace(2, [])
         t1 = node_trace(2, [(1.0, 1, R, ghost, "x", "a", None)])
         with pytest.raises(MergeError, match="stuck heads"):
-            merge_node_logs(logs_roundtrip([t0, t1]))
+            merge_node_logs([t0, t1])
 
-    def test_mixed_protocols_rejected(self):
-        t0 = node_trace(2, [])
-        t1 = node_trace(2, [])
-        logs = [
-            load_node_log(dump_node_log(t0, 0, "optp")),
-            load_node_log(dump_node_log(t1, 1, "anbkh")),
-        ]
-        with pytest.raises(MergeError, match="mixed protocols"):
-            merge_node_logs(logs)
+    def test_deferred_local_apply_is_kept(self):
+        """A WRITE that was not its issuer's apply (a protocol that
+        applies its own write later) stays out of the apply index."""
+        w1 = WriteId(0, 1)
+        t0 = node_trace(1, [
+            (1.0, 0, W, w1, "x", "a", None, False),
+            (2.0, 0, A, w1, "x", "a", None),
+        ])
+        merged = merge_node_logs([t0])
+        assert merged.apply_event(0, w1) is merged.events[1]
 
-    def test_duplicate_process_rejected(self):
-        t0 = node_trace(2, [])
-        logs = [
-            load_node_log(dump_node_log(t0, 0, "optp")),
-            load_node_log(dump_node_log(t0, 0, "optp")),
-        ]
-        with pytest.raises(MergeError, match="two logs"):
-            merge_node_logs(logs)
+    def test_traces_disagreeing_on_n_rejected(self):
+        with pytest.raises(MergeError, match="n_processes"):
+            merge_node_logs([Trace(2), Trace(3)])

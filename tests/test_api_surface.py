@@ -239,6 +239,37 @@ class TestOneSearch:
             assert "def expand(" not in inspect.getsource(module)
 
 
+class TestOneRecording:
+    """A recorded run is its WAL: a served replica keeps no event log of
+    its own, and ``serve.merge`` replays journals instead of reading a
+    second on-disk format."""
+
+    def test_merge_reads_no_node_log_format(self):
+        from repro.serve import merge
+
+        for name in ("NodeLog", "dump_node_log", "load_node_log",
+                     "LOG_VERSION"):
+            assert not hasattr(merge, name), name
+        assert merge.__all__ == ["MergeError", "merge_node_logs",
+                                 "replay_wal"]
+
+    def test_a_recorded_replica_is_durable_on_a_null_trace(self, tmp_path):
+        from repro.serve.server import ReplicaServer
+        from repro.serve.shard import ClusterSpec
+        from repro.sim.trace import NullTrace
+
+        spec = ClusterSpec.local_uds(tmp_path, "optp", 1, 3)
+        replica = ReplicaServer(spec, 0, 0, record=True, rundir=tmp_path)
+        try:
+            assert type(replica.node.trace) is NullTrace
+            assert not hasattr(replica, "trace")
+            assert replica.wal_dir == tmp_path / "wal"
+        finally:
+            replica._wal.close()
+        with pytest.raises(ValueError, match="wal_dir or rundir"):
+            ReplicaServer(spec, 0, 0, record=True)
+
+
 class TestImportCost:
     """Every replica process imports the serving path; the checker,
     numpy and networkx load only where they are used."""
