@@ -1,10 +1,10 @@
 """Q4: protocol-mechanics micro-benchmarks.
 
 Measures the primitive costs underlying every run -- vector-clock
-comparisons (list vs numpy crossover, the DESIGN.md claim), OptP's
-activation predicate, write/read procedure throughput, engine event
-throughput, and batch trace analysis -- so regressions in the hot path
-are visible independently of workload effects.
+comparisons, OptP's activation predicate, write/read procedure
+throughput, engine event throughput, and trace analysis (the ``->co``
+closure, legality, safety) -- so regressions in the hot path are visible
+independently of workload effects.
 """
 
 import random
@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.optp import OptPProtocol
 from repro.core.vectorclock import (
-    batch_precedes_matrix,
     vc_join,
     vc_le,
     vc_lt,
@@ -34,16 +33,6 @@ def test_bench_q4_vc_lt_list(benchmark, n):
 
     def run():
         return sum(vc_lt(a, b) for a, b in pairs)
-
-    benchmark(run)
-
-
-@pytest.mark.parametrize("n", [4, 16, 64])
-def test_bench_q4_vc_batch_numpy(benchmark, n):
-    vecs = _vectors(n, 200, 3)
-
-    def run():
-        return batch_precedes_matrix(vecs).sum()
 
     benchmark(run)
 
@@ -178,8 +167,8 @@ def test_bench_q4_drain_scaling(benchmark, depth):
 
 
 def test_bench_q4_safety_checker(benchmark):
-    """The vectorized Theorem-3 check over a mid-size run (the
-    heaviest analyzer after the ->co closure itself)."""
+    """The Theorem-3 check over a mid-size run: one walk of each
+    process's apply order against the ->co descendant bitsets."""
     from repro.analysis.checker import check_safety
     from repro.sim import SeededLatency, run_schedule
     from repro.workloads import WorkloadConfig, random_schedule
@@ -194,20 +183,25 @@ def test_bench_q4_safety_checker(benchmark):
     assert violations == []
 
 
-def test_bench_q4_precedes_matrix(benchmark):
-    """Batch ->co matrix extraction (feeds safety + falsecausality)."""
+def test_bench_q4_closure_and_legality(benchmark):
+    """The ->co closure (ancestor and descendant bitsets) plus the
+    one-mask-per-read legality check, on a 1,200-op OptP history."""
+    from repro.model.history import History
+    from repro.model.legality import check_causal_consistency
     from repro.sim import SeededLatency, run_schedule
     from repro.workloads import WorkloadConfig, random_schedule
 
-    cfg = WorkloadConfig(n_processes=6, ops_per_process=50,
-                         write_fraction=0.8, seed=2)
+    cfg = WorkloadConfig(n_processes=6, ops_per_process=200, n_variables=8,
+                         write_fraction=0.5, seed=0)
     r = run_schedule("optp", 6, random_schedule(cfg),
-                     latency=SeededLatency(2))
-    writes = list(r.history.writes())
-    co = r.history.causal_order
+                     latency=SeededLatency(0))
+    assert len(r.history) == 1_200
 
-    m = benchmark(co.precedes_matrix, writes)
-    assert m.shape == (len(writes), len(writes))
+    def run():
+        # a fresh History: its causal_order cache starts empty
+        return check_causal_consistency(History(r.history.locals))
+
+    assert benchmark(run).consistent
 
 
 def test_bench_q4_end_to_end_run(benchmark):

@@ -3,7 +3,7 @@
 A package that re-exports names from its submodules names them here and
 imports each submodule on first use, so importing one light module of
 the package (every replica process imports ``repro.serve.worker``) does
-not also import its heavy siblings -- the checker, numpy, networkx --
+not also import its heavy siblings -- the checker, the model checker --
 through the package ``__init__``.
 """
 

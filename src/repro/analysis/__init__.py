@@ -27,12 +27,6 @@ from repro.analysis.enabling import (
     x_anbkh,
     x_co_safe,
 )
-from repro.analysis.concurrency import (
-    chain_decomposition_depth,
-    concurrency_profile,
-    concurrent_write_pairs,
-    max_concurrent_writes,
-)
 from repro.analysis.cuts import (
     Cut,
     applied_writes_at,
@@ -74,7 +68,6 @@ __all__ = [
     "applied_writes_at",
     "assert_run_ok",
     "audit_delays",
-    "chain_decomposition_depth",
     "check_characterization",
     "check_liveness",
     "check_run",
@@ -82,10 +75,7 @@ __all__ = [
     "check_sessions",
     "closure_violations",
     "comparison_table",
-    "concurrency_profile",
-    "concurrent_write_pairs",
     "cut_at_times",
-    "max_concurrent_writes",
     "enabling_table",
     "full_cut",
     "is_consistent",

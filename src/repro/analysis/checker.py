@@ -24,16 +24,14 @@ verifies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.core.vectorclock import batch_precedes_matrix
-from repro.model.history import History
+from repro.model.history import bit_positions
 from repro.model.legality import LegalityReport, check_causal_consistency
 from repro.model.operations import WriteId
 from repro.sim.result import RunResult
-from repro.sim.trace import EventKind, Trace
+from repro.sim.trace import EventKind
 
 
 @dataclass(frozen=True)
@@ -113,34 +111,27 @@ def check_safety(result: RunResult) -> List[str]:
 
     For writes applied at a process, the apply order must embed
     ``->co``; a write *skipped* at a process (WS variants) imposes
-    nothing there.
-
-    Vectorized: one ``->co`` matrix over the writes, then per-process
-    apply-position arrays compared in bulk (the pairwise Python loop
-    was the analysis hot path at benchmark scale -- see
-    ``benchmarks/test_bench_micro.py::test_bench_q4_safety_checker``).
+    nothing there.  Each process's apply order is walked once: a write
+    whose ``->co`` descendants are already applied there is applied
+    after them, one violation per such descendant.
     """
     history = result.history
     trace = result.trace
-    writes = list(history.writes())
-    if not writes:
-        return []
-    co_matrix = history.causal_order.precedes_matrix(writes)
-    pred_i, succ_j = np.nonzero(co_matrix)
+    co = history.causal_order
     violations: List[str] = []
     for k in range(result.n_processes):
-        pos = np.full(len(writes), np.inf)
-        for idx, w in enumerate(writes):
-            ev = trace.apply_event(k, w.wid)
-            if ev is not None:
-                pos[idx] = ev.seq
-        bad = (pos[pred_i] > pos[succ_j]) & np.isfinite(pos[pred_i]) \
-            & np.isfinite(pos[succ_j])
-        for i, j in zip(pred_i[bad], succ_j[bad]):
+        applied = 0
+        seq: Dict[int, int] = {}
+        late: List[Tuple[int, int]] = []
+        for wid in trace.apply_order(k):
+            i = co.bit(history.write_by_id(wid))
+            seq[i] = trace.apply_event(k, wid).seq
+            late += [(i, j) for j in bit_positions(co.desc[i] & applied)]
+            applied |= 1 << i
+        for i, j in sorted(late):
             violations.append(
-                f"p{k} applied {writes[j].wid} (seq {int(pos[j])}) before "
-                f"its causal predecessor {writes[i].wid} "
-                f"(seq {int(pos[i])})"
+                f"p{k} applied {co.ops[j].wid} (seq {seq[j]}) before "
+                f"its causal predecessor {co.ops[i].wid} (seq {seq[i]})"
             )
     return violations
 
@@ -181,29 +172,32 @@ def audit_delays(result: RunResult) -> List[DelayAudit]:
     receipt some write of ``w``'s ``->co``-causal past had not yet been
     applied at ``p_k`` -- i.e. the corresponding apply event is missing
     from ``E_k`` before the receipt (Definition 3 applied to
-    ``X_co-safe``).
+    ``X_co-safe``).  The witness is the first such write in history
+    order: the lowest bit of ``anc[w] & writes & ~applied``.
     """
     history = result.history
     co = history.causal_order
     trace = result.trace
+    writes = co.mask(history.writes())
+    applied = [0] * trace.n_processes
     audits = []
-    for ev in trace.of_kind(EventKind.BUFFER):
-        w = history.write_by_id(ev.wid)
-        witness = None
-        for w2 in co.write_causal_past(w):
-            applied = trace.apply_event(ev.process, w2.wid)
-            if applied is None or applied.seq > ev.seq:
-                witness = w2.wid
-                break
-        audits.append(
-            DelayAudit(
-                process=ev.process,
-                wid=ev.wid,
-                receipt_seq=ev.seq,
-                necessary=witness is not None,
-                witness=witness,
+    for ev in trace.events:
+        if ev.kind is EventKind.BUFFER:
+            i = co.bit(history.write_by_id(ev.wid))
+            missing = co.anc[i] & writes & ~applied[ev.process] & ~(1 << i)
+            witness = co.ops[(missing & -missing).bit_length() - 1].wid \
+                if missing else None
+            audits.append(
+                DelayAudit(
+                    process=ev.process,
+                    wid=ev.wid,
+                    receipt_seq=ev.seq,
+                    necessary=witness is not None,
+                    witness=witness,
+                )
             )
-        )
+        elif ev.wid is not None and trace.apply_event(ev.process, ev.wid) is ev:
+            applied[ev.process] |= 1 << co.bit(history.write_by_id(ev.wid))
     return audits
 
 
@@ -214,6 +208,13 @@ def check_characterization(result: RunResult) -> Tuple[Optional[bool], List[str]
     (populated when the cluster runs with ``record_state=True`` and the
     protocol exposes its vector).  Returns ``(None, [])`` when vectors
     are unavailable.
+
+    The vectors' ``<`` relation is built as bitsets over the same bit
+    positions as ``->co``: per component, a running mask of the writes
+    whose entry is ``<=`` a given value; ANDed over the components it is
+    the set of vectors ``<=`` a write's, and minus the equal vectors the
+    set ``<`` it.  Each write's set is then compared with its ``->co``
+    past.
     """
     trace = result.trace
     vectors: Dict[WriteId, Tuple[int, ...]] = {}
@@ -224,21 +225,34 @@ def check_characterization(result: RunResult) -> Tuple[Optional[bool], List[str]
         return None, []
     history = result.history
     co = history.causal_order
-    writes = [w for w in history.writes() if w.wid in vectors]
-    mat = batch_precedes_matrix([vectors[w.wid] for w in writes])
+    bits = {co.bit(w): vectors[w.wid] for w in history.writes()
+            if w.wid in vectors}
+    recorded = sum(1 << i for i in bits)
+    below = dict.fromkeys(bits, recorded)
+    equal: Dict[Tuple[int, ...], int] = {}
+    for i, v in bits.items():
+        equal[v] = equal.get(v, 0) | 1 << i
+    for c in range(len(next(iter(bits.values()), ()))):
+        running = 0
+        ranked = sorted(bits, key=lambda i: bits[i][c])
+        for _, tied in groupby(ranked, key=lambda i: bits[i][c]):
+            tied = list(tied)
+            for i in tied:
+                running |= 1 << i
+            for i in tied:
+                below[i] &= running
+    wrong: List[Tuple[int, int]] = []
+    for j, v in bits.items():
+        vc_lt = below[j] & ~equal[v]
+        past = co.anc[j] & recorded & ~(1 << j)
+        wrong += [(i, j) for i in bit_positions(vc_lt ^ past)]
     errors = []
-    for i, w1 in enumerate(writes):
-        for j, w2 in enumerate(writes):
-            if i == j:
-                continue
-            in_co = co.precedes(w1, w2)
-            in_vc = bool(mat[i, j])
-            if in_co != in_vc:
-                errors.append(
-                    f"{w1.wid} -> {w2.wid}: ->co={in_co} but "
-                    f"Write_co<{'' if in_vc else '/'}= {vectors[w1.wid]} vs "
-                    f"{vectors[w2.wid]}"
-                )
+    for i, j in sorted(wrong):
+        in_co = co.precedes(co.ops[i], co.ops[j])
+        errors.append(
+            f"{co.ops[i].wid} -> {co.ops[j].wid}: ->co={in_co} but "
+            f"Write_co<{'/' if in_co else ''}= {bits[i]} vs {bits[j]}"
+        )
     return (not errors), errors
 
 

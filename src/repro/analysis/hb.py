@@ -8,15 +8,14 @@ The analyzers need this for exactly one job: computing
 ``send(w') -> send(w)`` (Section 3.6), which is a statement about the
 *run*, not the history.  The builder therefore indexes SEND and RECEIPT
 events by :class:`WriteId` and answers reachability with the same
-bitset-over-condensation technique as :class:`repro.model.history.CausalOrder`.
+bitset closure as :class:`repro.model.history.CausalOrder`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
+from repro.model.history import close
 from repro.model.operations import WriteId
 from repro.sim.trace import EventKind, Trace, TraceEvent
 
@@ -26,14 +25,12 @@ class HappenedBefore:
 
     def __init__(self, trace: Trace):
         self._trace = trace
-        g = nx.DiGraph()
-        for ev in trace.events:
-            g.add_node(ev.seq)
+        succ: List[List[int]] = [[] for _ in trace.events]
         # (i) process order: consecutive events at each process
         for p in range(trace.n_processes):
             evs = trace.process_events(p)
             for a, b in zip(evs, evs[1:]):
-                g.add_edge(a.seq, b.seq)
+                succ[a.seq].append(b.seq)
         # (ii) message edges: send(w) -> each receipt(w).  The issuer's
         # WRITE event immediately precedes its SEND at the same process,
         # so process order covers the local side.
@@ -43,18 +40,10 @@ class HappenedBefore:
         for ev in trace.of_kind(EventKind.RECEIPT):
             send = sends.get(ev.wid)
             if send is not None:
-                g.add_edge(send.seq, ev.seq)
-        self._graph = g
-        # trace events are acyclic by construction (edges always point
-        # to later seq numbers), so plain DAG closure suffices.
-        order = list(nx.topological_sort(g))
-        desc: Dict[int, int] = {}
-        for node in reversed(order):
-            mask = 0
-            for succ in g.successors(node):
-                mask |= desc[succ] | (1 << succ)
-            desc[node] = mask
-        self._desc = desc
+                succ[send.seq].append(ev.seq)
+        # every edge points to a later seq number, so descending seq is
+        # a reverse topological order
+        self._desc = close(succ, reversed(range(len(succ))))
 
     def hb(self, e1: TraceEvent, e2: TraceEvent) -> bool:
         """``e1 -> e2``?"""

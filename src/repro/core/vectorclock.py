@@ -15,23 +15,18 @@ Two representations are provided:
 
 - **plain-list helpers** (:func:`vc_le`, :func:`vc_lt`, :func:`vc_join`,
   :func:`vc_concurrent`) used on the protocol hot path.  Protocol
-  vectors have length ``n`` (process count, typically < 64) where plain
-  Python lists beat numpy's per-call dispatch overhead -- measured in
-  ``benchmarks/test_bench_micro.py``;
+  vectors have length ``n`` (process count, typically < 64);
 - an immutable :class:`VectorClock` wrapper with operator sugar for
-  tests, examples and documentation;
-- **numpy batch comparators** (:func:`batch_precedes_matrix`,
-  :func:`batch_concurrent_matrix`) used by the trace analyzers, which
-  compare *thousands* of write vectors pairwise at once.
+  tests, examples and documentation.
+
+The trace analyzers compare thousands of write vectors at once as
+bitsets (:func:`repro.analysis.checker.check_characterization`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import List, Sequence, Tuple
 
 # ---------------------------------------------------------------------------
 # Plain-list hot-path helpers
@@ -161,86 +156,3 @@ class VectorClock:
 
     def __str__(self) -> str:
         return "[" + ",".join(str(c) for c in self.components) + "]"
-
-
-# ---------------------------------------------------------------------------
-# numpy batch comparators (trace-analysis scale)
-# ---------------------------------------------------------------------------
-
-
-def _as_matrix(vectors: Iterable[Sequence[int]]) -> np.ndarray:
-    import numpy as np
-
-    mat = np.asarray(list(vectors), dtype=np.int64)
-    if mat.ndim == 1:
-        # zero vectors -> shape (0,); normalize to (0, 0)
-        mat = mat.reshape(0, 0)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a 2-D batch of vectors, got shape {mat.shape}")
-    return mat
-
-
-#: Row-block size picked automatically by :func:`batch_precedes_matrix`
-#: for batches large enough that the full (k, k, n) broadcast would
-#: allocate gigabytes (k > _AUTO_CHUNK_THRESHOLD).
-_AUTO_CHUNK_THRESHOLD = 8192
-_DEFAULT_CHUNK = 1024
-
-
-def batch_precedes_matrix(
-    vectors: Iterable[Sequence[int]],
-    *,
-    chunk: Optional[int] = None,
-) -> np.ndarray:
-    """Pairwise strict-domination matrix for a batch of k vectors.
-
-    Returns a boolean ``(k, k)`` array ``P`` with ``P[i, j]`` true iff
-    ``vectors[i] < vectors[j]``.  By Theorem 1 this *is* the ``->co``
-    adjacency (closed under transitivity) of the corresponding writes.
-
-    Vectorized: the broadcast comparison materializes ``(rows, k, n)``
-    intermediates.  With ``chunk=None`` and ``k <= 8192`` all rows go
-    in one shot (O(k^2 * n) scratch memory); larger batches -- traces
-    with tens of thousands of writes -- are processed in row blocks of
-    ``chunk`` (default 1024) so scratch memory stays O(chunk * k * n)
-    while the result is bit-identical
-    (``tests/core/test_vectorclock.py`` pins the equality).  Pass an
-    explicit ``chunk`` to force a block size either way.
-    """
-    import numpy as np
-
-    mat = _as_matrix(vectors)
-    k = mat.shape[0]
-    if k == 0:
-        return np.zeros((0, 0), dtype=bool)
-    if chunk is None and k > _AUTO_CHUNK_THRESHOLD:
-        chunk = _DEFAULT_CHUNK
-    if chunk is not None and chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    if chunk is None or chunk >= k:
-        le = np.all(mat[:, None, :] <= mat[None, :, :], axis=2)
-        eq = np.all(mat[:, None, :] == mat[None, :, :], axis=2)
-        return le & ~eq
-    out = np.empty((k, k), dtype=bool)
-    for start in range(0, k, chunk):
-        rows = mat[start:start + chunk]
-        le = np.all(rows[:, None, :] <= mat[None, :, :], axis=2)
-        eq = np.all(rows[:, None, :] == mat[None, :, :], axis=2)
-        out[start:start + chunk] = le & ~eq
-    return out
-
-
-def batch_concurrent_matrix(vectors: Iterable[Sequence[int]]) -> np.ndarray:
-    """Pairwise concurrency matrix: ``C[i, j]`` iff ``v_i || v_j``.
-
-    The diagonal is False by convention (an operation is not concurrent
-    with itself), matching :meth:`CausalOrder.concurrent`.
-    """
-    import numpy as np
-
-    p = batch_precedes_matrix(vectors)
-    k = p.shape[0]
-    c = ~p & ~p.T
-    if k:
-        np.fill_diagonal(c, False)
-    return c

@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-import networkx as nx
-
-from repro.model.history import History
+from repro.model.history import History, bit_positions
 from repro.model.operations import Write, WriteId
 
 
@@ -52,52 +50,58 @@ def immediate_predecessors(history: History, w: Write) -> List[Write]:
 
 @dataclass(frozen=True)
 class WriteCausalityGraph:
-    """The write causality graph of a history, as a networkx DAG.
+    """The write causality graph of a history, as adjacency dicts.
 
-    Nodes are :class:`WriteId` values; each node stores its
-    :class:`Write` under the ``"write"`` attribute.  Use
+    ``preds`` / ``succs`` map every :class:`WriteId` to its immediate
+    ``->co^0`` predecessors / successors, sorted.  Use
     :meth:`from_history` to build one.
     """
 
     history: History
-    graph: nx.DiGraph
+    preds: Dict[WriteId, List[WriteId]]
+    succs: Dict[WriteId, List[WriteId]]
 
     @classmethod
     def from_history(cls, history: History) -> "WriteCausalityGraph":
-        """Build the graph (transitive reduction of ``->co`` on writes)."""
+        """Build the graph (transitive reduction of ``->co`` on writes).
+
+        A write's immediate predecessors are its past writes minus the
+        union of their own past writes.
+        """
         co = history.causal_order
         if co.has_cycle:
             raise ValueError(
                 "cannot build a write causality graph for a history "
                 "whose ->co relation is cyclic"
             )
-        g = nx.DiGraph()
-        writes = list(history.writes())
-        for w in writes:
-            g.add_node(w.wid, write=w)
-        # Full write-restricted ->co, then reduce.
-        full = nx.DiGraph()
-        full.add_nodes_from(w.wid for w in writes)
-        for i, w1 in enumerate(writes):
-            for w2 in writes:
-                if w1.wid != w2.wid and co.precedes(w1, w2):
-                    full.add_edge(w1.wid, w2.wid)
-        reduced = nx.transitive_reduction(full)
-        g.add_edges_from(reduced.edges())
-        return cls(history=history, graph=g)
+        writes = co.mask(history.writes())
+        preds: Dict[WriteId, List[WriteId]] = {}
+        succs: Dict[WriteId, List[WriteId]] = {}
+        for w in history.writes():
+            past = co.anc[co.bit(w)] & writes
+            covered = 0
+            for i in bit_positions(past):
+                covered |= co.anc[i]
+            preds[w.wid] = sorted(
+                co.ops[i].wid for i in bit_positions(past & ~covered))
+            succs[w.wid] = []
+        for wid in sorted(preds):
+            for p in preds[wid]:
+                succs[p].append(wid)
+        return cls(history=history, preds=preds, succs=succs)
 
     # -- queries -----------------------------------------------------------
 
     def predecessors(self, wid: WriteId) -> List[WriteId]:
         """Immediate ``->co^0`` predecessors of the write ``wid``."""
-        return sorted(self.graph.predecessors(wid))
+        return list(self.preds[wid])
 
     def successors(self, wid: WriteId) -> List[WriteId]:
-        return sorted(self.graph.successors(wid))
+        return list(self.succs[wid])
 
     def roots(self) -> List[WriteId]:
         """Writes with empty causal past (in-degree zero)."""
-        return sorted(n for n in self.graph.nodes if self.graph.in_degree(n) == 0)
+        return sorted(wid for wid, p in self.preds.items() if not p)
 
     def chains_between(self, w1: WriteId, w2: WriteId) -> Iterator[List[WriteId]]:
         """All immediate-step chains ``w1 ->co^0 ... ->co^0 w2``.
@@ -105,27 +109,48 @@ class WriteCausalityGraph:
         The paper writes ``w1 ->co^k w2`` for a chain of ``k+1`` edges;
         this enumerates every such decomposition.
         """
-        yield from nx.all_simple_paths(self.graph, w1, w2)
+        co = self.history.causal_order
+        target = self.history.write_by_id(w2)
+        path = [w1]
+
+        def extend(wid: WriteId) -> Iterator[List[WriteId]]:
+            for nxt in self.succs[wid]:
+                path.append(nxt)
+                if nxt == w2:
+                    yield list(path)
+                elif co.precedes(self.history.write_by_id(nxt), target):
+                    yield from extend(nxt)
+                path.pop()
+
+        yield from extend(w1)
 
     def longest_chain_length(self) -> int:
         """Length (edge count) of the longest chain in the graph."""
-        if self.graph.number_of_nodes() == 0:
-            return 0
-        return nx.dag_longest_path_length(self.graph)
+        co = self.history.causal_order
+        depth: Dict[WriteId, int] = {}
+        # a write has strictly more ancestors than any of its ancestors
+        for w in sorted(self.history.writes(),
+                        key=lambda w: co.anc[co.bit(w)].bit_count()):
+            depth[w.wid] = max((depth[p] + 1 for p in self.preds[w.wid]),
+                               default=0)
+        return max(depth.values(), default=0)
 
     def validate(self) -> None:
         """Check the structural properties stated in Section 4.3.
 
-        - the graph is a DAG;
+        - every edge is a ``->co`` step (so the graph is a DAG: the
+          constructor rejects cyclic ``->co``);
         - every write has at most ``n`` immediate predecessors, and at
           most one per process ("each write operation can have at most
           n immediate predecessors, one for each process").
         """
-        if not nx.is_directed_acyclic_graph(self.graph):
-            raise AssertionError("write causality graph must be a DAG")
+        co = self.history.causal_order
         n = self.history.n_processes
-        for node in self.graph.nodes:
-            preds = list(self.graph.predecessors(node))
+        for node, preds in self.preds.items():
+            for p in preds:
+                if not co.precedes(self.history.write_by_id(p),
+                                   self.history.write_by_id(node)):
+                    raise AssertionError(f"edge {p} -> {node} is not in ->co")
             if len(preds) > n:
                 raise AssertionError(
                     f"{node} has {len(preds)} immediate predecessors > n={n}"
@@ -140,7 +165,8 @@ class WriteCausalityGraph:
                 per_process[p.process] = p
 
     def edge_list(self) -> List[Tuple[WriteId, WriteId]]:
-        return sorted(self.graph.edges())
+        return sorted((p, wid) for wid, preds in self.preds.items()
+                      for p in preds)
 
     def to_ascii(self) -> str:
         """Render the DAG as indented ASCII, roots first (Figure 7 style)."""
@@ -148,7 +174,7 @@ class WriteCausalityGraph:
         seen: set = set()
 
         def render(wid: WriteId, depth: int) -> None:
-            w = self.graph.nodes[wid]["write"]
+            w = self.history.write_by_id(wid)
             marker = "*" if wid in seen else ""
             lines.append("  " * depth + f"{w}{marker}")
             if wid in seen:

@@ -21,11 +21,15 @@ The base relation (po + ro edges) is a digraph over operations.  For
 histories produced by correct protocols it is acyclic, but *arbitrary*
 histories can contain ``->co`` cycles (e.g. two processes each reading a
 value the other writes only later); the legality checker must detect
-and reject those rather than crash.  :class:`CausalOrder` therefore
-condenses strongly connected components first and computes reachability
-bitsets (Python big-ints) over the condensation DAG in reverse
-topological order -- O(V·E/64)-ish, comfortably fast for the
-multi-thousand-operation traces the benchmarks produce.
+and reject those rather than crash.  :class:`CausalOrder` numbers the
+operations in :meth:`History.operations` order and keeps, per
+operation, its strict ancestors and descendants as bitsets on plain
+Python ints.  On a DAG both come from one pass each in Kahn order; a
+cyclic history falls back to a search per operation, so members of a
+nontrivial strongly connected component precede each other and
+themselves.  Legality, safety, the delay audit and characterization
+(:mod:`repro.model.legality`, :mod:`repro.analysis.checker`) are bitwise
+ANDs over these sets.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.model.operations import (
     BOTTOM,
@@ -206,71 +208,99 @@ class History:
         return "\n".join(lines)
 
 
-class CausalOrder:
-    """Reachability structure answering ``->co`` queries on a history.
+def close(adjacent: Sequence[Sequence[int]], order: Iterable[int]) -> List[int]:
+    """Reachability bitsets over a DAG given as adjacency lists.
 
-    Handles cyclic base relations gracefully (possible only in
-    *inconsistent* histories): operations inside a nontrivial strongly
-    connected component causally precede themselves, which
+    ``order`` must visit every node after all of its ``adjacent`` nodes
+    (reverse topological order for successor lists, topological order
+    for predecessor lists).  Returns ``reach`` with bit ``j`` of
+    ``reach[i]`` set iff ``j`` is reachable from ``i`` in one or more
+    steps.
+    """
+    reach = [0] * len(adjacent)
+    for i in order:
+        mask = 0
+        for j in adjacent[i]:
+            mask |= reach[j] | (1 << j)
+        reach[i] = mask
+    return reach
+
+
+def _search(adjacent: Sequence[Sequence[int]], start: int) -> int:
+    """Reachability bitset from ``start`` by explicit search (any graph)."""
+    seen = 0
+    stack = list(adjacent[start])
+    while stack:
+        j = stack.pop()
+        if not seen >> j & 1:
+            seen |= 1 << j
+            stack.extend(adjacent[j])
+    return seen
+
+
+def bit_positions(mask: int) -> List[int]:
+    """The set bits of ``mask``, lowest first."""
+    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+
+class CausalOrder:
+    """``->co`` as ancestor and descendant bitsets over a history.
+
+    Bit ``i`` stands for ``ops[i]``, the ``i``-th operation of
+    :meth:`History.operations`; ``anc[i]`` / ``desc[i]`` hold the
+    operations that causally precede / follow ``ops[i]``.  Cyclic base
+    relations (possible only in *inconsistent* histories) are handled
+    gracefully: operations inside a nontrivial strongly connected
+    component causally precede each other and themselves, which
     :mod:`repro.model.legality` treats as an automatic violation.
     """
 
     def __init__(self, history: History):
-        self._history = history
-        g = nx.DiGraph()
-        for op in history.operations():
-            g.add_node(op.key)
+        self.ops: List[Operation] = list(history.operations())
+        self.index: Dict[OpKey, int] = {
+            op.key: i for i, op in enumerate(self.ops)
+        }
+        succ: List[List[int]] = [[] for _ in self.ops]
+        pred: List[List[int]] = [[] for _ in self.ops]
         for a, b in history.base_edges():
-            g.add_edge(a.key, b.key)
-        self._graph = g
-
-        # Condense SCCs, then propagate descendant bitsets bottom-up.
-        condensation = nx.condensation(g)
-        order = list(nx.topological_sort(condensation))
-        comp_bit: Dict[int, int] = {}
-        node_bit: Dict[OpKey, int] = {}
-        nodes = list(g.nodes())
-        self._node_index: Dict[OpKey, int] = {nk: i for i, nk in enumerate(nodes)}
-        self._nodes: List[OpKey] = nodes
-        for comp in condensation.nodes():
-            mask = 0
-            for nk in condensation.nodes[comp]["members"]:
-                mask |= 1 << self._node_index[nk]
-            comp_bit[comp] = mask
-        # descendants[comp] = union of member bits of all reachable comps
-        desc: Dict[int, int] = {}
-        for comp in reversed(order):
-            mask = 0
-            for succ in condensation.successors(comp):
-                mask |= desc[succ] | comp_bit[succ]
-            desc[comp] = mask
-        self._trivial_scc: Dict[OpKey, bool] = {}
-        self._desc_of_node: Dict[OpKey, int] = {}
-        for comp in condensation.nodes():
-            members = condensation.nodes[comp]["members"]
-            nontrivial = len(members) > 1
-            for nk in members:
-                # Descendants of a node: everything reachable from its
-                # component, plus (for nontrivial SCCs) the rest of the
-                # component including the node itself.
-                extra = comp_bit[comp] if nontrivial else 0
-                self._desc_of_node[nk] = desc[comp] | extra
-                self._trivial_scc[nk] = not nontrivial
+            i, j = self.index[a.key], self.index[b.key]
+            succ[i].append(j)
+            pred[j].append(i)
+        # Kahn: a topological order exists iff the base relation is a DAG.
+        indegree = [len(p) for p in pred]
+        order = [i for i, d in enumerate(indegree) if d == 0]
+        for i in order:
+            for j in succ[i]:
+                indegree[j] -= 1
+                if indegree[j] == 0:
+                    order.append(j)
+        #: True when the base relation contains a cycle: only an
+        #: inconsistent history has one, never a protocol trace.
+        self.has_cycle = len(order) < len(self.ops)
+        if self.has_cycle:
+            nodes = range(len(self.ops))
+            self.desc = [_search(succ, i) for i in nodes]
+            self.anc = [_search(pred, i) for i in nodes]
+        else:
+            self.desc = close(succ, reversed(order))
+            self.anc = close(pred, order)
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def has_cycle(self) -> bool:
-        """True when the base relation contains a cycle.
+    def bit(self, op: Operation) -> int:
+        """The bit position standing for ``op``."""
+        return self.index[op.key]
 
-        A cyclic ``->co`` can only arise from an inconsistent history;
-        correct protocol traces always yield a DAG.
-        """
-        return any(not t for t in self._trivial_scc.values())
+    def mask(self, ops: Iterable[Operation]) -> int:
+        """The bitset of ``ops``."""
+        out = 0
+        for op in ops:
+            out |= 1 << self.index[op.key]
+        return out
 
     def precedes(self, o1: Operation, o2: Operation) -> bool:
         """``o1 ->co o2``: does o1 causally precede o2?"""
-        return bool(self._desc_of_node[o1.key] & (1 << self._node_index[o2.key]))
+        return bool(self.desc[self.index[o1.key]] >> self.index[o2.key] & 1)
 
     def concurrent(self, o1: Operation, o2: Operation) -> bool:
         """``o1 ||co o2``: neither operation causally precedes the other."""
@@ -279,94 +309,22 @@ class CausalOrder:
         return not self.precedes(o1, o2) and not self.precedes(o2, o1)
 
     def causal_past(self, o: Operation) -> List[Operation]:
-        """:math:`\\downarrow(o, \\mapsto_{co})` -- all ops preceding ``o``."""
-        target_bit = 1 << self._node_index[o.key]
-        out = []
-        for nk in self._nodes:
-            if nk != o.key and (self._desc_of_node[nk] & target_bit):
-                out.append(self._history.op(nk))
-        return out
+        """:math:`\\downarrow(o, \\mapsto_{co})` -- all ops preceding ``o``.
+
+        ``o`` itself is left out even when a cycle makes it its own
+        ancestor; :attr:`has_cycle` reports cycles.
+        """
+        i = self.index[o.key]
+        return [self.ops[j] for j in bit_positions(self.anc[i] & ~(1 << i))]
 
     def causal_future(self, o: Operation) -> List[Operation]:
-        """All operations that ``o`` causally precedes."""
-        mask = self._desc_of_node[o.key]
-        out = []
-        for nk in self._nodes:
-            if nk != o.key and (mask & (1 << self._node_index[nk])):
-                out.append(self._history.op(nk))
-        # A node in a nontrivial SCC reaches itself; exclude it above but
-        # report cycles via has_cycle instead.
-        return out
+        """All operations that ``o`` causally precedes (``o`` excluded)."""
+        i = self.index[o.key]
+        return [self.ops[j] for j in bit_positions(self.desc[i] & ~(1 << i))]
 
     def write_causal_past(self, o: Operation) -> List[Write]:
         """The writes in ``o``'s causal past (what safety quantifies over)."""
         return [op for op in self.causal_past(o) if isinstance(op, Write)]
-
-    def precedes_matrix(self, ops: Sequence[Operation]):
-        """Boolean ``(k, k)`` numpy matrix: ``M[i, j]`` iff
-        ``ops[i] ->co ops[j]``.
-
-        The batch interface for analyzers that compare many pairs (the
-        safety checker sweeps all write pairs x all processes);
-        extracted straight from the per-node descendant bitsets.
-        """
-        import numpy as np
-
-        k = len(ops)
-        out = np.zeros((k, k), dtype=bool)
-        cols = [(j, 1 << self._node_index[op.key]) for j, op in enumerate(ops)]
-        for i, op in enumerate(ops):
-            mask = self._desc_of_node[op.key]
-            row = out[i]
-            for j, bit in cols:
-                if mask & bit:
-                    row[j] = True
-        return out
-
-    def closure_vectors(self, ops: Sequence[Operation]):
-        """0/1 ``(k, V)`` numpy matrix of downward-closure indicators.
-
-        Row ``i`` marks, over all ``V`` nodes of the history, the set
-        :math:`\\{ops[i]\\} \\cup desc(ops[i])`.  On a DAG, strict
-        elementwise domination of these rows characterizes ``->co``::
-
-            ops[i] ->co ops[j]  iff  row(j) < row(i)
-
-        (forward: reachability makes ``closure(j)`` a subset of
-        ``closure(i)``, strictly since ``i`` is not its own descendant;
-        backward: ``j`` in ``closure(i)`` and ``j != i`` is exactly
-        reachability).  So ``batch_precedes_matrix(closure_vectors(
-        ops)).T`` is :meth:`precedes_matrix` computed by numpy
-        broadcasting instead of per-pair Python -- the vectorized
-        legality checker's substrate.  Only meaningful on acyclic
-        histories (callers check :attr:`has_cycle` first).
-        """
-        import numpy as np
-
-        n_nodes = len(self._nodes)
-        nbytes = max(1, (n_nodes + 7) // 8)
-        out = np.zeros((len(ops), n_nodes), dtype=np.uint8)
-        for i, op in enumerate(ops):
-            mask = (
-                self._desc_of_node[op.key]
-                | (1 << self._node_index[op.key])
-            )
-            packed = np.frombuffer(
-                mask.to_bytes(nbytes, "little"), dtype=np.uint8
-            )
-            out[i] = np.unpackbits(
-                packed, bitorder="little", count=n_nodes
-            )
-        return out
-
-    def writes_precede(self, w1: Write, w2: Write) -> bool:
-        """Convenience alias of :meth:`precedes` restricted to writes."""
-        return self.precedes(w1, w2)
-
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying (uncondensated) base-relation digraph."""
-        return self._graph
 
 
 class HistoryBuilder:

@@ -19,7 +19,7 @@ causally saw).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, Hashable, List, Optional
 
 from repro.model.history import History
 from repro.model.operations import Read, Write
@@ -104,120 +104,50 @@ def is_legal_read(history: History, read: Read) -> Optional[LegalityViolation]:
     return None
 
 
-def _check_scalar(history: History) -> List[LegalityViolation]:
-    """Reference path: :func:`is_legal_read` per read, in history order."""
-    violations = []
-    for read in history.reads():
-        v = is_legal_read(history, read)
-        if v is not None:
-            violations.append(v)
-    return violations
+_BOTTOM_REASON = (
+    "returned BOTTOM although a write to the same variable is in its "
+    "causal past"
+)
+_INTERPOSED_REASON = (
+    "a causally newer write to the same variable is interposed between "
+    "the writer and the read"
+)
 
 
-def _check_vectorized(history: History) -> List[LegalityViolation]:
-    """Batch path: every (write, read) precedence decided in one numpy
-    broadcast instead of per-pair Python bit tests.
-
-    Builds closure vectors for all writes and reads, takes
-    ``batch_precedes_matrix(...)`` over the concatenated batch (its
-    transpose is the ``->co`` matrix, see
-    :meth:`~repro.model.history.CausalOrder.closure_vectors`), then
-    answers Definition 1 per read with boolean masks over the writes
-    *grouped by variable*.  Witness parity with the scalar path is
-    structural: writes are scanned in ``history.writes()`` order, the
-    same order ``write_causal_past`` yields them, so the first matching
-    index is the scalar path's witness and the produced violations are
-    ``==``-identical (the differential test pins this).
-
-    Only called on acyclic histories -- the closure-domination
-    equivalence needs a DAG.
-    """
-    import numpy as np
-
-    from repro.core.vectorclock import batch_precedes_matrix
-
-    co = history.causal_order
-    writes = list(history.writes())
-    reads = list(history.reads())
-    if not reads:
-        return []
-    n_writes = len(writes)
-    precedes = batch_precedes_matrix(
-        co.closure_vectors(writes + reads)
-    ).T
-    ww = precedes[:n_writes, :n_writes]     # write ->co write
-    wr = precedes[:n_writes, n_writes:]     # write ->co read
-
-    grouped: dict = {}
-    for i, w in enumerate(writes):
-        grouped.setdefault(w.variable, []).append(i)
-    by_variable = {v: np.asarray(ix) for v, ix in grouped.items()}
-    windex = {w.wid: i for i, w in enumerate(writes)}
-
-    violations = []
-    for j, read in enumerate(reads):
-        group = by_variable.get(read.variable)
-        if group is None:
-            continue
-        in_past = wr[group, j]
-        if read.read_from is None:
-            if in_past.any():
-                witness = writes[group[int(np.argmax(in_past))]]
-                violations.append(LegalityViolation(
-                    read=read,
-                    reason=(
-                        "returned BOTTOM although a write to the same "
-                        "variable is in its causal past"
-                    ),
-                    interposed=witness,
-                ))
-            continue
-        wi = windex[read.read_from]
-        interposed = in_past & ww[wi, group] & (group != wi)
-        if interposed.any():
-            witness = writes[group[int(np.argmax(interposed))]]
-            violations.append(LegalityViolation(
-                read=read,
-                reason="a causally newer write to the same variable is "
-                "interposed between the writer and the read",
-                interposed=witness,
-            ))
-    return violations
-
-
-def check_causal_consistency(
-    history: History, *, mode: str = "auto"
-) -> LegalityReport:
+def check_causal_consistency(history: History) -> LegalityReport:
     """Check Definition 2 on a full history; returns a detailed report.
 
     A cyclic ``->co`` (only possible for histories no protocol run can
     produce) is reported as inconsistent with ``cyclic=True``.
 
-    ``mode`` selects the engine: ``"vectorized"`` batches every
-    precedence query through numpy (see :func:`_check_vectorized`),
-    ``"scalar"`` runs the per-read reference loop, and ``"auto"`` (the
-    default) uses the vectorized path when numpy is importable and
-    falls back to scalar otherwise.  All modes return ``==``-identical
-    reports.
+    Each read ``r`` of ``x`` is one mask over the causal-order bitsets:
+    ``anc[r] & writes_to[x]`` for a BOTTOM read, and
+    ``anc[r] & desc[writer] & writes_to[x]`` otherwise.  A nonzero mask
+    is a violation whose lowest bit is the witness -- the first such
+    write in history order, the one :func:`is_legal_read` returns, so
+    the report lists the same violations in the same order.
     """
-    if mode not in ("auto", "vectorized", "scalar"):
-        raise ValueError(
-            f"mode must be 'auto', 'vectorized' or 'scalar', got {mode!r}"
-        )
     co = history.causal_order
     if co.has_cycle:
         return LegalityReport(consistent=False, cyclic=True)
-    if mode == "auto":
-        try:
-            import numpy  # noqa: F401
-        except ImportError:  # pragma: no cover - numpy ships with the repo
-            mode = "scalar"
+    writes_to: Dict[Hashable, int] = {}
+    for i, op in enumerate(co.ops):
+        if isinstance(op, Write):
+            writes_to[op.variable] = writes_to.get(op.variable, 0) | 1 << i
+    violations = []
+    for i, read in enumerate(co.ops):
+        if not isinstance(read, Read):
+            continue
+        mask = co.anc[i] & writes_to.get(read.variable, 0)
+        if read.read_from is None:
+            reason = _BOTTOM_REASON
         else:
-            mode = "vectorized"
-    if mode == "vectorized":
-        violations = _check_vectorized(history)
-    else:
-        violations = _check_scalar(history)
+            mask &= co.desc[co.bit(history.write_by_id(read.read_from))]
+            reason = _INTERPOSED_REASON
+        if mask:
+            witness = co.ops[(mask & -mask).bit_length() - 1]
+            violations.append(LegalityViolation(
+                read=read, reason=reason, interposed=witness))
     return LegalityReport(consistent=not violations, violations=violations)
 
 

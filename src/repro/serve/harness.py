@@ -317,7 +317,7 @@ class ServedCluster:
         replay all oracles."""
         if not self.record:
             raise RuntimeError("deployment was not recording; nothing to verify")
-        # the checker (numpy, networkx) is imported by the run that uses it
+        # the checker is imported by the run that uses it
         from repro.serve.conformance import verify_live_trace
         from repro.sim.cluster import _resolve_factory
         from repro.sim.serialize import trace_to_jsonl

@@ -285,7 +285,7 @@ class Trace:
         :func:`repro.model.legality.check_causal_consistency` checks the
         run end-to-end.
         """
-        from repro.model.history import History, LocalHistory  # networkx
+        from repro.model.history import History, LocalHistory
 
         self._sync()
         locals_: List[LocalHistory] = []

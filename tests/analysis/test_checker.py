@@ -166,3 +166,152 @@ class TestCharacterization:
         r = quick_run("ws-receiver", record_state=True)
         ok, errors = check_characterization(r)
         assert ok is True, errors
+
+
+def doctored(trace, n):
+    from repro.sim.result import RunResult
+
+    return RunResult(
+        protocol_name="doctored", n_processes=n, trace=trace, duration=0.0,
+        messages_sent=0, bytes_estimate=0, stores=[{} for _ in range(n)],
+        protocol_stats=[{} for _ in range(n)],
+    )
+
+
+class TestPinnedVerdicts:
+    """Exact texts, witnesses and orders, as the checkers reported them
+    when each check was a numpy matrix or a per-write scan."""
+
+    def test_safety_messages_and_order(self):
+        """p1 applies p0's three ->po-ordered writes backwards, p2 applies
+        a causal successor first: one message per inverted pair, per
+        process, predecessor-major."""
+        from repro.model.operations import WriteId
+        from repro.sim.trace import EventKind, Trace
+
+        t = Trace(3)
+        for seq in (1, 2, 3):
+            t.record(0.0, 0, EventKind.WRITE, wid=WriteId(0, seq),
+                     variable="x", value=seq)
+        for seq in (3, 2, 1):
+            t.record(1.0, 1, EventKind.APPLY, wid=WriteId(0, seq),
+                     variable="x", value=seq)
+        for seq in (2, 1, 3):
+            t.record(2.0, 2, EventKind.APPLY, wid=WriteId(0, seq),
+                     variable="x", value=seq)
+        assert check_safety(doctored(t, 3)) == [
+            "p1 applied w[p0#2] (seq 4) before its causal predecessor "
+            "w[p0#1] (seq 5)",
+            "p1 applied w[p0#3] (seq 3) before its causal predecessor "
+            "w[p0#1] (seq 5)",
+            "p1 applied w[p0#3] (seq 3) before its causal predecessor "
+            "w[p0#2] (seq 4)",
+            "p2 applied w[p0#2] (seq 6) before its causal predecessor "
+            "w[p0#1] (seq 7)",
+        ]
+
+    @pytest.mark.parametrize("scenario,protocol,expected", [
+        (fig3, "anbkh", [(2, (1, 1), 16, False, None)]),
+        (fig3, "optp", []),
+        (fig1_run2, "optp", [(2, (1, 1), 12, True, (0, 1))]),
+        (fig1_run2, "anbkh", [(2, (1, 1), 12, True, (0, 1))]),
+    ])
+    def test_delay_audits_on_paper_runs(self, scenario, protocol, expected):
+        from repro.model.operations import WriteId
+
+        scen = scenario()
+        r = run_schedule(protocol, 3, scen.schedule, latency=scen.latency)
+        assert [(a.process, a.wid, a.receipt_seq, a.necessary, a.witness)
+                for a in audit_delays(r)] == [
+            (p, WriteId(*wid), seq, necessary, witness and WriteId(*witness))
+            for p, wid, seq, necessary, witness in expected]
+
+    def test_characterization_messages_and_order(self):
+        from repro.model.operations import WriteId
+        from repro.sim.trace import EventKind, Trace
+
+        t = Trace(2)
+        for p, seq, vec in ((0, 1, [1, 0]), (1, 1, [2, 1]), (0, 2, [0, 0])):
+            t.record(0.0, p, EventKind.WRITE, wid=WriteId(p, seq),
+                     variable="x", value=seq, state={"write_co": vec})
+        ok, errors = check_characterization(doctored(t, 2))
+        assert ok is False
+        assert errors == [
+            "w[p0#1] -> w[p0#2]: ->co=True but Write_co</= (1, 0) vs (0, 0)",
+            "w[p0#1] -> w[p1#1]: ->co=False but Write_co<= (1, 0) vs (2, 1)",
+            "w[p0#2] -> w[p0#1]: ->co=False but Write_co<= (0, 0) vs (1, 0)",
+            "w[p0#2] -> w[p1#1]: ->co=False but Write_co<= (0, 0) vs (2, 1)",
+        ]
+
+
+def reference_audits(result):
+    """Definition 5 by a scan of each delayed write's causal past."""
+    co = result.history.causal_order
+    out = []
+    for ev in result.trace.events:
+        if ev.kind.value != "buffer":
+            continue
+        witness = None
+        for w2 in co.write_causal_past(result.history.write_by_id(ev.wid)):
+            applied = result.trace.apply_event(ev.process, w2.wid)
+            if applied is None or applied.seq > ev.seq:
+                witness = w2.wid
+                break
+        out.append((ev.process, ev.wid, ev.seq, witness))
+    return out
+
+
+def reference_characterization(result):
+    """Theorems 1-2 by comparing every ordered pair of vectors."""
+    from repro.core.vectorclock import vc_lt
+
+    vectors = {ev.wid: tuple(ev.state["write_co"])
+               for ev in result.trace.events
+               if ev.kind.value == "write" and ev.state
+               and "write_co" in ev.state}
+    co = result.history.causal_order
+    writes = [w for w in result.history.writes() if w.wid in vectors]
+    wrong = []
+    for w1 in writes:
+        for w2 in writes:
+            if w1.wid != w2.wid and (co.precedes(w1, w2)
+                                     != vc_lt(vectors[w1.wid],
+                                              vectors[w2.wid])):
+                wrong.append((w1.wid, w2.wid))
+    return wrong
+
+
+class TestBitsetChecksMatchReferenceScans:
+    @pytest.mark.parametrize("protocol", ["anbkh", "optp", "ws-receiver"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_delay_audits(self, protocol, seed):
+        cfg = WorkloadConfig(n_processes=4, ops_per_process=25,
+                             n_variables=3, seed=seed)
+        r = run_schedule(protocol, 4, random_schedule(cfg),
+                         latency=SeededLatency(seed, dist="exponential",
+                                               mean=1.5))
+        audits = audit_delays(r)
+        assert [(a.process, a.wid, a.receipt_seq, a.witness)
+                for a in audits] == reference_audits(r)
+        assert all(a.necessary == (a.witness is not None) for a in audits)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_characterization_with_corrupted_vectors(self, seed):
+        """Scramble some recorded vectors; the bitset comparison flags
+        exactly the pairs the pairwise scan flags, in the same order."""
+        import random
+        from dataclasses import replace
+
+        r = quick_run("optp", seed=seed, record_state=True)
+        rng = random.Random(seed)
+        events = r.trace.events
+        for k, ev in enumerate(events):
+            if ev.kind.value == "write" and rng.random() < 0.3:
+                vec = [max(0, c + rng.choice((-1, 0, 1)))
+                       for c in ev.state["write_co"]]
+                events[k] = replace(ev, state={**ev.state, "write_co": vec})
+        ok, errors = check_characterization(r)
+        wrong = reference_characterization(r)
+        assert ok == (not wrong)
+        assert [e.split(":")[0] for e in errors] == [
+            f"{a} -> {b}" for a, b in wrong]

@@ -1,14 +1,11 @@
 """Unit + property tests for vector clocks (Section 4.3 relations)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.vectorclock import (
     VectorClock,
-    batch_concurrent_matrix,
-    batch_precedes_matrix,
     vc_concurrent,
     vc_join,
     vc_join_inplace,
@@ -141,92 +138,3 @@ class TestPropertyBased:
     def test_join_commutative(self, pair):
         a, b = pair
         assert vc_join(a, b) == vc_join(b, a)
-
-    @given(st.lists(st.lists(st.integers(min_value=0, max_value=9),
-                             min_size=3, max_size=3),
-                    min_size=1, max_size=12))
-    def test_batch_matches_scalar(self, vecs):
-        p = batch_precedes_matrix(vecs)
-        c = batch_concurrent_matrix(vecs)
-        k = len(vecs)
-        for i in range(k):
-            for j in range(k):
-                assert p[i, j] == vc_lt(vecs[i], vecs[j])
-                if i == j:
-                    assert not c[i, j]
-                else:
-                    expected = not vc_lt(vecs[i], vecs[j]) and not vc_lt(vecs[j], vecs[i])
-                    assert c[i, j] == expected
-
-
-class TestBatchEdgeCases:
-    def test_empty_batch(self):
-        p = batch_precedes_matrix([])
-        assert p.shape == (0, 0)
-        c = batch_concurrent_matrix([])
-        assert c.shape == (0, 0)
-
-    def test_single_vector(self):
-        p = batch_precedes_matrix([[1, 2]])
-        assert p.shape == (1, 1) and not p[0, 0]
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError):
-            batch_precedes_matrix([[[1]]])
-
-    def test_known_matrix(self):
-        # Write_co vectors of H1: a=[1,0,0], c=[2,0,0], b=[1,1,0], d=[1,1,1]
-        vecs = [[1, 0, 0], [2, 0, 0], [1, 1, 0], [1, 1, 1]]
-        p = batch_precedes_matrix(vecs)
-        expected = np.array(
-            [
-                [0, 1, 1, 1],  # a < c, a < b, a < d
-                [0, 0, 0, 0],  # c concurrent with b, d
-                [0, 0, 0, 1],  # b < d
-                [0, 0, 0, 0],
-            ],
-            dtype=bool,
-        )
-        assert (p == expected).all()
-
-
-class TestChunkedBatch:
-    """The chunked row-block path of :func:`batch_precedes_matrix` must
-    be bit-identical to the one-shot broadcast -- it only bounds
-    scratch memory, never changes the result."""
-
-    def _vectors(self, k, n, seed):
-        rng = np.random.default_rng(seed)
-        return rng.integers(0, 6, size=(k, n)).tolist()
-
-    @pytest.mark.parametrize("chunk", [1, 3, 7, 64, 1000])
-    def test_chunked_equals_unchunked(self, chunk):
-        vecs = self._vectors(41, 5, seed=chunk)
-        full = batch_precedes_matrix(vecs)
-        blocked = batch_precedes_matrix(vecs, chunk=chunk)
-        assert np.array_equal(full, blocked)
-
-    def test_chunk_larger_than_batch_is_the_one_shot_path(self):
-        vecs = self._vectors(8, 3, seed=0)
-        assert np.array_equal(
-            batch_precedes_matrix(vecs, chunk=100),
-            batch_precedes_matrix(vecs),
-        )
-
-    def test_invalid_chunk_rejected(self):
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match="chunk"):
-                batch_precedes_matrix([[1, 2]], chunk=bad)
-
-    def test_auto_chunk_threshold_result_identical(self):
-        from repro.core.vectorclock import _AUTO_CHUNK_THRESHOLD
-
-        # shrink the threshold locally would need monkeypatching a
-        # module constant; instead exercise the explicit chunk at a
-        # size where both paths are cheap and compare
-        vecs = self._vectors(129, 4, seed=42)
-        assert np.array_equal(
-            batch_precedes_matrix(vecs, chunk=32),
-            batch_precedes_matrix(vecs, chunk=None),
-        )
-        assert _AUTO_CHUNK_THRESHOLD > 129  # auto path untouched above

@@ -1,7 +1,8 @@
 """Scale tests: bigger runs through the full verified pipeline.
 
-Kept at "a second or two" scale so the default suite stays fast; the
-benchmark harness covers the larger sweeps.
+Kept at "a second or two" scale so the default suite stays fast (the
+10,000-op checker test takes a few seconds); the benchmark harness
+covers the larger sweeps.
 """
 
 import pytest
@@ -12,6 +13,28 @@ from repro.workloads import WorkloadConfig, chain_programs, random_schedule
 
 
 class TestScale:
+    def test_checker_scales_to_ten_thousand_ops(self):
+        """Every check of ``check_run`` on a 10,000-op OptP history stays
+        within 64 MB: ``->co`` is two bitsets per op, about 26 MB here,
+        and no check builds a matrix."""
+        import tracemalloc
+
+        cfg = WorkloadConfig(n_processes=8, ops_per_process=1_250,
+                             n_variables=8, write_fraction=0.5, seed=7)
+        r = run_schedule("optp", 8, random_schedule(cfg),
+                         latency=SeededLatency(7), record_state=True)
+        tracemalloc.start()
+        try:
+            report = check_run(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(r.history) == 10_000
+        assert report.ok and report.characterization_ok, report.summary()
+        assert report.total_delays > 0
+        assert not report.unnecessary_delays
+        assert peak < 64 * 2**20, peak
+
     def test_sixteen_processes(self):
         cfg = WorkloadConfig(n_processes=16, ops_per_process=10,
                              n_variables=8, write_fraction=0.5, seed=9)

@@ -210,6 +210,26 @@ class TestCausalOrderCycles:
         co = h.causal_order
         assert co.precedes(wx, wy) and co.precedes(wy, wx)
 
+    def test_cycle_members_precede_themselves_and_nothing_else_does(self):
+        """A nontrivial SCC reaches itself; an op after the cycle is
+        preceded by every member but does not precede itself."""
+        wx = Write(process=1, index=1, variable="x", value="v", wid=WriteId(1, 1))
+        wy = Write(process=0, index=1, variable="y", value="u", wid=WriteId(0, 1))
+        wz = Write(process=0, index=2, variable="z", value="t", wid=WriteId(0, 2))
+        rx = Read(process=0, index=0, variable="x", value="v", read_from=WriteId(1, 1))
+        ry = Read(process=1, index=0, variable="y", value="u", read_from=WriteId(0, 1))
+        h = History([LocalHistory(0, (rx, wy, wz)), LocalHistory(1, (ry, wx))])
+        co = h.causal_order
+        assert co.has_cycle
+        for op in (rx, wy, ry, wx):
+            assert co.precedes(op, op)
+            assert co.precedes(op, wz)
+        assert not co.precedes(wz, wz)
+        assert not any(co.precedes(wz, op) for op in (rx, wy, ry, wx))
+        assert {o.key for o in co.causal_past(wz)} == {
+            op.key for op in (rx, wy, ry, wx)}
+        assert wy.key not in {o.key for o in co.causal_past(wy)}
+
 
 class TestCausalOrderEdgeCases:
     def test_single_process_total_order(self):

@@ -62,6 +62,26 @@ class TestCausalOrderInvariants:
                     assert co.precedes(a, b)
 
     @SETTINGS
+    @given(histories(max_ops=30))
+    def test_closure_is_reachability_over_base_edges(self, h):
+        """``desc[i]`` is what a search over po + ro edges reaches from
+        ``ops[i]``, and ``anc`` is its transpose."""
+        co = h.causal_order
+        succ = {op.key: [] for op in co.ops}
+        for a, b in h.base_edges():
+            succ[a.key].append(b.key)
+        for i, op in enumerate(co.ops):
+            reached, frontier = set(), list(succ[op.key])
+            while frontier:
+                key = frontier.pop()
+                if key not in reached:
+                    reached.add(key)
+                    frontier.extend(succ[key])
+            assert co.desc[i] == sum(1 << co.index[k] for k in reached)
+            assert co.anc[i] == sum(1 << j for j in range(len(co.ops))
+                                    if co.desc[j] >> i & 1)
+
+    @SETTINGS
     @given(histories())
     def test_causal_past_future_duality(self, h):
         co = h.causal_order
@@ -85,13 +105,16 @@ class TestCausalityGraphInvariants:
     @given(histories())
     def test_reduction_reaches_exactly_co(self, h):
         """Reachability in the reduced graph == ->co on writes."""
-        import networkx as nx
-
         g = WriteCausalityGraph.from_history(h)
         co = h.causal_order
         writes = list(h.writes())
         for w1 in writes:
-            reachable = nx.descendants(g.graph, w1.wid)
+            reachable, frontier = set(), [w1.wid]
+            while frontier:
+                for succ in g.successors(frontier.pop()):
+                    if succ not in reachable:
+                        reachable.add(succ)
+                        frontier.append(succ)
             for w2 in writes:
                 if w1.wid == w2.wid:
                     continue

@@ -1,28 +1,44 @@
-"""Differential proof: the vectorized legality checker is ``==``-
-identical to the scalar reference -- verdicts, violation order,
-reasons, and interposed witnesses -- on legal and illegal histories."""
+"""Differential proof: the bitset legality checker is ``==``-identical
+to the per-read reference :func:`is_legal_read` -- verdicts, violation
+order, reasons, and interposed witnesses -- on legal and illegal
+histories."""
+
+import inspect
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.model.history import History, HistoryBuilder, LocalHistory, example_h1
-from repro.model.legality import check_causal_consistency
+from repro.model.legality import check_causal_consistency, is_legal_read
 from repro.model.operations import Read, Write, WriteId
-from repro.sim import run_schedule
+from repro.sim import SeededLatency, run_schedule
 from repro.workloads import WorkloadConfig, random_schedule
 
+from tests.strategies import histories
 
-def both(history):
-    vec = check_causal_consistency(history, mode="vectorized")
-    ref = check_causal_consistency(history, mode="scalar")
-    return vec, ref
+
+def reference(history):
+    """Definition 2 by :func:`is_legal_read`, one read at a time."""
+    return [v for v in map(lambda r: is_legal_read(history, r),
+                           history.reads()) if v is not None]
 
 
 def assert_identical(history):
-    vec, ref = both(history)
-    assert vec.consistent == ref.consistent
-    assert vec.cyclic == ref.cyclic
-    assert vec.violations == ref.violations
-    return vec
+    rep = check_causal_consistency(history)
+    ref = reference(history)
+    assert rep.violations == ref
+    assert rep.consistent == (not ref)
+    assert not rep.cyclic
+    return rep
+
+
+# -- generated histories -----------------------------------------------------
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(histories(max_processes=5, max_ops=40, max_vars=4))
+def test_generated_histories_identical(history):
+    assert_identical(history)
 
 
 # -- legal histories ---------------------------------------------------------
@@ -34,9 +50,10 @@ def test_h1_identical():
 @pytest.mark.parametrize("protocol", ["optp", "anbkh"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_protocol_runs_identical(protocol, seed):
-    cfg = WorkloadConfig(n_processes=4, ops_per_process=12,
-                         write_fraction=0.6, seed=seed)
-    r = run_schedule(protocol, 4, random_schedule(cfg))
+    cfg = WorkloadConfig(n_processes=4, ops_per_process=30, n_variables=4,
+                         write_fraction=0.5, seed=seed)
+    r = run_schedule(protocol, 4, random_schedule(cfg),
+                     latency=SeededLatency(seed))
     rep = assert_identical(r.history)
     assert rep.consistent
 
@@ -80,9 +97,25 @@ def test_interposed_write():
     assert rep.violations[0].interposed.wid == w_new
 
 
+def test_witness_is_the_first_write_in_history_order():
+    """Two interposed writes from different processes: the witness is
+    the one of the lower process, as the per-read scan finds it."""
+    b = HistoryBuilder(3)
+    w0 = b.write(0, "x", "base")
+    b.read(1, "x", w0)
+    w1 = b.write(1, "x", "p1")
+    b.read(2, "x", w0)
+    w2 = b.write(2, "x", "p2")
+    b.read(0, "x", w2)
+    b.read(0, "x", w1)
+    b.read(0, "x", w0)   # both w1 and w2 sit between w0 and this read
+    rep = assert_identical(b.build())
+    assert [v.interposed.wid for v in rep.violations] == [w1]
+
+
 def test_multiple_violations_same_order():
-    """Two independent illegal reads: both paths report them in
-    history-read order with the same witnesses."""
+    """Two independent illegal reads: both are reported in history-read
+    order with the reference's witnesses."""
     b = HistoryBuilder(3)
     w_old = b.write(0, "x", "old")
     w_new = b.write(0, "x", "new")
@@ -98,27 +131,20 @@ def test_multiple_violations_same_order():
 
 
 def test_cyclic_history_short_circuits():
-    """Cyclic ->co is rejected before either engine runs (the closure
-    trick needs a DAG), identically in every mode."""
+    """Cyclic ->co is rejected before any read is checked."""
     w = Write(process=0, index=1, variable="x", value="v", wid=WriteId(0, 1))
     r = Read(process=0, index=0, variable="x", value="v",
              read_from=WriteId(0, 1))
     h = History([LocalHistory(0, (r, w))])
-    for mode in ("auto", "vectorized", "scalar"):
-        rep = check_causal_consistency(h, mode=mode)
-        assert not rep.consistent
-        assert rep.cyclic
-
-
-# -- mode plumbing -----------------------------------------------------------
-
-def test_auto_matches_explicit_modes():
-    h = example_h1()
-    auto = check_causal_consistency(h, mode="auto")
-    default = check_causal_consistency(h)
-    assert auto.consistent and default.consistent
+    rep = check_causal_consistency(h)
+    assert not rep.consistent
+    assert rep.cyclic
+    assert rep.violations == []
 
 
 def test_unknown_mode_raises():
-    with pytest.raises(ValueError, match="mode must be"):
-        check_causal_consistency(example_h1(), mode="fast")
+    """One engine: there is no ``mode=`` to choose between paths."""
+    assert list(inspect.signature(check_causal_consistency).parameters) \
+        == ["history"]
+    with pytest.raises(TypeError):
+        check_causal_consistency(example_h1(), mode="scalar")

@@ -271,10 +271,12 @@ class TestOneRecording:
 
 
 class TestImportCost:
-    """Every replica process imports the serving path; the checker,
-    numpy and networkx load only where they are used."""
+    """Every replica process imports the serving path; the checker and
+    numpy load only where they are used."""
 
-    HEAVY = ("numpy", "networkx", "repro.analysis", "repro.mck")
+    HEAVY = ("numpy", "repro.analysis", "repro.mck")
+    #: Neither may be needed outside ``core/flatstate.py``'s wide rows.
+    BLOCKED = ("numpy", "networkx")
 
     def test_the_serving_path_imports_nothing_heavy(self):
         import os
@@ -293,6 +295,73 @@ class TestImportCost:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
 
+    #: Prepended to each subprocess: no BLOCKED package can import.
+    BLOCKER = (
+        "import sys\n"
+        "class _Blocked:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        f"        if name.partition('.')[0] in {BLOCKED!r}:\n"
+        "            raise ModuleNotFoundError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, _Blocked())\n"
+        f"for blocked in {BLOCKED!r}:\n"
+        "    try:\n"
+        "        __import__(blocked)\n"
+        "    except ModuleNotFoundError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit(blocked + ' imported')\n"
+    )
+
+    def _blocked(self, code):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                   PYTHONHASHSEED="0")
+        return subprocess.run([sys.executable, "-c", self.BLOCKER + code],
+                              env=env, cwd=root, capture_output=True,
+                              text=True, timeout=300)
+
+    def _blocked_cli(self, *argv):
+        return self._blocked(
+            f"sys.argv = ['repro-dsm', *{list(argv)!r}]\n"
+            "import runpy\n"
+            "runpy.run_module('repro.cli', run_name='__main__', "
+            "alter_sys=True)\n")
+
+    def test_the_cli_and_the_checkers_run_with_blocked_packages(self):
+        """The lint CI jobs install nothing: ``repro.cli``, the linter,
+        ``check_run`` and the exhaustive checker run on the standard
+        library alone."""
+        out = self._blocked(
+            "import repro.cli\n"
+            "from repro.analysis import check_run\n"
+            "from repro.sim import run_schedule\n"
+            "from repro.workloads import WorkloadConfig, random_schedule\n"
+            "cfg = WorkloadConfig(n_processes=3, ops_per_process=10, seed=4)\n"
+            "r = run_schedule('optp', 3, random_schedule(cfg), "
+            "record_state=True)\n"
+            "report = check_run(r)\n"
+            "assert report.ok and report.characterization_ok, "
+            "report.summary()\n"
+            "print(report.summary())\n")
+        assert out.returncode == 0, out.stderr
+        assert "characterized" in out.stdout
+
+        lint = self._blocked_cli(
+            "lint", "tests/lint/fixtures/sim/good_determinism.py")
+        assert lint.returncode == 0, lint.stdout + lint.stderr
+
+        mck = self._blocked_cli("check", "--no-cache", "-p", "optp",
+                                "-w", "pair")
+        assert mck.returncode == 0, mck.stdout + mck.stderr
+        assert ": OK  states=148 " in mck.stdout
+
     def test_package_names_still_resolve(self):
         from repro import check_run, run_schedule
         from repro.model import History, WriteId
@@ -303,6 +372,98 @@ class TestImportCost:
         assert WriteId.__module__ == "repro.model.operations"
         assert ReplicaServer.__module__ == "repro.serve.server"
         assert ServedCluster.__module__ == "repro.serve.harness"
+
+
+#: Names a simplification deleted, one row per removal: (pattern, path,
+#: reason).  ``pattern`` is a regular expression that must match no line
+#: of any ``.py`` file under ``path``.
+REMOVED_NAMES = (
+    (r"state_backend|scheduler=|IndexedScheduler|supports_flat_state|"
+     r"flat_dep_key|enable_flat_state|flat_progress|"
+     r"def apply_event\(self, msg",
+     "src/repro",
+     # Trace.apply_event(process, wid) is unrelated and does not match
+     "a deleted readiness hook or scheduler knob is back in src/repro"),
+    (r"_serve_stream|_hand_over|_conn_tasks|_await_session|"
+     r"StreamReaderProtocol|_read_loop",
+     "src/repro",
+     "a deleted stream hand-over or coroutine wait is back in src/repro"),
+    (r"open_connection|open_unix_connection|StreamWriter|StreamReader|"
+     r"ensure_future|_peer_supervisor|await read_frame",
+     "src/repro/serve/server.py",
+     # both ends of a peer link are _Inbound; server.py keeps the
+     # read_frame import only because bench/tracing.py wraps it
+     "stream code is back in src/repro/serve/server.py"),
+    (r"encode_write_record|encode_read_record|encode_recv_record",
+     "src/repro/serve",
+     # the per-op encoders stay importable for reading old WALs and for
+     # bench/; the server journals whole frames only
+     "a per-op WAL encoder is called from src/repro/serve"),
+    (r"on_remote_apply|on_write=|_count_apply|_count_write|"
+     r"_remote_applies_by|_deferred_local_applies",
+     "src/repro",
+     # each Node counts its own writes and applies; hosts ask settled()
+     "a host-side quiescence counter or node callback is back in "
+     "src/repro"),
+    (r"class DurableLog|_sink_dispatch|_zero_clock|_timer_loop|"
+     r"_run_program|def _ship\b",
+     "src/repro",
+     # every host recovers with durability.recover_node, and AsyncCluster
+     # is SimCluster on the wall clock.  rebuild_node stays (a
+     # replay-only node for bench/ceilings.py), so it is not in the
+     # pattern
+     "a second recovery routine or asyncio host code is back in "
+     "src/repro"),
+    (r"def _bounded_dfs|def expand\(",
+     "src/repro/mck",
+     # sharded expansion and witness minimisation run _Search.dfs
+     "a second exhaustive DFS is back in src/repro/mck"),
+    (r"dump_node_log|load_node_log|log\.jsonl",
+     "src/repro",
+     # a recorded run is its replicas' WALs, replayed into events by
+     # serve.merge.replay_wal
+     "a second event-log format is back in src/repro"),
+    (r"_check_vectorized",
+     "src/repro",
+     "a second legality path is back: legality is one mask per read"),
+    (r"closure_vectors",
+     "src/repro",
+     "numpy closure vectors are back: ->co is the anc/desc bitsets"),
+    (r"precedes_matrix",
+     "src/repro",
+     "a (k, k) ->co matrix is back: ->co is the anc/desc bitsets"),
+    (r"batch_precedes_matrix",
+     "src/repro",
+     "a numpy batch comparator is back in src/repro"),
+    (r"batch_concurrent_matrix",
+     "src/repro",
+     "a numpy batch comparator is back in src/repro"),
+    (r"import networkx|from networkx",
+     "src/repro",
+     "a removed dependency is imported again: the closure and the "
+     "checkers need only the standard library"),
+)
+
+
+@pytest.mark.parametrize(
+    "pattern,path,reason", REMOVED_NAMES,
+    ids=[f"{path}:{pattern[:32]}" for pattern, path, _ in REMOVED_NAMES])
+def test_removed_name_stays_removed(pattern, path, reason):
+    import re
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).resolve().parents[2]
+    target = root / path
+    files = [target] if target.is_file() else sorted(target.rglob("*.py"))
+    assert files, f"{path} has no source files"
+    regex = re.compile(pattern)
+    hits = [f"{f.relative_to(root)}:{n}: {line.strip()}"
+            for f in files
+            for n, line in enumerate(f.read_text().splitlines(), 1)
+            if regex.search(line)]
+    assert hits == [], reason
 
 
 class TestMessageTypes:
